@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .estimator import (
     TractionMeasurement,
 )
 from .mapping import GroundMap, InterpolationConfig
-from .sim import STUBBLE_FAMILY, ScenarioSpec, TelemetrySample, TruthRecord
+from .sim import STUBBLE_FAMILY, TelemetrySample, TruthRecord
 
 BURN_IN_S = 2.0            # discard this much after the start
 TRANSITION_EXCLUDE_S = 3.0  # and after each soil change
@@ -309,7 +309,7 @@ def run(config: RunConfig) -> MetricsReport:
     t0 = time.perf_counter()
     scenario = sim.load_scenario(config.scenario_path)
     if config.seed is not None:
-        scenario = ScenarioSpec(**{**asdict_shallow(scenario), "seed": config.seed})
+        scenario = replace(scenario, seed=config.seed)
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -340,11 +340,6 @@ def run(config: RunConfig) -> MetricsReport:
     with open(out / "metrics.txt", "w") as fh:
         fh.write(format_metrics(report))
     return report
-
-
-def asdict_shallow(spec: ScenarioSpec) -> dict:
-    """Field dict of a ScenarioSpec without recursing into nested dataclasses."""
-    return {name: getattr(spec, name) for name in spec.__dataclass_fields__}
 
 
 def replay(telemetry_path, out_dir, truth_path=None,

@@ -6,6 +6,14 @@ stiff), closes the loop with a PI speed controller under a total power cap,
 and emits 10 Hz telemetry with white Gaussian noise per channel plus an
 exactly aligned truth log for scoring.  Runs are reproducible per seed.
 
+The 1 ms step runs as one kernel: constants are computed once per soil and
+per vehicle, and the RK4 derivative is unrolled over the four wheels with
+slip and the odd-extended adhesion curve inlined.  It keeps the evaluation
+order and every sum's starting value of the scalar plant it replaced,
+which ``tests/oracles.py`` keeps as ``reference_simulate``; the tests
+require equal telemetry and truth (no tolerance).  The 10 Hz truth path
+still calls ``slip`` and ``mu_curve``.
+
 Telemetry CSV column order:
     t, x, y, w1, w2, w3, w4, v, md1, md2, md3, md4, fzf, fdx
 Truth CSV column order:
@@ -24,6 +32,7 @@ import yaml
 
 from .dynamics import (
     GRAVITY,
+    STANDSTILL_EPS,
     SoilParams,
     VehicleParams,
     mu_curve,
@@ -89,6 +98,10 @@ class DrawbarProfile:
     sin_amplitude: float = 0.0
     sin_period: float = 10.0
 
+    def __post_init__(self) -> None:
+        if self.sin_amplitude > 0.0 and not self.sin_period > 0.0:
+            raise ValueError("sin_period must be positive when sin_amplitude > 0")
+
     def __call__(self, t: float) -> float:
         ramp = 1.0 if self.ramp_time <= 0.0 else min(t / self.ramp_time, 1.0)
         f = ramp * self.constant
@@ -108,6 +121,11 @@ class SensorNoise:
     sigma_omega: float = 0.01   # rad/s
     sigma_v: float = 0.02       # m/s
     sigma_pos: float = 0.3      # m
+
+    def __post_init__(self) -> None:
+        for name in ("sigma_omega", "sigma_v", "sigma_pos"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -204,8 +222,18 @@ def _plant_mu(s: float, soil: SoilParams) -> float:
     return mu_curve(s, soil) if s >= 0.0 else -mu_curve(-s, soil)
 
 
-def _smooth_sign(speed: float) -> float:
-    return math.tanh(speed / _SIGN_SPEED)
+def _soil_constants(soil: SoilParams, m: float) -> tuple:
+    """Per-soil factors of the plant kernel.
+
+    ``p*a`` and ``a*(1-p)`` of the adhesion curve, the slope cap of the
+    sub-step rule and ``rho_s*m*g`` of the soil resistance are formed
+    exactly as the scalar expressions form them under left-to-right
+    evaluation, so hoisting them changes no result bit.
+    """
+    a, p = soil.a, soil.p
+    slope_cap = a * (p * abs(soil.alpha1) + (1.0 - p) * abs(soil.alpha2))
+    return (a, p * a, a * (1.0 - p), soil.alpha1, soil.alpha2, slope_cap,
+            soil.rho_s * m * GRAVITY)
 
 
 def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthRecord]]:
@@ -218,6 +246,8 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
     veh = scenario.vehicle
     f_zf = 0.5 * (veh.vehicle_mass - 4.0 * veh.wheel_mass) * GRAVITY
     f_z = wheel_vertical_forces(f_zf, veh)
+    # rolling_radius raises NonPositiveRadius for r_d <= 0, so the kernel's
+    # inlined slip drops the per-call radius check of dynamics.slip.
     r_d = tuple(rolling_radius(f, veh) for f in f_z)
     j_w = veh.wheel_inertia
     rho_t = veh.tire_rr_coeff
@@ -228,8 +258,22 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
     emit_every = round(SAMPLE_DT / INTERNAL_DT)
     n_steps = round(scenario.duration / INTERNAL_DT)
     i_max = 4.0 * scenario.max_wheel_torque / max(scenario.ki, 1e-9)
+    target_speed = scenario.target_speed
+    kp, ki = scenario.kp, scenario.ki
+    max_torque = scenario.max_wheel_torque
+    power_share = scenario.power_cap / 4.0
+    noise = scenario.noise
 
-    omega = [0.0, 0.0, 0.0, 0.0]
+    # Per-wheel constants: radius, load, tire rolling-resistance torque
+    # r_d*rho_t*F_z and the stiffness numerator r_d^2*F_z.
+    r0, r1, r2, r3 = r_d
+    fz0, fz1, fz2, fz3 = f_z
+    rt0, rt1, rt2, rt3 = (r_d[i] * rho_t * f_z[i] for i in range(4))
+    rrf0, rrf1, rrf2, rrf3 = (r_d[i] * r_d[i] * f_z[i] for i in range(4))
+    exp = math.exp
+    tanh = math.tanh
+
+    w0 = w1 = w2 = w3 = 0.0
     v = 0.0
     s_path = 0.0
     integral = 0.0
@@ -237,37 +281,144 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
     drawbar_work = 0.0
     v_peak = 0.0
     feasibility_checked = False
+    soil_prev = None
 
     samples: list[TelemetrySample] = []
     truth: list[TruthRecord] = []
+
+    def deriv(w0, w1, w2, w3, v):
+        # Slip (dynamics.slip) and the odd-extended curve (_plant_mu) per
+        # wheel; the clamps keep max(-1.0, s)'s -1.0 for a NaN slip.
+        v_abs = abs(v)
+
+        x = r0 * abs(w0)
+        if v_abs < STANDSTILL_EPS and x < STANDSTILL_EPS:
+            s = 0.0
+        elif v_abs <= x:
+            s = 1.0 - v_abs / x
+        else:
+            s = -1.0 + x / v_abs
+        if s > -1.0:
+            if s >= 1.0:
+                s = 1.0
+        else:
+            s = -1.0
+        if s >= 0.0:
+            fh0 = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz0
+        else:
+            s = -s
+            fh0 = -(a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz0
+        dw0 = (md0 - r0 * fh0 - rt0 * tanh(w0 * r0 / _SIGN_SPEED)) / j_w
+
+        x = r1 * abs(w1)
+        if v_abs < STANDSTILL_EPS and x < STANDSTILL_EPS:
+            s = 0.0
+        elif v_abs <= x:
+            s = 1.0 - v_abs / x
+        else:
+            s = -1.0 + x / v_abs
+        if s > -1.0:
+            if s >= 1.0:
+                s = 1.0
+        else:
+            s = -1.0
+        if s >= 0.0:
+            fh1 = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz1
+        else:
+            s = -s
+            fh1 = -(a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz1
+        dw1 = (md1 - r1 * fh1 - rt1 * tanh(w1 * r1 / _SIGN_SPEED)) / j_w
+
+        x = r2 * abs(w2)
+        if v_abs < STANDSTILL_EPS and x < STANDSTILL_EPS:
+            s = 0.0
+        elif v_abs <= x:
+            s = 1.0 - v_abs / x
+        else:
+            s = -1.0 + x / v_abs
+        if s > -1.0:
+            if s >= 1.0:
+                s = 1.0
+        else:
+            s = -1.0
+        if s >= 0.0:
+            fh2 = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz2
+        else:
+            s = -s
+            fh2 = -(a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz2
+        dw2 = (md2 - r2 * fh2 - rt2 * tanh(w2 * r2 / _SIGN_SPEED)) / j_w
+
+        x = r3 * abs(w3)
+        if v_abs < STANDSTILL_EPS and x < STANDSTILL_EPS:
+            s = 0.0
+        elif v_abs <= x:
+            s = 1.0 - v_abs / x
+        else:
+            s = -1.0 + x / v_abs
+        if s > -1.0:
+            if s >= 1.0:
+                s = 1.0
+        else:
+            s = -1.0
+        if s >= 0.0:
+            fh3 = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz3
+        else:
+            s = -s
+            fh3 = -(a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz3
+        dw3 = (md3 - r3 * fh3 - rt3 * tanh(w3 * r3 / _SIGN_SPEED)) / j_w
+
+        dv = (0.0 + fh0 + fh1 + fh2 + fh3 - f_dx
+              - rho_s_mg * tanh(v / _SIGN_SPEED)) / m
+        return dw0, dw1, dw2, dw3, dv
 
     for k in range(n_steps + 1):
         t = k * INTERNAL_DT
         if not feasibility_checked and t >= 30.0:
             feasibility_checked = True
-            if v_peak < 0.1 * scenario.target_speed:
+            if v_peak < 0.1 * target_speed:
                 raise ScenarioInfeasible(
                     f"peak speed {v_peak:.3f} m/s after 30 s; drawbar likely "
                     f"exceeds traction capability")
         pos = path.point_at(s_path)
         soil = soil_lookup(scenario.terrain, pos)
+        if soil is not soil_prev:
+            soil_prev = soil
+            a, pa, ap, al1, al2, slope_cap, rho_s_mg = _soil_constants(soil, m)
         f_dx = scenario.drawbar(t)
 
         # PI speed controller with anti-windup, equal torque split, per-wheel
         # power and torque limits.
-        err = scenario.target_speed - v
-        integral = min(max(integral + err * INTERNAL_DT, 0.0), i_max)
-        m_total = scenario.kp * err + scenario.ki * integral
-        m_d = tuple(
-            min(max(m_total / 4.0, 0.0),
-                scenario.max_wheel_torque,
-                scenario.power_cap / 4.0 / max(omega[i], 1.0))
-            for i in range(4))
+        err = target_speed - v
+        integral = integral + err * INTERNAL_DT
+        if 0.0 > integral:
+            integral = 0.0
+        if i_max < integral:
+            integral = i_max
+        m_total = kp * err + ki * integral
+        md = m_total / 4.0
+        if 0.0 > md:
+            md = 0.0
+        if max_torque < md:
+            md = max_torque
+        md0 = md1 = md2 = md3 = md
+        lim = power_share / (1.0 if 1.0 > w0 else w0)
+        if lim < md:
+            md0 = lim
+        lim = power_share / (1.0 if 1.0 > w1 else w1)
+        if lim < md:
+            md1 = lim
+        lim = power_share / (1.0 if 1.0 > w2 else w2)
+        if lim < md:
+            md2 = lim
+        lim = power_share / (1.0 if 1.0 > w3 else w3)
+        if lim < md:
+            md3 = lim
 
         if k % emit_every == 0:
+            omega = (w0, w1, w2, w3)
+            m_d = (md0, md1, md2, md3)
             slips = tuple(slip(v, omega[i], r_d[i]) for i in range(4))
             mus = tuple(_plant_mu(s, soil) for s in slips)
-            noise = scenario.noise
             pos_noisy = (pos[0] + rng.normal(0.0, noise.sigma_pos),
                          pos[1] + rng.normal(0.0, noise.sigma_pos))
             omega_noisy = tuple(w + rng.normal(0.0, noise.sigma_omega)
@@ -278,7 +429,7 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
                 m_d=m_d, f_zf=f_zf, f_dx=f_dx))
             truth.append(TruthRecord(
                 t=t, pos=pos, soil=soil, mu=mus, slip=slips, v=v,
-                omega_w=tuple(omega), drive_energy=drive_energy,
+                omega_w=omega, drive_energy=drive_energy,
                 drawbar_work=drawbar_work))
 
         if k == n_steps:
@@ -286,46 +437,74 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
 
         # Sub-step where the slip-adhesion coupling is stiff: the wheel-mode
         # rate is bounded by r^2 F_z mu'(0) / (J max(|v|, r|w|)).
-        slope_cap = soil.a * (soil.p * abs(soil.alpha1)
-                              + (1.0 - soil.p) * abs(soil.alpha2))
+        v_abs = abs(v)
         lam = 0.0
-        for i in range(4):
-            m_speed = max(abs(v), r_d[i] * abs(omega[i]), 1e-3)
-            lam = max(lam, r_d[i] * r_d[i] * f_z[i] * slope_cap / (j_w * m_speed))
+        m_speed = v_abs
+        x = r0 * abs(w0)
+        if x > m_speed:
+            m_speed = x
+        if 1e-3 > m_speed:
+            m_speed = 1e-3
+        x = rrf0 * slope_cap / (j_w * m_speed)
+        if x > lam:
+            lam = x
+        m_speed = v_abs
+        x = r1 * abs(w1)
+        if x > m_speed:
+            m_speed = x
+        if 1e-3 > m_speed:
+            m_speed = 1e-3
+        x = rrf1 * slope_cap / (j_w * m_speed)
+        if x > lam:
+            lam = x
+        m_speed = v_abs
+        x = r2 * abs(w2)
+        if x > m_speed:
+            m_speed = x
+        if 1e-3 > m_speed:
+            m_speed = 1e-3
+        x = rrf2 * slope_cap / (j_w * m_speed)
+        if x > lam:
+            lam = x
+        m_speed = v_abs
+        x = r3 * abs(w3)
+        if x > m_speed:
+            m_speed = x
+        if 1e-3 > m_speed:
+            m_speed = 1e-3
+        x = rrf3 * slope_cap / (j_w * m_speed)
+        if x > lam:
+            lam = x
         n_sub = min(200, max(1, int(INTERNAL_DT * lam / 2.0) + 1))
         h = INTERNAL_DT / n_sub
-
-        def deriv(w_state, v_state):
-            total_fh = 0.0
-            dw = [0.0] * 4
-            for i in range(4):
-                s_i = slip(v_state, w_state[i], r_d[i])
-                f_h = _plant_mu(s_i, soil) * f_z[i]
-                dw[i] = (m_d[i] - r_d[i] * f_h
-                         - r_d[i] * rho_t * f_z[i]
-                         * _smooth_sign(w_state[i] * r_d[i])) / j_w
-                total_fh += f_h
-            dv = (total_fh - f_dx
-                  - soil.rho_s * m * GRAVITY * _smooth_sign(v_state)) / m
-            return dw, dv
+        hh = 0.5 * h
+        h6 = h / 6.0
 
         for _ in range(n_sub):
-            k1w, k1v = deriv(omega, v)
-            k2w, k2v = deriv([omega[i] + 0.5 * h * k1w[i] for i in range(4)],
-                             v + 0.5 * h * k1v)
-            k3w, k3v = deriv([omega[i] + 0.5 * h * k2w[i] for i in range(4)],
-                             v + 0.5 * h * k2v)
-            k4w, k4v = deriv([omega[i] + h * k3w[i] for i in range(4)],
-                             v + h * k3v)
-            omega = [omega[i] + h / 6.0 * (k1w[i] + 2.0 * k2w[i]
-                                           + 2.0 * k3w[i] + k4w[i])
-                     for i in range(4)]
-            v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            k1w0, k1w1, k1w2, k1w3, k1v = deriv(w0, w1, w2, w3, v)
+            k2w0, k2w1, k2w2, k2w3, k2v = deriv(
+                w0 + hh * k1w0, w1 + hh * k1w1, w2 + hh * k1w2,
+                w3 + hh * k1w3, v + hh * k1v)
+            k3w0, k3w1, k3w2, k3w3, k3v = deriv(
+                w0 + hh * k2w0, w1 + hh * k2w1, w2 + hh * k2w2,
+                w3 + hh * k2w3, v + hh * k2v)
+            k4w0, k4w1, k4w2, k4w3, k4v = deriv(
+                w0 + h * k3w0, w1 + h * k3w1, w2 + h * k3w2,
+                w3 + h * k3w3, v + h * k3v)
+            w0 = w0 + h6 * (k1w0 + 2.0 * k2w0 + 2.0 * k3w0 + k4w0)
+            w1 = w1 + h6 * (k1w1 + 2.0 * k2w1 + 2.0 * k3w1 + k4w1)
+            w2 = w2 + h6 * (k1w2 + 2.0 * k2w2 + 2.0 * k3w2 + k4w2)
+            w3 = w3 + h6 * (k1w3 + 2.0 * k2w3 + 2.0 * k3w3 + k4w3)
+            v = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
 
-        drive_energy += sum(m_d[i] * omega[i] for i in range(4)) * INTERNAL_DT
-        drawbar_work += f_dx * max(v, 0.0) * INTERNAL_DT
-        s_path += max(v, 0.0) * INTERNAL_DT
-        v_peak = max(v_peak, v)
+        # sum() keeps the reference's accumulation (and its int 0 start).
+        drive_energy += sum((md0 * w0, md1 * w1, md2 * w2,
+                             md3 * w3)) * INTERNAL_DT
+        v_pos = 0.0 if 0.0 > v else v
+        drawbar_work += f_dx * v_pos * INTERNAL_DT
+        s_path += v_pos * INTERNAL_DT
+        if v > v_peak:
+            v_peak = v
 
     return samples, truth
 

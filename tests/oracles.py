@@ -4,11 +4,38 @@ Everything here is deliberately written with a different algorithm than
 the code under test: the Kalman filter in closed matrix form, the band
 interpolation over an explicit all-pairs distance matrix, and the traction
 equilibrium by bisection on the adhesion curve.
+
+The one exception is ``reference_simulate``: the scalar plant as it was
+before ``sim.simulate`` became an unrolled per-soil kernel, kept verbatim.
+It calls ``slip`` and ``mu_curve`` per wheel and per RK4 stage, and the
+kernel must reproduce its telemetry and truth exactly (``==``, no
+tolerance).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from tractionmap.dynamics import (
+    GRAVITY,
+    rolling_radius,
+    slip,
+    wheel_vertical_forces,
+)
+from tractionmap.sim import (
+    _SIGN_SPEED,
+    INTERNAL_DT,
+    SAMPLE_DT,
+    ScenarioInfeasible,
+    ScenarioSpec,
+    TelemetrySample,
+    TruthRecord,
+    _Path,
+    _plant_mu,
+    soil_lookup,
+)
 
 
 class LinearKalmanFilter:
@@ -88,3 +115,129 @@ def steady_state_slip(soil, vehicle, f_dx: float, tol: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _smooth_sign(speed: float) -> float:
+    return math.tanh(speed / _SIGN_SPEED)
+
+
+def reference_simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthRecord]]:
+    """Run the closed-loop plant and return aligned telemetry and truth.
+
+    Deterministic for a fixed ScenarioSpec (seed included).  Raises
+    ScenarioInfeasible when the vehicle has not reached 10% of the target
+    speed 30 s in.
+    """
+    veh = scenario.vehicle
+    f_zf = 0.5 * (veh.vehicle_mass - 4.0 * veh.wheel_mass) * GRAVITY
+    f_z = wheel_vertical_forces(f_zf, veh)
+    r_d = tuple(rolling_radius(f, veh) for f in f_z)
+    j_w = veh.wheel_inertia
+    rho_t = veh.tire_rr_coeff
+    m = veh.vehicle_mass
+    path = _Path(scenario.path)
+    rng = np.random.default_rng(scenario.seed)
+
+    emit_every = round(SAMPLE_DT / INTERNAL_DT)
+    n_steps = round(scenario.duration / INTERNAL_DT)
+    i_max = 4.0 * scenario.max_wheel_torque / max(scenario.ki, 1e-9)
+
+    omega = [0.0, 0.0, 0.0, 0.0]
+    v = 0.0
+    s_path = 0.0
+    integral = 0.0
+    drive_energy = 0.0
+    drawbar_work = 0.0
+    v_peak = 0.0
+    feasibility_checked = False
+
+    samples: list[TelemetrySample] = []
+    truth: list[TruthRecord] = []
+
+    for k in range(n_steps + 1):
+        t = k * INTERNAL_DT
+        if not feasibility_checked and t >= 30.0:
+            feasibility_checked = True
+            if v_peak < 0.1 * scenario.target_speed:
+                raise ScenarioInfeasible(
+                    f"peak speed {v_peak:.3f} m/s after 30 s; drawbar likely "
+                    f"exceeds traction capability")
+        pos = path.point_at(s_path)
+        soil = soil_lookup(scenario.terrain, pos)
+        f_dx = scenario.drawbar(t)
+
+        # PI speed controller with anti-windup, equal torque split, per-wheel
+        # power and torque limits.
+        err = scenario.target_speed - v
+        integral = min(max(integral + err * INTERNAL_DT, 0.0), i_max)
+        m_total = scenario.kp * err + scenario.ki * integral
+        m_d = tuple(
+            min(max(m_total / 4.0, 0.0),
+                scenario.max_wheel_torque,
+                scenario.power_cap / 4.0 / max(omega[i], 1.0))
+            for i in range(4))
+
+        if k % emit_every == 0:
+            slips = tuple(slip(v, omega[i], r_d[i]) for i in range(4))
+            mus = tuple(_plant_mu(s, soil) for s in slips)
+            noise = scenario.noise
+            pos_noisy = (pos[0] + rng.normal(0.0, noise.sigma_pos),
+                         pos[1] + rng.normal(0.0, noise.sigma_pos))
+            omega_noisy = tuple(w + rng.normal(0.0, noise.sigma_omega)
+                                for w in omega)
+            v_noisy = v + rng.normal(0.0, noise.sigma_v)
+            samples.append(TelemetrySample(
+                t=t, pos=pos_noisy, omega_w=omega_noisy, v=v_noisy,
+                m_d=m_d, f_zf=f_zf, f_dx=f_dx))
+            truth.append(TruthRecord(
+                t=t, pos=pos, soil=soil, mu=mus, slip=slips, v=v,
+                omega_w=tuple(omega), drive_energy=drive_energy,
+                drawbar_work=drawbar_work))
+
+        if k == n_steps:
+            break
+
+        # Sub-step where the slip-adhesion coupling is stiff: the wheel-mode
+        # rate is bounded by r^2 F_z mu'(0) / (J max(|v|, r|w|)).
+        slope_cap = soil.a * (soil.p * abs(soil.alpha1)
+                              + (1.0 - soil.p) * abs(soil.alpha2))
+        lam = 0.0
+        for i in range(4):
+            m_speed = max(abs(v), r_d[i] * abs(omega[i]), 1e-3)
+            lam = max(lam, r_d[i] * r_d[i] * f_z[i] * slope_cap / (j_w * m_speed))
+        n_sub = min(200, max(1, int(INTERNAL_DT * lam / 2.0) + 1))
+        h = INTERNAL_DT / n_sub
+
+        def deriv(w_state, v_state):
+            total_fh = 0.0
+            dw = [0.0] * 4
+            for i in range(4):
+                s_i = slip(v_state, w_state[i], r_d[i])
+                f_h = _plant_mu(s_i, soil) * f_z[i]
+                dw[i] = (m_d[i] - r_d[i] * f_h
+                         - r_d[i] * rho_t * f_z[i]
+                         * _smooth_sign(w_state[i] * r_d[i])) / j_w
+                total_fh += f_h
+            dv = (total_fh - f_dx
+                  - soil.rho_s * m * GRAVITY * _smooth_sign(v_state)) / m
+            return dw, dv
+
+        for _ in range(n_sub):
+            k1w, k1v = deriv(omega, v)
+            k2w, k2v = deriv([omega[i] + 0.5 * h * k1w[i] for i in range(4)],
+                             v + 0.5 * h * k1v)
+            k3w, k3v = deriv([omega[i] + 0.5 * h * k2w[i] for i in range(4)],
+                             v + 0.5 * h * k2v)
+            k4w, k4v = deriv([omega[i] + h * k3w[i] for i in range(4)],
+                             v + h * k3v)
+            omega = [omega[i] + h / 6.0 * (k1w[i] + 2.0 * k2w[i]
+                                           + 2.0 * k3w[i] + k4w[i])
+                     for i in range(4)]
+            v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+
+        drive_energy += sum(m_d[i] * omega[i] for i in range(4)) * INTERNAL_DT
+        drawbar_work += f_dx * max(v, 0.0) * INTERNAL_DT
+        s_path += max(v, 0.0) * INTERNAL_DT
+        v_peak = max(v_peak, v)
+
+    return samples, truth

@@ -171,9 +171,18 @@ def test_run_with_interpolation_disabled(scenario_file, tmp_path):
 
 # --- command line -----------------------------------------------------------------
 
-def test_main_missing_scenario_no_partial_outputs(tmp_path, capsys):
+@pytest.mark.parametrize("settings", [
+    None,
+    {"drawbar": {"constant": 15000.0, "sin_amplitude": 1000.0,
+                 "sin_period": 0.0}},
+    {"noise": {"sigma_omega": -0.01}},
+], ids=["missing", "zero_sin_period", "negative_sigma"])
+def test_main_bad_scenario_no_partial_outputs(settings, tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    if settings is not None:
+        path.write_text(yaml.safe_dump({**SMALL_SCENARIO, **settings}))
     out = tmp_path / "never"
-    code = cli.main(["run", str(tmp_path / "nope.yaml"), "--out", str(out)])
+    code = cli.main(["run", str(path), "--out", str(out)])
     assert code == 1
     assert not out.exists()
     assert "configuration error" in capsys.readouterr().err

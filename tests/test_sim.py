@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import steady_state_slip
+from oracles import reference_simulate, steady_state_slip
+from test_acceptance import _divergence_prone_scenario
 from tractionmap import sim
 from tractionmap.dynamics import VehicleParams
 from tractionmap.sim import (
@@ -103,6 +106,30 @@ def test_cruise_reaches_target_speed():
     assert truth[-1].v == pytest.approx(2.0, abs=1e-3)
 
 
+# --- simulate: exact agreement with the scalar reference plant -------------------
+
+def _standstill_start():
+    # Zero noise and the full drawbar from t = 0: the first steps run in
+    # the standstill case of slip, under load.
+    scenario = cruise_scenario(sim.SOIL_LOOSE, duration=20.0)
+    return dataclasses.replace(
+        scenario, drawbar=DrawbarProfile(constant=15000.0, ramp_time=0.0))
+
+
+@pytest.mark.parametrize("make_scenario", [
+    # crosses the first soil boundary at about 42 s
+    lambda: sim.default_scenario(duration=50.0),
+    lambda: _divergence_prone_scenario(1),
+    _standstill_start,
+], ids=["three_soil_50s", "divergence_prone_sin_drawbar", "standstill_start"])
+def test_simulate_equals_reference_plant(make_scenario):
+    scenario = make_scenario()
+    samples, truth = simulate(scenario)
+    ref_samples, ref_truth = reference_simulate(scenario)
+    assert samples == ref_samples
+    assert truth == ref_truth
+
+
 # --- determinism ------------------------------------------------------------------
 
 def test_fixed_seed_reproduces_streams_exactly():
@@ -117,7 +144,6 @@ def test_fixed_seed_reproduces_streams_exactly():
 def test_different_seeds_differ():
     base = cruise_scenario(sim.SOIL_MEDIUM, duration=10.0, noise=SensorNoise())
     s1, _ = simulate(base)
-    import dataclasses
     s2, _ = simulate(dataclasses.replace(base, seed=base.seed + 1))
     assert s1 != s2
 
@@ -202,6 +228,8 @@ def test_infeasible_drawbar_raises():
         noise=SensorNoise(0.0, 0.0, 0.0), duration=60.0, seed=0)
     with pytest.raises(ScenarioInfeasible):
         simulate(scenario)
+    with pytest.raises(ScenarioInfeasible):
+        reference_simulate(scenario)
 
 
 def test_samples_emitted_at_10hz():
