@@ -250,12 +250,12 @@ def write_estimates_csv(records: list[EstimateRecord], path) -> None:
 
 
 def save_map_state(gmap: GroundMap, path) -> None:
-    cells = []
-    for i in range(gmap.shape[0]):
-        for j in range(gmap.shape[1]):
-            if gmap.counts[i, j] > 0:
-                cells.append([int(i), int(j), int(gmap.counts[i, j])]
-                             + [float(v) for v in gmap.values[i, j]])
+    """Write the recorded cells as JSON: one ``[i, j, count, *layers]``
+    list per non-empty cell, in row-major order."""
+    i, j = np.nonzero(gmap.counts > 0)
+    cells = [[ci, cj, n, *v] for ci, cj, n, v in zip(
+        i.tolist(), j.tolist(), gmap.counts[i, j].tolist(),
+        gmap.values[i, j].tolist())]
     state = {"origin": list(gmap.origin), "resolution": gmap.resolution,
              "width": int(gmap.shape[0]), "length": int(gmap.shape[1]),
              "layers": list(mapping.LAYER_NAMES), "cells": cells}
@@ -264,15 +264,44 @@ def save_map_state(gmap: GroundMap, path) -> None:
 
 
 def load_map_state(path) -> GroundMap:
+    """Read a map written by ``save_map_state``.
+
+    Raises ValueError unless every cell is a row of finite numbers: an
+    integer index inside the grid, an integer count of at least 1 and one
+    value per layer, with no cell listed twice.
+    """
     with open(path) as fh:
         state = json.load(fh)
     gmap = GroundMap.empty(origin=tuple(state["origin"]),
                            resolution=state["resolution"],
                            width=state["width"], length=state["length"])
-    for cell in state["cells"]:
-        i, j, count = int(cell[0]), int(cell[1]), int(cell[2])
-        gmap.counts[i, j] = count
-        gmap.values[i, j] = cell[3:]
+    row_len = 3 + mapping.NUM_LAYERS
+    try:
+        table = np.array(state["cells"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed map cells: {exc}") from exc
+    if table.shape == (0,):
+        table = table.reshape(0, row_len)
+    if table.ndim != 2 or table.shape[1] != row_len:
+        raise ValueError(f"a map cell must hold i, j, count and "
+                         f"{mapping.NUM_LAYERS} layer values")
+    if not np.all(np.isfinite(table)):
+        raise ValueError("map cells must hold finite numbers")
+    i, j, count = table[:, 0], table[:, 1], table[:, 2]
+    if np.any(table[:, :3] != np.floor(table[:, :3])):
+        raise ValueError("map cell index and count must be integers")
+    w, l = gmap.shape
+    if np.any((i < 0) | (i >= w) | (j < 0) | (j >= l)):
+        raise ValueError(f"map cell index outside the {w} x {l} grid")
+    if np.any(count < 1):
+        raise ValueError("map cell count below 1")
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    gmap.counts[i, j] = count
+    # every count is at least 1, so fewer non-empty cells than rows means
+    # a cell was listed twice
+    if np.count_nonzero(gmap.counts) != len(table):
+        raise ValueError("map cell listed twice")
+    gmap.values[i, j] = table[:, 3:]
     return gmap
 
 

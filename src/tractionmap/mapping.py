@@ -12,7 +12,6 @@ snapshot, so the sweep order is irrelevant.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,11 +158,6 @@ def insert_auto(gmap: GroundMap, pos: tuple[float, float], values) -> GroundMap:
         return insert(gmap, pos, values)
 
 
-def manhattan(c1: tuple[int, int], c2: tuple[int, int]) -> int:
-    """|e - i| + |f - j| between two cell indices."""
-    return abs(c2[0] - c1[0]) + abs(c2[1] - c1[1])
-
-
 def _band_offsets(d_min_excl: float, d_max_incl: float) -> list[tuple[int, int]]:
     """Integer offsets with d_min_excl < Manhattan distance <= d_max_incl."""
     reach = int(np.floor(d_max_incl))
@@ -174,6 +168,11 @@ def _band_offsets(d_min_excl: float, d_max_incl: float) -> list[tuple[int, int]]
             if d_min_excl < d <= d_max_incl:
                 offsets.append((di, dj))
     return offsets
+
+
+# Cells per row tile of the interpolation sweep: a band's (6, rows, l)
+# accumulator of about this many cells stays in cache across its offsets.
+TILE_CELLS = 8192
 
 
 def interpolate(gmap: GroundMap,
@@ -187,8 +186,17 @@ def interpolate(gmap: GroundMap,
     per-layer source range).  Cells with no source within eps_low stay
     empty.  The high band includes d = 0, so a filled cell contributes to
     itself.
+
+    Only the bounding box of the filled cells, widened by the low band's
+    reach and clipped to the grid, can be reached; the sweep covers that
+    box alone, in row tiles of about ``TILE_CELLS`` cells.  The layers
+    and the fill mask are stacked as six planes, so each offset is one
+    add.  Every cell sums its band's offsets in the same order as a
+    full-grid sweep would, and the empty cells it reads add an exact
+    +0.0, so the result does not depend on the box or the tiling.
     """
-    if not np.any(gmap.counts > 0):
+    filled = gmap.counts > 0
+    if not np.any(filled):
         raise ValueError("map has no recorded cells")
     res = gmap.resolution
     bands = [
@@ -199,57 +207,60 @@ def interpolate(gmap: GroundMap,
 
     w, l = gmap.shape
     reach = int(np.floor(cfg.eps_low / res))
-    filled = gmap.counts > 0
-    src = np.where(filled[..., None], gmap.values, 0.0)
-    pad_vals = np.pad(src, ((reach, reach), (reach, reach), (0, 0)))
-    pad_mask = np.pad(filled.astype(float), reach)
+    rows = np.flatnonzero(filled.any(axis=1))
+    cols = np.flatnonzero(filled.any(axis=0))
+    i0, i1 = max(rows[0] - reach, 0), min(rows[-1] + 1 + reach, w)
+    j0, j1 = max(cols[0] - reach, 0), min(cols[-1] + 1 + reach, l)
+    bw, bl = i1 - i0, j1 - j0
 
-    weighted = np.zeros((w, l, NUM_LAYERS))
-    weight_total = np.zeros((w, l))
-    for offsets, band_weight in bands:
-        if not offsets:
-            continue
-        band_sum = np.zeros((w, l, NUM_LAYERS))
-        band_n = np.zeros((w, l))
-        for di, dj in offsets:
-            band_sum += pad_vals[reach + di:reach + di + w,
-                                 reach + dj:reach + dj + l]
-            band_n += pad_mask[reach + di:reach + di + w,
-                               reach + dj:reach + dj + l]
-        has = band_n > 0
-        mean = np.zeros((w, l, NUM_LAYERS))
-        mean[has] = band_sum[has] / band_n[has, None]
-        weighted += np.where(has[..., None], band_weight * mean, 0.0)
-        weight_total += np.where(has, band_weight, 0.0)
+    # Planes 0-4 hold the layers of the filled cells, plane 5 the fill
+    # mask; the zero margin stands for the empty or off-grid cells beyond
+    # the box.
+    box_filled = filled[i0:i1, j0:j1]
+    src = np.zeros((NUM_LAYERS + 1, bw + 2 * reach, bl + 2 * reach))
+    np.copyto(src[:NUM_LAYERS, reach:reach + bw, reach:reach + bl],
+              np.moveaxis(gmap.values[i0:i1, j0:j1], -1, 0), where=box_filled)
+    src[NUM_LAYERS, reach:reach + bw, reach:reach + bl] = box_filled
 
     out = GroundMap.empty(gmap.origin, res, w, l)
-    reached = weight_total > 0
-    out.values[reached] = weighted[reached] / weight_total[reached, None]
-    out.counts[reached] = 1
+    tile_rows = max(1, TILE_CELLS // bl)
+    for r0 in range(0, bw, tile_rows):
+        r1 = min(r0 + tile_rows, bw)
+        weighted = np.zeros((NUM_LAYERS, r1 - r0, bl))
+        weight_total = np.zeros((r1 - r0, bl))
+        for offsets, band_weight in bands:
+            if not offsets:
+                continue
+            acc = np.zeros((NUM_LAYERS + 1, r1 - r0, bl))
+            for di, dj in offsets:
+                acc += src[:, reach + r0 + di:reach + r1 + di,
+                           reach + dj:reach + dj + bl]
+            # A cell with no source in the band has summed only +0.0, so
+            # its mean stays 0.0 and adds an exact +0.0 to ``weighted``.
+            has = acc[NUM_LAYERS] > 0
+            mean = np.divide(acc[:NUM_LAYERS], acc[NUM_LAYERS], where=has,
+                             out=acc[:NUM_LAYERS])
+            weighted += band_weight * mean
+            weight_total += np.where(has, band_weight, 0.0)
+        reached = weight_total > 0
+        np.divide(weighted, weight_total, where=reached, out=weighted)
+        out.values[i0 + r0:i0 + r1, j0:j1] = np.moveaxis(weighted, 0, -1)
+        out.counts[i0 + r0:i0 + r1, j0:j1] = reached
     return out
 
 
 def export_layer_csv(gmap: GroundMap, layer: str, path) -> None:
-    """Write one layer as ``i,j,<layer>`` rows, empty cells omitted."""
+    """Write one layer as ``i,j,<layer>`` rows, empty cells omitted.
+
+    Rows run in row-major cell order with ``repr`` floats and ``\\r\\n``
+    line ends, the format of the standard ``csv`` writer.
+    """
     if layer not in LAYER_NAMES:
         raise ValueError(f"unknown layer {layer!r}; expected one of {LAYER_NAMES}")
     k = LAYER_NAMES.index(layer)
+    i, j = np.nonzero(gmap.counts > 0)
+    rows = [f"i,j,{layer}\r\n"]
+    rows.extend(f"{a},{b},{v!r}\r\n" for a, b, v in
+                zip(i.tolist(), j.tolist(), gmap.values[i, j, k].tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", layer])
-        for i in range(gmap.shape[0]):
-            for j in range(gmap.shape[1]):
-                if gmap.counts[i, j] > 0:
-                    writer.writerow([i, j, repr(float(gmap.values[i, j, k]))])
-
-
-def import_layer_csv(path) -> tuple[str, dict[tuple[int, int], float]]:
-    """Read a layer CSV back as {(i, j): value}; returns (layer name, cells)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != 3 or header[:2] != ["i", "j"]:
-            raise ValueError(f"unrecognized layer CSV header {header}")
-        layer = header[2]
-        cells = {(int(i), int(j)): float(v) for i, j, v in reader}
-    return layer, cells
+        fh.write("".join(rows))

@@ -132,9 +132,9 @@ class FilterState:
     """The estimator's belief plus adaptation bookkeeping.
 
     ``residuals`` is the ring buffer of recent innovations (most recent
-    last).  ``gain`` and ``pred_cov`` cache the last update's Kalman gain
-    and a-priori covariance for the adaptation step.  ``predicted`` tracks
-    the predict/update alternation.
+    last).  ``gain`` and ``innov_cov`` cache the last update's Kalman gain
+    and innovation covariance for the adaptation step.  ``predicted``
+    tracks the predict/update alternation.
     """
 
     mean: np.ndarray
@@ -143,7 +143,6 @@ class FilterState:
     phi: float = 1.0
     residuals: tuple = field(default_factory=tuple)
     gain: np.ndarray | None = None
-    pred_cov: np.ndarray | None = None
     innov_cov: np.ndarray | None = None
     predicted: bool = False
 
@@ -260,7 +259,7 @@ def update(fs: FilterState, model: NonlinearModel, y: np.ndarray,
 
     residuals = (fs.residuals + (innovation,))[-residual_window:]
     return replace(fs, mean=mean, cov=cov, residuals=residuals,
-                   gain=gain, pred_cov=fs.cov, innov_cov=s_cov,
+                   gain=gain, innov_cov=s_cov,
                    predicted=False)
 
 

@@ -9,20 +9,36 @@ The one exception is ``reference_simulate``: the scalar plant as it was
 before ``sim.simulate`` became an unrolled per-soil kernel, kept verbatim.
 It calls ``slip`` and ``mu_curve`` per wheel and per RK4 stage, and the
 kernel must reproduce its telemetry and truth exactly (``==``, no
-tolerance).
+tolerance).  Likewise ``reference_interpolate``,
+``reference_export_layer_csv``, ``reference_save_map_state`` and
+``reference_load_map_state`` are the map layer as it was before the
+interpolation swept only the occupied box in row tiles and the map files
+were written in bulk, kept verbatim; the map layer must reproduce their
+arrays and file bytes exactly.  ``import_layer_csv`` reads a layer CSV
+back for the round-trip tests.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 
 import numpy as np
 
+from tractionmap import mapping
 from tractionmap.dynamics import (
     GRAVITY,
     rolling_radius,
     slip,
     wheel_vertical_forces,
+)
+from tractionmap.mapping import (
+    LAYER_NAMES,
+    NUM_LAYERS,
+    GroundMap,
+    InterpolationConfig,
+    _band_offsets,
 )
 from tractionmap.sim import (
     _SIGN_SPEED,
@@ -241,3 +257,112 @@ def reference_simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], l
         v_peak = max(v_peak, v)
 
     return samples, truth
+
+
+# --- map layer: full-grid sweep and per-cell file I/O -------------------------
+
+
+def reference_interpolate(gmap: GroundMap,
+                          cfg: InterpolationConfig = InterpolationConfig()) -> GroundMap:
+    """Banded-distance interpolation/extrapolation over the whole grid.
+
+    Returns a new map; the input is read only.  For each cell, each band's
+    mean of non-empty source cells is weighted and the result normalized
+    by the total weight of contributing bands (a weighted average, so a
+    constant field is reproduced exactly and outputs stay within the
+    per-layer source range).  Cells with no source within eps_low stay
+    empty.  The high band includes d = 0, so a filled cell contributes to
+    itself.
+    """
+    if not np.any(gmap.counts > 0):
+        raise ValueError("map has no recorded cells")
+    res = gmap.resolution
+    bands = [
+        (_band_offsets(-1.0, cfg.eps_high / res), cfg.w_high),
+        (_band_offsets(cfg.eps_high / res, cfg.eps_mid / res), cfg.w_mid),
+        (_band_offsets(cfg.eps_mid / res, cfg.eps_low / res), cfg.w_low),
+    ]
+
+    w, l = gmap.shape
+    reach = int(np.floor(cfg.eps_low / res))
+    filled = gmap.counts > 0
+    src = np.where(filled[..., None], gmap.values, 0.0)
+    pad_vals = np.pad(src, ((reach, reach), (reach, reach), (0, 0)))
+    pad_mask = np.pad(filled.astype(float), reach)
+
+    weighted = np.zeros((w, l, NUM_LAYERS))
+    weight_total = np.zeros((w, l))
+    for offsets, band_weight in bands:
+        if not offsets:
+            continue
+        band_sum = np.zeros((w, l, NUM_LAYERS))
+        band_n = np.zeros((w, l))
+        for di, dj in offsets:
+            band_sum += pad_vals[reach + di:reach + di + w,
+                                 reach + dj:reach + dj + l]
+            band_n += pad_mask[reach + di:reach + di + w,
+                               reach + dj:reach + dj + l]
+        has = band_n > 0
+        mean = np.zeros((w, l, NUM_LAYERS))
+        mean[has] = band_sum[has] / band_n[has, None]
+        weighted += np.where(has[..., None], band_weight * mean, 0.0)
+        weight_total += np.where(has, band_weight, 0.0)
+
+    out = GroundMap.empty(gmap.origin, res, w, l)
+    reached = weight_total > 0
+    out.values[reached] = weighted[reached] / weight_total[reached, None]
+    out.counts[reached] = 1
+    return out
+
+
+def reference_export_layer_csv(gmap: GroundMap, layer: str, path) -> None:
+    """Write one layer as ``i,j,<layer>`` rows, empty cells omitted."""
+    if layer not in LAYER_NAMES:
+        raise ValueError(f"unknown layer {layer!r}; expected one of {LAYER_NAMES}")
+    k = LAYER_NAMES.index(layer)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", layer])
+        for i in range(gmap.shape[0]):
+            for j in range(gmap.shape[1]):
+                if gmap.counts[i, j] > 0:
+                    writer.writerow([i, j, repr(float(gmap.values[i, j, k]))])
+
+
+def reference_save_map_state(gmap: GroundMap, path) -> None:
+    cells = []
+    for i in range(gmap.shape[0]):
+        for j in range(gmap.shape[1]):
+            if gmap.counts[i, j] > 0:
+                cells.append([int(i), int(j), int(gmap.counts[i, j])]
+                             + [float(v) for v in gmap.values[i, j]])
+    state = {"origin": list(gmap.origin), "resolution": gmap.resolution,
+             "width": int(gmap.shape[0]), "length": int(gmap.shape[1]),
+             "layers": list(mapping.LAYER_NAMES), "cells": cells}
+    with open(path, "w") as fh:
+        json.dump(state, fh, indent=1)
+
+
+def reference_load_map_state(path) -> GroundMap:
+    with open(path) as fh:
+        state = json.load(fh)
+    gmap = GroundMap.empty(origin=tuple(state["origin"]),
+                           resolution=state["resolution"],
+                           width=state["width"], length=state["length"])
+    for cell in state["cells"]:
+        i, j, count = int(cell[0]), int(cell[1]), int(cell[2])
+        gmap.counts[i, j] = count
+        gmap.values[i, j] = cell[3:]
+    return gmap
+
+
+def import_layer_csv(path) -> tuple[str, dict[tuple[int, int], float]]:
+    """Read a layer CSV back as {(i, j): value}; returns (layer name, cells)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if len(header) != 3 or header[:2] != ["i", "j"]:
+            raise ValueError(f"unrecognized layer CSV header {header}")
+        layer = header[2]
+        cells = {(int(i), int(j)): float(v) for i, j, v in reader}
+    return layer, cells

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from oracles import import_layer_csv
 from tractionmap import cli, mapping, sim
 from tractionmap.cli import (
     DegenerateVariance,
@@ -206,7 +207,7 @@ def test_main_run_and_export_map(scenario_file, tmp_path, capsys):
     code = cli.main(["export-map", str(out / "map_state.json"),
                      "--layer", "a", "--out", str(target)])
     assert code == 0
-    layer, cells = mapping.import_layer_csv(target)
+    layer, cells = import_layer_csv(target)
     assert layer == "a" and cells
     # exported raw map equals the run's own raw layer file
     assert target.read_bytes() != b""
@@ -217,6 +218,46 @@ def test_main_export_map_missing_state(tmp_path, capsys):
     code = cli.main(["export-map", str(tmp_path / "none.json"),
                      "--layer", "a"])
     assert code == 1
+
+
+GOOD_VALUES = [0.7, 0.6, -20.0, -3.0, 0.06]
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([[4, 0, 1, *GOOD_VALUES]], "outside"),
+    ([[0, 3, 1, *GOOD_VALUES]], "outside"),
+    ([[-1, 0, 1, *GOOD_VALUES]], "outside"),
+    ([[0, -1, 1, *GOOD_VALUES]], "outside"),
+    ([[1, 1, 0, *GOOD_VALUES]], "count"),
+    ([[1, 1, -2, *GOOD_VALUES]], "count"),
+    ([[1, 1, 1, *GOOD_VALUES[:4]]], "layer values"),
+    ([[1, 1, 1, *GOOD_VALUES, 0.5]], "layer values"),
+    ([[1, 1, 1, float("nan"), *GOOD_VALUES[1:]]], "finite"),
+    ([[1, 1, 1, *GOOD_VALUES[:4], float("inf")]], "finite"),
+    ([[None, 1, 1, *GOOD_VALUES]], "finite"),
+    ([[1.5, 1, 1, *GOOD_VALUES]], "integers"),
+    ([[1, 1, 1, "a", *GOOD_VALUES[1:]]], "malformed"),
+    (7, "layer values"),
+    ([[1, 1, 1, *GOOD_VALUES], [2, 0, 1, *GOOD_VALUES],
+      [1, 1, 2, *GOOD_VALUES]], "twice"),
+], ids=["i_at_width", "j_at_length", "negative_i", "negative_j",
+        "zero_count", "negative_count", "four_values", "six_values",
+        "nan_value", "inf_value", "null_index", "fractional_index",
+        "text_value", "cells_not_a_list", "duplicate_cell"])
+def test_main_export_map_rejects_malformed_state(cells, message, tmp_path,
+                                                 capsys):
+    state = {"origin": [0.0, 0.0], "resolution": 1.0, "width": 4,
+             "length": 3, "layers": list(mapping.LAYER_NAMES),
+             "cells": cells}
+    path = tmp_path / "map_state.json"
+    path.write_text(json.dumps(state))
+    out = tmp_path / "a.csv"
+    code = cli.main(["export-map", str(path), "--layer", "a",
+                     "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
 
 
 def test_main_replay_round_trip(scenario_file, tmp_path, capsys):

@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_interpolate
-from tractionmap import mapping
+from oracles import (
+    brute_force_interpolate,
+    import_layer_csv,
+    reference_export_layer_csv,
+    reference_interpolate,
+    reference_load_map_state,
+    reference_save_map_state,
+)
+from tractionmap import cli, mapping
 from tractionmap.mapping import (
     LAYER_NAMES,
     GroundMap,
@@ -14,7 +21,6 @@ from tractionmap.mapping import (
     insert,
     insert_auto,
     interpolate,
-    manhattan,
     world_to_grid,
 )
 
@@ -121,22 +127,6 @@ def test_insert_auto_grows():
     assert np.allclose(gmap.values[i, j], VALS * 2)
 
 
-# --- manhattan ------------------------------------------------------------------
-
-def test_manhattan_examples():
-    assert manhattan((1, 1), (1, 1)) == 0
-    assert manhattan((1, 1), (2, 3)) == 3
-
-
-@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
-       st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
-       st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
-def test_manhattan_metric_properties(c1, c2, c3):
-    assert manhattan(c1, c2) == manhattan(c2, c1)
-    assert manhattan(c1, c2) >= 0
-    assert manhattan(c1, c3) <= manhattan(c1, c2) + manhattan(c2, c3)
-
-
 # --- interpolation ---------------------------------------------------------------
 
 def test_interpolation_config_validation():
@@ -158,7 +148,7 @@ def test_single_cell_spreads_its_value_within_high_band():
     # only one source cell: every reached cell averages to exactly its value
     for i in range(12):
         for j in range(12):
-            d = manhattan((i, j), (5, 5))
+            d = abs(i - 5) + abs(j - 5)
             if d <= 10:
                 assert np.allclose(out.values[i, j], VALS, atol=1e-12)
                 assert out.counts[i, j] == 1
@@ -253,6 +243,108 @@ def test_interpolate_input_not_mutated():
     assert np.array_equal(gmap.counts, before_counts)
 
 
+# --- bit-equality with the reference map layer -----------------------------------
+
+def _survey_track():
+    """Serpentine lanes at 0.5 m cells with GPS jitter and dropped records,
+    the field-survey workload in miniature."""
+    rng = np.random.default_rng(11)
+    gmap = None
+    for lane, y in enumerate(np.arange(1.0, 9.0, 2.0)):
+        xs = np.arange(1.0, 39.0, 0.2)
+        for x in xs if lane % 2 == 0 else xs[::-1]:
+            if rng.random() < 0.1:
+                continue
+            pos = (float(x + rng.normal(0.0, 0.05)),
+                   float(y + rng.normal(0.0, 0.05)))
+            vals = VALS + rng.normal(0.0, 0.02, 5)
+            if gmap is None:
+                gmap = GroundMap.empty(origin=pos, resolution=0.5)
+            gmap = insert_auto(gmap, pos, vals)
+    return gmap, InterpolationConfig()
+
+
+def _all_edges():
+    rng = np.random.default_rng(5)
+    gmap = make_map(width=30, length=20)
+    for i, j in [(0, 0), (0, 7), (0, 19), (13, 0), (29, 0), (29, 11),
+                 (29, 19), (21, 19), (14, 9)]:
+        gmap.counts[i, j] = 1 + rng.integers(0, 3)
+        gmap.values[i, j] = rng.uniform(-1.0, 1.0, 5)
+    return gmap, InterpolationConfig()
+
+
+def _grown_negative():
+    gmap = GroundMap.empty(origin=(0.0, 0.0))
+    for pos, scale in [((0.5, 0.5), 1.0), ((-7.3, -12.1), 1.3),
+                       ((3.2, -1.4), 0.8), ((-20.5, 4.9), 1.1)]:
+        gmap = insert_auto(gmap, pos, VALS * scale)
+    assert gmap.origin[0] < 0.0 and gmap.origin[1] < 0.0
+    return gmap, InterpolationConfig()
+
+
+def _one_cell():
+    gmap = make_map(width=1, length=1)
+    insert(gmap, (0.5, 0.5), VALS)
+    return gmap, InterpolationConfig()
+
+
+def _high_band_only_self():
+    # eps_high below one cell: the high band is d = 0 alone
+    gmap, _ = _all_edges()
+    return gmap, InterpolationConfig(eps_low=6.0, eps_mid=2.5, eps_high=0.4)
+
+
+def _empty_mid_band():
+    # no integer distance lies in (1.2, 1.5]: the mid band has no offsets
+    gmap, _ = _all_edges()
+    return gmap, InterpolationConfig(eps_low=5.0, eps_mid=1.5, eps_high=1.2)
+
+
+MAP_CASES = [_survey_track, _all_edges, _grown_negative, _one_cell,
+             _high_band_only_self, _empty_mid_band]
+
+
+@pytest.mark.parametrize("case", MAP_CASES, ids=lambda f: f.__name__[1:])
+@pytest.mark.parametrize("tile_cells", [mapping.TILE_CELLS, 1, 50])
+def test_interpolate_bit_equal_to_reference(case, tile_cells, monkeypatch):
+    gmap, cfg = case()
+    monkeypatch.setattr(mapping, "TILE_CELLS", tile_cells)
+    out = interpolate(gmap, cfg)
+    ref = reference_interpolate(gmap, cfg)
+    assert out.values.tobytes() == ref.values.tobytes()
+    assert out.counts.dtype == ref.counts.dtype
+    assert np.array_equal(out.counts, ref.counts)
+    assert (out.origin, out.resolution) == (ref.origin, ref.resolution)
+
+
+def test_empty_mid_band_case_has_no_offsets():
+    _, cfg = _empty_mid_band()
+    assert mapping._band_offsets(cfg.eps_high, cfg.eps_mid) == []
+
+
+@pytest.mark.parametrize("case", MAP_CASES, ids=lambda f: f.__name__[1:])
+def test_map_files_byte_equal_to_reference(case, tmp_path):
+    gmap, cfg = case()
+    for name, m in (("raw", gmap), ("interp", interpolate(gmap, cfg))):
+        for layer in LAYER_NAMES:
+            new, ref = tmp_path / f"{name}_{layer}.csv", tmp_path / "ref.csv"
+            mapping.export_layer_csv(m, layer, new)
+            reference_export_layer_csv(m, layer, ref)
+            assert new.read_bytes() == ref.read_bytes()
+
+    new, ref = tmp_path / "state.json", tmp_path / "ref_state.json"
+    cli.save_map_state(gmap, new)
+    reference_save_map_state(gmap, ref)
+    assert new.read_bytes() == ref.read_bytes()
+
+    loaded, ref_loaded = cli.load_map_state(new), reference_load_map_state(new)
+    assert loaded.values.tobytes() == ref_loaded.values.tobytes()
+    assert np.array_equal(loaded.counts, ref_loaded.counts)
+    assert (loaded.origin, loaded.resolution) == (ref_loaded.origin,
+                                                  ref_loaded.resolution)
+
+
 # --- CSV layer export/import -------------------------------------------------
 
 def test_layer_csv_round_trip(tmp_path):
@@ -261,7 +353,7 @@ def test_layer_csv_round_trip(tmp_path):
     insert(gmap, (7.5, 1.5), VALS * 1.5)
     path = tmp_path / "layer_a.csv"
     mapping.export_layer_csv(gmap, "a", path)
-    layer, cells = mapping.import_layer_csv(path)
+    layer, cells = import_layer_csv(path)
     assert layer == "a"
     assert cells[(2, 3)] == pytest.approx(VALS[0])
     assert cells[(7, 1)] == pytest.approx(VALS[0] * 1.5)

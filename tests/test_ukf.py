@@ -191,13 +191,14 @@ def test_linear_kf_equivalence_over_100_steps():
         oracle.predict()
         oracle.update(y)
         fs = ukf.predict(fs, model, None, noise)
+        pred_cov = fs.cov
         fs = ukf.update(fs, model, y, noise)
         assert np.abs(fs.mean - oracle.x).max() < 1e-8
         assert np.abs(fs.cov - oracle.p).max() < 1e-8
         # symmetry is maintained exactly after each step
         assert np.abs(fs.cov - fs.cov.T).max() < 1e-9
         # informative measurement shrinks the total variance
-        assert np.trace(fs.cov) <= np.trace(fs.pred_cov) + 1e-12
+        assert np.trace(fs.cov) <= np.trace(pred_cov) + 1e-12
 
 
 # --- adaptation -------------------------------------------------------------
