@@ -9,8 +9,12 @@ Usage: python scripts/noise_sweep.py [multiplier ...]
 """
 
 import sys
+from pathlib import Path
 
-from tractionmap import cli, mapping, sim
+# Run from a plain checkout: the package lives in src/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tractionmap import cli, mapping, sim  # noqa: E402
 
 
 def run_once(mult: float):

@@ -7,9 +7,11 @@ Usage: python scripts/run_three_soil.py [OUT_DIR]
 import sys
 from pathlib import Path
 
-from tractionmap import cli
-
 ROOT = Path(__file__).resolve().parent.parent
+# Run from a plain checkout: the package lives in src/.
+sys.path.insert(0, str(ROOT / "src"))
+
+from tractionmap import cli  # noqa: E402
 
 
 def main() -> int:

@@ -1,7 +1,7 @@
 """Longitudinal traction dynamics of a rigid-wheel off-road vehicle.
 
 Pure functions for wheel slip, the adhesion-slip curve, dynamical rolling
-radius, and the wheel / vehicle force balances.  All quantities are SI
+radius and the vertical wheel loads.  All quantities are SI
 (N, N*m, m, rad, s); tire pressure is the lone exception and is given in
 bar, converted internally.  Everything here is stateless and safe to call
 concurrently.
@@ -23,9 +23,6 @@ STANDSTILL_EPS = 1e-3
 # the curve and inversion would only amplify noise.
 A_INVERSION_EPS = 1e-3
 
-# Minimum |kappa + rho| accepted by the traction-efficiency formula.
-EFFICIENCY_EPS = 1e-6
-
 
 class DegenerateSlip(ValueError):
     """Slip too close to zero to recover the adhesion-curve scale."""
@@ -33,10 +30,6 @@ class DegenerateSlip(ValueError):
 
 class NonPositiveRadius(ValueError):
     """Tire deformation at or beyond the unloaded radius."""
-
-
-class DivisionDegenerate(ValueError):
-    """Denominator of the efficiency formula is numerically zero."""
 
 
 @dataclass(frozen=True)
@@ -94,20 +87,6 @@ class SoilParams:
             raise ValueError("alpha1 and alpha2 must be negative")
         if not 0.0 <= self.rho_s <= 0.5:
             raise ValueError("rho_s outside [0, 0.5]")
-
-
-@dataclass(frozen=True)
-class WheelState:
-    """Kinematics and loads of a single wheel at one instant."""
-
-    omega_w: float   # rad/s, wheel angular speed
-    v_w: float       # m/s, hub ground speed
-    f_z: float       # N, vertical ground force
-    m_d: float       # N*m, drive torque
-
-    def __post_init__(self) -> None:
-        if self.f_z < 0.0:
-            raise ValueError("f_z must be non-negative")
 
 
 def slip(v: float, omega_w: float, r_d: float) -> float:
@@ -181,49 +160,6 @@ def rolling_radius(f_z: float, params: VehicleParams) -> float:
             f"deformation {deformation:.3f} m consumes the whole radius "
             f"(F_z = {f_z:.0f} N at {params.tire_pressure} bar)")
     return r_d
-
-
-def wheel_accel(ws: WheelState, mu: float, params: VehicleParams) -> float:
-    """Wheel angular acceleration from the torque balance.
-
-    J_w * domega = M_d - r_d*F_h - r_d*rho_t*F_z with F_h = mu*F_z.
-    """
-    r_d = rolling_radius(ws.f_z, params)
-    return (ws.m_d
-            - r_d * mu * ws.f_z
-            - r_d * params.tire_rr_coeff * ws.f_z) / params.wheel_inertia
-
-
-def vehicle_accel(mu_i, f_z_i, f_dx: float, rho_s: float,
-                  params: VehicleParams) -> float:
-    """Vehicle longitudinal acceleration.
-
-    m * dv = sum_i mu_i*F_z_i - F_dx - rho_s*m*g.
-    """
-    if len(mu_i) != 4 or len(f_z_i) != 4:
-        raise ValueError("expected per-wheel sequences of length 4")
-    if any(f < 0.0 for f in f_z_i):
-        raise ValueError("vertical forces must be non-negative")
-    traction = sum(m * f for m, f in zip(mu_i, f_z_i))
-    return (traction - f_dx
-            - rho_s * params.vehicle_mass * GRAVITY) / params.vehicle_mass
-
-
-def net_traction(mu: float, rho_s: float) -> float:
-    """Net traction ratio: the part of mu that actually pulls forward."""
-    return mu - rho_s
-
-
-def efficiency(kappa: float, rho: float, s: float) -> float:
-    """Traction energy efficiency eta = kappa/(kappa+rho) * (1-s).
-
-    ``rho`` is the total rolling-resistance coefficient (tire plus soil;
-    both dissipate energy).
-    """
-    denom = kappa + rho
-    if abs(denom) < EFFICIENCY_EPS:
-        raise DivisionDegenerate(f"kappa + rho = {denom:.3e} is numerically zero")
-    return kappa / denom * (1.0 - s)
 
 
 def vertical_force(f_z_axle: float, a_z: float, params: VehicleParams) -> float:

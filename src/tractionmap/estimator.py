@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,25 +56,6 @@ _SAMPLE_PERIOD = 0.1  # s, 10 Hz
 
 
 @dataclass(frozen=True)
-class TractionState:
-    """Named view of the 10-entry state vector (layout above)."""
-
-    omega_w: tuple[float, float, float, float]
-    v: float
-    mu: tuple[float, float, float, float]
-    rho_s: float
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "TractionState":
-        x = np.asarray(x, dtype=float)
-        return cls(omega_w=tuple(x[IDX_OMEGA]), v=float(x[IDX_V]),
-                   mu=tuple(x[IDX_MU]), rho_s=float(x[IDX_RHO_S]))
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([*self.omega_w, self.v, *self.mu, self.rho_s])
-
-
-@dataclass(frozen=True)
 class TractionInput:
     """Known inputs for one sample: drive torques, front axle load, drawbar."""
 
@@ -83,6 +64,12 @@ class TractionInput:
     f_dx: float                              # N, longitudinal drawbar pull
 
     def __post_init__(self) -> None:
+        if len(self.m_d) != 4:
+            raise ValueError("m_d must hold one torque per wheel")
+        if not all(map(math.isfinite, (*self.m_d, self.f_zf, self.f_dx))):
+            raise ValueError(
+                f"non-finite drive input: m_d={self.m_d}, "
+                f"f_zf={self.f_zf}, f_dx={self.f_dx}")
         if self.f_zf < 0.0:
             raise ValueError("f_zf must be non-negative")
 
@@ -126,33 +113,34 @@ def process_model(x: np.ndarray, u: TractionInput, dt: float,
     Accepts a single state (10,) or a stack (N, 10) and advances each row.
     Vertical forces come from the front-axle measurement and static rear
     balance, so the rolling radii are constant over the step.
+
+    The derivative reads only the parameter entries (mu, rho_s) and is zero
+    in them, so RK4 stages 2-4 all see them as ``x + 0.0`` and give one
+    and the same k, and stage 1 differs from it at most in the sign of a
+    zero.  The four-stage sum keeps stage 1's zero in the wheel rows and
+    stage 2's in the vehicle row, so one derivative, with the wheel rows
+    evaluated on x and the vehicle row on ``x + 0.0``, reproduces the
+    four-stage step bit for bit.
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError("dt must be in (0, 0.1]")
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("state must be finite")
 
-    f_z = np.array(wheel_vertical_forces(u.f_zf, params))
-    r_d = np.array([rolling_radius(f, params) for f in f_z])
+    loads = wheel_vertical_forces(u.f_zf, params)
+    f_z = np.array(loads)
+    r_d = np.array([rolling_radius(f, params) for f in loads])
     m_d = np.asarray(u.m_d, dtype=float)
     m = params.vehicle_mass
 
-    def deriv(state: np.ndarray) -> np.ndarray:
-        mu = state[..., IDX_MU]
-        rho_s = state[..., IDX_RHO_S]
-        out = np.zeros_like(state)
-        out[..., IDX_OMEGA] = (m_d - r_d * (mu + params.tire_rr_coeff) * f_z) \
-            / params.wheel_inertia
-        out[..., IDX_V] = ((mu * f_z).sum(axis=-1) - u.f_dx
-                           - rho_s * m * GRAVITY) / m
-        return out
-
-    k1 = deriv(x)
-    k2 = deriv(x + 0.5 * dt * k1)
-    k3 = deriv(x + 0.5 * dt * k2)
-    k4 = deriv(x + dt * k3)
-    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    mu = x[..., IDX_MU]
+    k = np.zeros_like(x)
+    k[..., IDX_OMEGA] = (m_d - r_d * (mu + params.tire_rr_coeff) * f_z) \
+        / params.wheel_inertia
+    k[..., IDX_V] = (((mu + 0.0) * f_z).sum(axis=-1) - u.f_dx
+                     - (x[..., IDX_RHO_S] + 0.0) * m * GRAVITY) / m
+    return x + dt / 6.0 * (k + 2.0 * k + 2.0 * k + k)
 
 
 def measurement_model(x: np.ndarray) -> np.ndarray:
@@ -174,8 +162,10 @@ def dynamics_intensity(recent_inputs, recent_measurements) -> float:
 
     torque_rate = 0.0
     for prev, cur in zip(inputs, inputs[1:]):
-        for a, b in zip(prev.m_d, cur.m_d):
-            torque_rate = max(torque_rate, abs(b - a))
+        a0, a1, a2, a3 = prev.m_d
+        b0, b1, b2, b3 = cur.m_d
+        torque_rate = max(torque_rate, abs(b0 - a0), abs(b1 - a1),
+                          abs(b2 - a2), abs(b3 - a3))
     torque_rate /= _SAMPLE_PERIOD
 
     if len(meas) >= 2:
@@ -256,14 +246,19 @@ class TractionEstimator:
         self._inputs.append(u)
         fs = self.state
 
+        # adapt_q does not read phi, so both come from the previous state.
+        phi, a_diag = fs.phi, fs.a_diag
         if cfg.fuzzy_enabled:
             signal = dynamics_intensity(self._inputs, self._measurements)
-            fs = replace(fs, phi=ukf.fuzzy_factor(signal, cfg.supervisor))
+            phi = ukf.fuzzy_factor(signal, cfg.supervisor)
         if cfg.adapt_enabled:
             try:
-                fs = replace(fs, a_diag=ukf.adapt_q(fs, cfg.adaptation))
+                a_diag = ukf.adapt_q(fs, cfg.adaptation)
             except ukf.InsufficientSamples:
                 pass
+        fs = ukf.FilterState(mean=fs.mean, cov=fs.cov, a_diag=a_diag, phi=phi,
+                             residuals=fs.residuals, gain=fs.gain,
+                             innov_cov=fs.innov_cov, predicted=fs.predicted)
 
         fs = ukf.predict(fs, self.model, u, self.noise, cfg.scaling)
         fs = ukf.update(fs, self.model, y.as_vector(), self.noise, cfg.scaling,
@@ -275,21 +270,32 @@ class TractionEstimator:
 
     def _clamp_parameters(self, fs: ukf.FilterState) -> ukf.FilterState:
         mean = fs.mean
+        mu1, mu2, mu3, mu4, rho_s = mean[IDX_MU.start:].tolist()
+        lo, hi = MU_BOUNDS
+        # Every value in range (NaN never is): nothing to clip.
+        if (lo <= mu1 <= hi and lo <= mu2 <= hi and lo <= mu3 <= hi
+                and lo <= mu4 <= hi
+                and RHO_S_BOUNDS[0] <= rho_s <= RHO_S_BOUNDS[1]):
+            return fs
         clipped = mean.copy()
         clipped[IDX_MU] = np.clip(mean[IDX_MU], *MU_BOUNDS)
         clipped[IDX_RHO_S] = np.clip(mean[IDX_RHO_S], *RHO_S_BOUNDS)
         if not np.array_equal(clipped, mean):
             self.clamp_violations += 1
-            return replace(fs, mean=clipped)
+            return ukf.FilterState(
+                mean=clipped, cov=fs.cov, a_diag=fs.a_diag, phi=fs.phi,
+                residuals=fs.residuals, gain=fs.gain,
+                innov_cov=fs.innov_cov, predicted=fs.predicted)
         return fs
 
     def _make_record(self, fs: ukf.FilterState, u: TractionInput,
                      t: float, position: tuple[float, float]) -> EstimateRecord:
         f_z = wheel_vertical_forces(u.f_zf, self.vehicle)
-        v_hat = float(fs.mean[IDX_V])
-        mu_hat = [float(m) for m in fs.mean[IDX_MU]]
+        x = fs.mean.tolist()
+        v_hat = x[IDX_V]
+        mu_hat = x[IDX_MU]
         slips = tuple(
-            slip(v_hat, float(fs.mean[i]), rolling_radius(f_z[i], self.vehicle))
+            slip(v_hat, x[i], rolling_radius(f_z[i], self.vehicle))
             for i in range(4))
 
         p, alpha1, alpha2 = self.curve_family
@@ -301,44 +307,13 @@ class TractionEstimator:
                 continue
             if CURVE_SCALE_RANGE[0] < scale <= CURVE_SCALE_RANGE[1]:
                 scales.append(scale)
-        curve_scale = float(np.mean(scales)) if scales else None
+        # np.mean's own sum and division, without its wrapper.
+        curve_scale = (float(np.add.reduce(np.array(scales)) / len(scales))
+                       if scales else None)
 
         return EstimateRecord(
             t=t, position=position, mu=tuple(mu_hat),
-            rho_s=float(fs.mean[IDX_RHO_S]), slip=slips,
+            rho_s=x[IDX_RHO_S], slip=slips,
             curve_scale=curve_scale,
-            cov_diag=tuple(np.diag(fs.cov)))
+            cov_diag=tuple(fs.cov.diagonal()))
 
-
-def observability_check(params: VehicleParams, x0: np.ndarray,
-                        dt: float = _SAMPLE_PERIOD,
-                        f_zf: float | None = None) -> bool:
-    """Numerical observability of the linearized model at ``x0``.
-
-    Builds the discrete observability matrix [C; CA; ...; CA^(n-1)] from a
-    central-difference Jacobian of the process model and checks for full
-    rank.  The Jacobian does not depend on torques or drawbar, so a static
-    front-axle load is a sufficient stand-in input.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if f_zf is None:
-        f_zf = 0.5 * (params.vehicle_mass - 4.0 * params.wheel_mass) * GRAVITY
-    u = TractionInput(m_d=(0.0,) * 4, f_zf=f_zf, f_dx=0.0)
-
-    n = STATE_DIM
-    jac = np.empty((n, n))
-    for j in range(n):
-        h = 1e-6 * max(1.0, abs(x0[j]))
-        xp, xm = x0.copy(), x0.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (process_model(xp, u, dt, params)
-                     - process_model(xm, u, dt, params)) / (2.0 * h)
-
-    c = np.zeros((5, n))
-    c[:5, :5] = np.eye(5)
-    blocks = [c]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ jac)
-    obs = np.vstack(blocks)
-    return int(np.linalg.matrix_rank(obs)) == n

@@ -12,7 +12,8 @@ states instead of mutating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -57,6 +58,17 @@ class AdaptationConfig:
     a_max: float = 100.0
     gain: float = 0.1
     leak: float = 0.05
+
+    def __post_init__(self) -> None:
+        # The sample covariance divides by window - 1.
+        if not self.window >= 2:
+            raise ValueError("window must be at least 2")
+        if not 0.0 < self.a_min <= self.a_max:
+            raise ValueError("need 0 < a_min <= a_max")
+        if not 0.0 < self.gain <= 1.0:
+            raise ValueError("gain must be in (0, 1]")
+        if not 0.0 <= self.leak < 1.0:
+            raise ValueError("leak must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -174,6 +186,24 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
         "covariance not PSD within jitter tolerance (filter divergence?)")
 
 
+@lru_cache(maxsize=16)
+def _sigma_weights(n: int, scaling: UnscentedScaling
+                   ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(n + lambda, w_mean, w_cov) for n states; the arrays are read-only
+    because every SigmaSet of that size shares them."""
+    lam = scaling.alpha ** 2 * (n + scaling.kappa) - n
+    scale = n + lam
+    if scale <= 0.0:
+        raise ValueError("alpha^2 (n + kappa) must be positive")
+    w_mean = np.full(2 * n + 1, 0.5 / scale)
+    w_cov = w_mean.copy()
+    w_mean[0] = lam / scale
+    w_cov[0] = lam / scale + (1.0 - scaling.alpha ** 2 + scaling.beta)
+    w_mean.flags.writeable = False
+    w_cov.flags.writeable = False
+    return scale, w_mean, w_cov
+
+
 def sigma_points(mean: np.ndarray, cov: np.ndarray,
                  scaling: UnscentedScaling = UnscentedScaling()) -> SigmaSet:
     """Scaled-unscented sigma points for N(mean, cov).
@@ -181,26 +211,19 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray,
     lambda = alpha^2 (n + kappa) - n; points are mean +/- the columns of
     the Cholesky factor of (n + lambda) cov.  Weighted mean reproduces
     ``mean`` exactly and the weighted covariance reproduces ``cov`` up to
-    floating-point error.
+    floating-point error.  The weight vectors are cached per (n, scaling)
+    and read-only.
     """
     mean = np.asarray(mean, dtype=float)
     cov = _symmetrize(np.asarray(cov, dtype=float))
     n = mean.shape[0]
-    lam = scaling.alpha ** 2 * (n + scaling.kappa) - n
-    scale = n + lam
-    if scale <= 0.0:
-        raise ValueError("alpha^2 (n + kappa) must be positive")
+    scale, w_mean, w_cov = _sigma_weights(n, scaling)
     root = _cholesky_with_jitter(scale * cov)
 
     points = np.empty((2 * n + 1, n))
     points[0] = mean
     points[1:n + 1] = mean + root.T
     points[n + 1:] = mean - root.T
-
-    w_mean = np.full(2 * n + 1, 0.5 / scale)
-    w_cov = w_mean.copy()
-    w_mean[0] = lam / scale
-    w_cov[0] = lam / scale + (1.0 - scaling.alpha ** 2 + scaling.beta)
     return SigmaSet(points=points, w_mean=w_mean, w_cov=w_cov)
 
 
@@ -220,7 +243,9 @@ def predict(fs: FilterState, model: NonlinearModel, u: np.ndarray | None,
     propagated = np.asarray(model.f(ss.points, u), dtype=float)
     mean, cov = _weighted_moments(propagated, ss.w_mean, ss.w_cov)
     cov = cov + (fs.phi * fs.a_diag)[:, None] * noise.q
-    return replace(fs, mean=mean, cov=_symmetrize(cov), predicted=True)
+    return FilterState(mean=mean, cov=_symmetrize(cov), a_diag=fs.a_diag,
+                       phi=fs.phi, residuals=fs.residuals, gain=fs.gain,
+                       innov_cov=fs.innov_cov, predicted=True)
 
 
 def update(fs: FilterState, model: NonlinearModel, y: np.ndarray,
@@ -230,7 +255,9 @@ def update(fs: FilterState, model: NonlinearModel, y: np.ndarray,
     """Measurement update from the predicted belief.
 
     Sigma points are redrawn from (mean, cov) of the prediction; the
-    innovation y - y_hat is pushed into the residual ring buffer.
+    innovation y - y_hat is pushed into the residual ring buffer.  Raises
+    SingularInnovationCov when the innovation covariance is not finite,
+    cannot be inverted or has a condition number above 1e14.
     """
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
@@ -238,18 +265,23 @@ def update(fs: FilterState, model: NonlinearModel, y: np.ndarray,
     ss = sigma_points(fs.mean, fs.cov, scaling)
     outputs = np.asarray(model.h(ss.points), dtype=float)
 
+    w_col = ss.w_cov[:, None]
     y_hat = ss.w_mean @ outputs
     dev_y = outputs - y_hat
-    s_cov = (dev_y * ss.w_cov[:, None]).T @ dev_y + noise.r
+    s_cov = (dev_y * w_col).T @ dev_y + noise.r
     s_cov = _symmetrize(s_cov)
+    if not np.isfinite(s_cov).all():
+        raise SingularInnovationCov("innovation covariance is not finite")
     dev_x = ss.points - fs.mean
-    cross = (dev_x * ss.w_cov[:, None]).T @ dev_y
+    cross = (dev_x * w_col).T @ dev_y
 
     try:
         gain = np.linalg.solve(s_cov, cross.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularInnovationCov(str(exc)) from exc
-    cond = np.linalg.cond(s_cov)
+    # The 2-norm condition number, as np.linalg.cond computes it.
+    sv = np.linalg.svd(s_cov, compute_uv=False)
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularInnovationCov(f"innovation covariance condition {cond:.2e}")
 
@@ -258,9 +290,9 @@ def update(fs: FilterState, model: NonlinearModel, y: np.ndarray,
     cov = _symmetrize(fs.cov - gain @ s_cov @ gain.T)
 
     residuals = (fs.residuals + (innovation,))[-residual_window:]
-    return replace(fs, mean=mean, cov=cov, residuals=residuals,
-                   gain=gain, innov_cov=s_cov,
-                   predicted=False)
+    return FilterState(mean=mean, cov=cov, a_diag=fs.a_diag, phi=fs.phi,
+                       residuals=residuals, gain=gain, innov_cov=s_cov,
+                       predicted=False)
 
 
 def adapt_q(fs: FilterState,
@@ -282,10 +314,12 @@ def adapt_q(fs: FilterState,
     if fs.gain is None or fs.innov_cov is None:
         raise InsufficientSamples("no update has run yet")
 
-    res = np.asarray(fs.residuals[-cfg.window:])
+    # One row per innovation; np.concatenate skips np.asarray's inspection
+    # of each item.
+    res = np.concatenate(fs.residuals[-cfg.window:]).reshape(cfg.window, -1)
     s_bar = res.T @ res / (cfg.window - 1)
-    actual = np.diag(fs.gain @ s_bar @ fs.gain.T)
-    expected = np.diag(fs.gain @ fs.innov_cov @ fs.gain.T)
+    actual = (fs.gain @ s_bar @ fs.gain.T).diagonal()
+    expected = (fs.gain @ fs.innov_cov @ fs.gain.T).diagonal()
 
     a_new = fs.a_diag.copy()
     usable = expected > 1e-300

@@ -14,8 +14,19 @@ tolerance).  Likewise ``reference_interpolate``,
 ``reference_load_map_state`` are the map layer as it was before the
 interpolation swept only the occupied box in row tiles and the map files
 were written in bulk, kept verbatim; the map layer must reproduce their
-arrays and file bytes exactly.  ``import_layer_csv`` reads a layer CSV
-back for the round-trip tests.
+arrays and file bytes exactly.  ``reference_process_model``,
+``reference_sigma_points``, ``reference_predict``, ``reference_update``,
+``reference_adapt_q``, ``reference_dynamics_intensity`` and
+``ReferenceTractionEstimator`` are the filter step as it was before it
+evaluated one RK4 derivative, built each FilterState directly and cached
+the sigma weights; the estimator must reproduce their records and final
+belief exactly.  ``import_layer_csv`` reads a layer CSV back for the
+round-trip tests.
+
+``WheelState``, ``wheel_accel`` and ``vehicle_accel`` are the per-wheel
+scalar force balances that check ``estimator.process_model``, and
+``observability_check`` guards the claim that the measured speeds make the
+estimator's state observable.
 """
 
 from __future__ import annotations
@@ -24,14 +35,38 @@ import csv
 import json
 import math
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
-from tractionmap import mapping
+from tractionmap import mapping, ukf
 from tractionmap.dynamics import (
     GRAVITY,
+    DegenerateSlip,
+    VehicleParams,
+    invert_mu_for_a,
     rolling_radius,
     slip,
     wheel_vertical_forces,
+)
+from tractionmap.estimator import (
+    _SAMPLE_PERIOD,
+    ACCEL_SCALE,
+    CURVE_SCALE_RANGE,
+    IDX_MU,
+    IDX_OMEGA,
+    IDX_RHO_S,
+    IDX_V,
+    MU_BOUNDS,
+    RHO_S_BOUNDS,
+    STATE_DIM,
+    TORQUE_RATE_SCALE,
+    EstimateRecord,
+    EstimatorConfig,
+    TractionEstimator,
+    TractionInput,
+    measurement_model,
+    process_model,
 )
 from tractionmap.mapping import (
     LAYER_NAMES,
@@ -366,3 +401,339 @@ def import_layer_csv(path) -> tuple[str, dict[tuple[int, int], float]]:
         layer = header[2]
         cells = {(int(i), int(j)): float(v) for i, j, v in reader}
     return layer, cells
+
+
+# ---------------------------------------------------------------------------
+# Force balances of a single wheel and of the vehicle, written per wheel with
+# scalars: the independent route that checks ``estimator.process_model``.
+
+@dataclass(frozen=True)
+class WheelState:
+    """Kinematics and loads of a single wheel at one instant."""
+
+    omega_w: float   # rad/s, wheel angular speed
+    v_w: float       # m/s, hub ground speed
+    f_z: float       # N, vertical ground force
+    m_d: float       # N*m, drive torque
+
+    def __post_init__(self) -> None:
+        if self.f_z < 0.0:
+            raise ValueError("f_z must be non-negative")
+
+
+def wheel_accel(ws: WheelState, mu: float, params: VehicleParams) -> float:
+    """Wheel angular acceleration from the torque balance.
+
+    J_w * domega = M_d - r_d*F_h - r_d*rho_t*F_z with F_h = mu*F_z.
+    """
+    r_d = rolling_radius(ws.f_z, params)
+    return (ws.m_d
+            - r_d * mu * ws.f_z
+            - r_d * params.tire_rr_coeff * ws.f_z) / params.wheel_inertia
+
+
+def vehicle_accel(mu_i, f_z_i, f_dx: float, rho_s: float,
+                  params: VehicleParams) -> float:
+    """Vehicle longitudinal acceleration.
+
+    m * dv = sum_i mu_i*F_z_i - F_dx - rho_s*m*g.
+    """
+    if len(mu_i) != 4 or len(f_z_i) != 4:
+        raise ValueError("expected per-wheel sequences of length 4")
+    if any(f < 0.0 for f in f_z_i):
+        raise ValueError("vertical forces must be non-negative")
+    traction = sum(m * f for m, f in zip(mu_i, f_z_i))
+    return (traction - f_dx
+            - rho_s * params.vehicle_mass * GRAVITY) / params.vehicle_mass
+
+
+# ---------------------------------------------------------------------------
+# Observability of the estimator's linearized model (the paper's claim that
+# wheel speeds and ground speed identify all ten states).
+
+def observability_check(params: VehicleParams, x0: np.ndarray,
+                        dt: float = _SAMPLE_PERIOD,
+                        f_zf: float | None = None) -> bool:
+    """Numerical observability of the linearized model at ``x0``.
+
+    Builds the discrete observability matrix [C; CA; ...; CA^(n-1)] from a
+    central-difference Jacobian of the process model and checks for full
+    rank.  The Jacobian does not depend on torques or drawbar, so a static
+    front-axle load is a sufficient stand-in input.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if f_zf is None:
+        f_zf = 0.5 * (params.vehicle_mass - 4.0 * params.wheel_mass) * GRAVITY
+    u = TractionInput(m_d=(0.0,) * 4, f_zf=f_zf, f_dx=0.0)
+
+    n = STATE_DIM
+    jac = np.empty((n, n))
+    for j in range(n):
+        h = 1e-6 * max(1.0, abs(x0[j]))
+        xp, xm = x0.copy(), x0.copy()
+        xp[j] += h
+        xm[j] -= h
+        jac[:, j] = (process_model(xp, u, dt, params)
+                     - process_model(xm, u, dt, params)) / (2.0 * h)
+
+    c = np.zeros((5, n))
+    c[:5, :5] = np.eye(5)
+    blocks = [c]
+    for _ in range(n - 1):
+        blocks.append(blocks[-1] @ jac)
+    obs = np.vstack(blocks)
+    return int(np.linalg.matrix_rank(obs)) == n
+
+
+# ---------------------------------------------------------------------------
+# The filter step before one-derivative RK4, direct FilterState
+# construction and cached sigma weights, kept verbatim.  The one edit:
+# ``ReferenceTractionEstimator`` calls the reference functions below instead
+# of the ``ukf`` and ``estimator`` ones.
+
+def _reference_symmetrize(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.T)
+
+
+def _reference_cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor, escalating diagonal jitter 1e-12 -> 1e-6."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        pass
+    n = cov.shape[0]
+    jitter = 1e-12
+    while jitter <= 1e-6:
+        try:
+            return np.linalg.cholesky(cov + jitter * np.eye(n))
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise ukf.DecompositionFailure(
+        "covariance not PSD within jitter tolerance (filter divergence?)")
+
+
+def reference_sigma_points(mean: np.ndarray, cov: np.ndarray,
+                           scaling: ukf.UnscentedScaling = ukf.UnscentedScaling()
+                           ) -> ukf.SigmaSet:
+    mean = np.asarray(mean, dtype=float)
+    cov = _reference_symmetrize(np.asarray(cov, dtype=float))
+    n = mean.shape[0]
+    lam = scaling.alpha ** 2 * (n + scaling.kappa) - n
+    scale = n + lam
+    if scale <= 0.0:
+        raise ValueError("alpha^2 (n + kappa) must be positive")
+    root = _reference_cholesky_with_jitter(scale * cov)
+
+    points = np.empty((2 * n + 1, n))
+    points[0] = mean
+    points[1:n + 1] = mean + root.T
+    points[n + 1:] = mean - root.T
+
+    w_mean = np.full(2 * n + 1, 0.5 / scale)
+    w_cov = w_mean.copy()
+    w_mean[0] = lam / scale
+    w_cov[0] = lam / scale + (1.0 - scaling.alpha ** 2 + scaling.beta)
+    return ukf.SigmaSet(points=points, w_mean=w_mean, w_cov=w_cov)
+
+
+def _reference_weighted_moments(points: np.ndarray, w_mean: np.ndarray,
+                                w_cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mean = w_mean @ points
+    dev = points - mean
+    cov = (dev * w_cov[:, None]).T @ dev
+    return mean, _reference_symmetrize(cov)
+
+
+def reference_predict(fs: ukf.FilterState, model: ukf.NonlinearModel, u,
+                      noise: ukf.NoiseSpec,
+                      scaling: ukf.UnscentedScaling = ukf.UnscentedScaling()
+                      ) -> ukf.FilterState:
+    ss = reference_sigma_points(fs.mean, fs.cov, scaling)
+    propagated = np.asarray(model.f(ss.points, u), dtype=float)
+    mean, cov = _reference_weighted_moments(propagated, ss.w_mean, ss.w_cov)
+    cov = cov + (fs.phi * fs.a_diag)[:, None] * noise.q
+    return replace(fs, mean=mean, cov=_reference_symmetrize(cov),
+                   predicted=True)
+
+
+def reference_update(fs: ukf.FilterState, model: ukf.NonlinearModel,
+                     y: np.ndarray, noise: ukf.NoiseSpec,
+                     scaling: ukf.UnscentedScaling = ukf.UnscentedScaling(),
+                     residual_window: int = ukf.AdaptationConfig.window
+                     ) -> ukf.FilterState:
+    if not fs.predicted:
+        raise ValueError("update requires a predicted FilterState")
+    y = np.asarray(y, dtype=float)
+    ss = reference_sigma_points(fs.mean, fs.cov, scaling)
+    outputs = np.asarray(model.h(ss.points), dtype=float)
+
+    y_hat = ss.w_mean @ outputs
+    dev_y = outputs - y_hat
+    s_cov = (dev_y * ss.w_cov[:, None]).T @ dev_y + noise.r
+    s_cov = _reference_symmetrize(s_cov)
+    dev_x = ss.points - fs.mean
+    cross = (dev_x * ss.w_cov[:, None]).T @ dev_y
+
+    try:
+        gain = np.linalg.solve(s_cov, cross.T).T
+    except np.linalg.LinAlgError as exc:
+        raise ukf.SingularInnovationCov(str(exc)) from exc
+    cond = np.linalg.cond(s_cov)
+    if not np.isfinite(cond) or cond > 1e14:
+        raise ukf.SingularInnovationCov(
+            f"innovation covariance condition {cond:.2e}")
+
+    innovation = y - y_hat
+    mean = fs.mean + gain @ innovation
+    cov = _reference_symmetrize(fs.cov - gain @ s_cov @ gain.T)
+
+    residuals = (fs.residuals + (innovation,))[-residual_window:]
+    return replace(fs, mean=mean, cov=cov, residuals=residuals,
+                   gain=gain, innov_cov=s_cov,
+                   predicted=False)
+
+
+def reference_adapt_q(fs: ukf.FilterState,
+                      cfg: ukf.AdaptationConfig = ukf.AdaptationConfig()
+                      ) -> np.ndarray:
+    if len(fs.residuals) < cfg.window:
+        raise ukf.InsufficientSamples(
+            f"{len(fs.residuals)} residuals buffered, {cfg.window} required")
+    if fs.gain is None or fs.innov_cov is None:
+        raise ukf.InsufficientSamples("no update has run yet")
+
+    res = np.asarray(fs.residuals[-cfg.window:])
+    s_bar = res.T @ res / (cfg.window - 1)
+    actual = np.diag(fs.gain @ s_bar @ fs.gain.T)
+    expected = np.diag(fs.gain @ fs.innov_cov @ fs.gain.T)
+
+    a_new = fs.a_diag.copy()
+    usable = expected > 1e-300
+    ratio = actual[usable] / expected[usable]
+    a_new[usable] = (fs.a_diag[usable] ** (1.0 - cfg.leak)
+                     * (1.0 - cfg.gain + cfg.gain * ratio))
+    return np.clip(a_new, cfg.a_min, cfg.a_max)
+
+
+def reference_process_model(x: np.ndarray, u: TractionInput, dt: float,
+                            params: VehicleParams) -> np.ndarray:
+    if not 0.0 < dt <= 0.1:
+        raise ValueError("dt must be in (0, 0.1]")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("state must be finite")
+
+    f_z = np.array(wheel_vertical_forces(u.f_zf, params))
+    r_d = np.array([rolling_radius(f, params) for f in f_z])
+    m_d = np.asarray(u.m_d, dtype=float)
+    m = params.vehicle_mass
+
+    def deriv(state: np.ndarray) -> np.ndarray:
+        mu = state[..., IDX_MU]
+        rho_s = state[..., IDX_RHO_S]
+        out = np.zeros_like(state)
+        out[..., IDX_OMEGA] = (m_d - r_d * (mu + params.tire_rr_coeff) * f_z) \
+            / params.wheel_inertia
+        out[..., IDX_V] = ((mu * f_z).sum(axis=-1) - u.f_dx
+                           - rho_s * m * GRAVITY) / m
+        return out
+
+    k1 = deriv(x)
+    k2 = deriv(x + 0.5 * dt * k1)
+    k3 = deriv(x + 0.5 * dt * k2)
+    k4 = deriv(x + dt * k3)
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_dynamics_intensity(recent_inputs, recent_measurements) -> float:
+    inputs = list(recent_inputs)
+    meas = list(recent_measurements)
+    if not inputs or not meas:
+        raise ValueError("windows must be nonempty")
+
+    torque_rate = 0.0
+    for prev, cur in zip(inputs, inputs[1:]):
+        for a, b in zip(prev.m_d, cur.m_d):
+            torque_rate = max(torque_rate, abs(b - a))
+    torque_rate /= _SAMPLE_PERIOD
+
+    if len(meas) >= 2:
+        span = (len(meas) - 1) * _SAMPLE_PERIOD
+        accel = abs(meas[-1].v - meas[0].v) / span
+    else:
+        accel = 0.0
+
+    raw = torque_rate / TORQUE_RATE_SCALE + accel / ACCEL_SCALE
+    return min(1.0, max(0.0, raw))
+
+
+class ReferenceTractionEstimator(TractionEstimator):
+    """``TractionEstimator`` stepping with the reference filter above."""
+
+    def __init__(self, vehicle, curve_family, config=EstimatorConfig()):
+        super().__init__(vehicle, curve_family, config)
+        self.model = ukf.NonlinearModel(
+            state_dim=STATE_DIM, input_dim=6, output_dim=5,
+            f=lambda x, u: reference_process_model(x, u, config.dt, vehicle),
+            h=measurement_model)
+
+    def step(self, u, y, t=0.0, position=(0.0, 0.0)):
+        if self.state is None:
+            raise RuntimeError("call initialize() with the first measurement")
+        cfg = self.config
+        self._inputs.append(u)
+        fs = self.state
+
+        if cfg.fuzzy_enabled:
+            signal = reference_dynamics_intensity(self._inputs,
+                                                  self._measurements)
+            fs = replace(fs, phi=ukf.fuzzy_factor(signal, cfg.supervisor))
+        if cfg.adapt_enabled:
+            try:
+                fs = replace(fs, a_diag=reference_adapt_q(fs, cfg.adaptation))
+            except ukf.InsufficientSamples:
+                pass
+
+        fs = reference_predict(fs, self.model, u, self.noise, cfg.scaling)
+        fs = reference_update(fs, self.model, y.as_vector(), self.noise,
+                              cfg.scaling,
+                              residual_window=cfg.adaptation.window)
+        fs = self._clamp_parameters(fs)
+        self.state = fs
+        self._measurements.append(y)
+        return self._make_record(fs, u, t, position)
+
+    def _clamp_parameters(self, fs):
+        mean = fs.mean
+        clipped = mean.copy()
+        clipped[IDX_MU] = np.clip(mean[IDX_MU], *MU_BOUNDS)
+        clipped[IDX_RHO_S] = np.clip(mean[IDX_RHO_S], *RHO_S_BOUNDS)
+        if not np.array_equal(clipped, mean):
+            self.clamp_violations += 1
+            return replace(fs, mean=clipped)
+        return fs
+
+    def _make_record(self, fs, u, t, position):
+        f_z = wheel_vertical_forces(u.f_zf, self.vehicle)
+        v_hat = float(fs.mean[IDX_V])
+        mu_hat = [float(m) for m in fs.mean[IDX_MU]]
+        slips = tuple(
+            slip(v_hat, float(fs.mean[i]), rolling_radius(f_z[i], self.vehicle))
+            for i in range(4))
+
+        p, alpha1, alpha2 = self.curve_family
+        scales = []
+        for mu_i, s_i in zip(mu_hat, slips):
+            try:
+                scale = invert_mu_for_a(mu_i, s_i, p, alpha1, alpha2)
+            except DegenerateSlip:
+                continue
+            if CURVE_SCALE_RANGE[0] < scale <= CURVE_SCALE_RANGE[1]:
+                scales.append(scale)
+        curve_scale = float(np.mean(scales)) if scales else None
+
+        return EstimateRecord(
+            t=t, position=position, mu=tuple(mu_hat),
+            rho_s=float(fs.mean[IDX_RHO_S]), slip=slips,
+            curve_scale=curve_scale,
+            cov_diag=tuple(np.diag(fs.cov)))

@@ -1,5 +1,7 @@
 import csv
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +281,21 @@ def test_main_replay_round_trip(scenario_file, tmp_path, capsys):
 
 def test_main_replay_missing_telemetry(tmp_path):
     assert cli.main(["replay", str(tmp_path / "no.csv")]) == 1
+
+
+def test_main_replay_names_non_finite_drive_input(tmp_path, capsys):
+    # torque md1 of sample 500 of the seed-1 three-soil telemetry set to NaN
+    scenario = sim.load_scenario(
+        Path(__file__).resolve().parent.parent / "scenarios" / "three_soil.yaml")
+    samples, _ = sim.simulate(replace(scenario, duration=60.0, seed=1))
+    samples[500] = replace(samples[500],
+                           m_d=(float("nan"),) + samples[500].m_d[1:])
+    telemetry = tmp_path / "telemetry.csv"
+    sim.write_telemetry_csv(samples, telemetry)
+    code = cli.main(["replay", str(telemetry), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "non-finite drive input" in err and "m_d=(nan," in err
 
 
 def test_main_pipeline_error_exit_code(tmp_path, capsys):

@@ -4,24 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import WheelState, vehicle_accel, wheel_accel
 from tractionmap.dynamics import (
     GRAVITY,
     DegenerateSlip,
-    DivisionDegenerate,
     NonPositiveRadius,
     SoilParams,
     VehicleParams,
-    WheelState,
-    efficiency,
     invert_mu_for_a,
     mu_curve,
     mu_curve_shape,
-    net_traction,
     rolling_radius,
     slip,
-    vehicle_accel,
     vertical_force,
-    wheel_accel,
     wheel_vertical_forces,
 )
 
@@ -164,7 +159,7 @@ def test_rolling_radius_rejects_absurd_load():
         rolling_radius(-1.0, PARAMS)
 
 
-# --- wheel / vehicle dynamics ---------------------------------------------
+# --- wheel / vehicle force balances (the oracles of process_model) --------
 
 def test_wheel_accel_equilibrium():
     f_z = 10000.0
@@ -230,23 +225,7 @@ def test_vehicle_accel_affine_in_forces():
         f_z[0] / PARAMS.vehicle_mass, rel=1e-9)
 
 
-def test_net_traction():
-    assert net_traction(0.5, 0.1) == pytest.approx(0.4)
-    assert net_traction(0.2, 0.2) == 0.0
-    assert net_traction(0.0, 0.05) == pytest.approx(-0.05)
-
-
-def test_efficiency_values():
-    assert efficiency(0.4, 0.1, 0.0) == pytest.approx(0.8, rel=1e-14)
-    assert efficiency(0.4, 0.1, 1.0) == 0.0
-    assert efficiency(0.3, 0.065, 0.15) == pytest.approx(
-        0.3 / 0.365 * 0.85, rel=1e-14)
-
-
-def test_efficiency_degenerate_denominator():
-    with pytest.raises(DivisionDegenerate):
-        efficiency(0.1, -0.1, 0.2)
-
+# --- vertical forces ------------------------------------------------------
 
 def test_vertical_force_values():
     assert vertical_force(0.0, 0.0, PARAMS) == pytest.approx(1569.6)

@@ -1,17 +1,27 @@
 import math
+from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tractionmap import cli, sim
+from oracles import (
+    ReferenceTractionEstimator,
+    WheelState,
+    observability_check,
+    reference_dynamics_intensity,
+    reference_process_model,
+    vehicle_accel,
+    wheel_accel,
+)
+from test_acceptance import _divergence_prone_scenario
+from tractionmap import cli, sim, ukf
 from tractionmap.dynamics import (
     GRAVITY,
     VehicleParams,
-    WheelState,
     rolling_radius,
     slip,
-    vehicle_accel,
-    wheel_accel,
     wheel_vertical_forces,
 )
 from tractionmap.estimator import (
@@ -22,10 +32,8 @@ from tractionmap.estimator import (
     TractionEstimator,
     TractionInput,
     TractionMeasurement,
-    TractionState,
     dynamics_intensity,
     measurement_model,
-    observability_check,
     process_model,
 )
 
@@ -114,6 +122,42 @@ def test_process_model_batch_matches_scalar():
                            atol=1e-14)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("tire_rr_coeff", [0.015, 0.0, -0.0])
+@pytest.mark.parametrize("mu", [0.0, -0.0])
+@pytest.mark.parametrize("torque", [0.0, -0.0])
+def test_process_model_signed_zeros_equal_reference(tire_rr_coeff, mu, torque):
+    # All-zero (or negative-zero) adhesion with no drawbar and no soil
+    # resistance: the one-derivative step must keep every sign of zero the
+    # four-stage step produces.
+    params = VehicleParams(tire_rr_coeff=tire_rr_coeff)
+    u = TractionInput(m_d=(torque,) * 4, f_zf=F_ZF_STATIC, f_dx=0.0)
+    for omega, v, rho_s in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
+                            (2.5, 2.0, 0.0)):
+        x = np.array([omega] * 4 + [v] + [mu] * 4 + [rho_s])
+        assert (_bits(process_model(x, u, 0.1, params))
+                == _bits(reference_process_model(x, u, 0.1, params)))
+
+
+def test_process_model_batch_rows_equal_single_rows_and_reference():
+    # the (21, 10) sigma-point batch the filter propagates
+    rng = np.random.default_rng(21)
+    u = nominal_input(m_d=(900.0, 850.0, -0.0, 750.0), f_dx=9000.0)
+    batch = np.stack([nominal_state(v=v, mu=m, rho_s=r)
+                      for v, m, r in zip(rng.uniform(0.0, 3.0, 21),
+                                         rng.uniform(-0.2, 1.5, 21),
+                                         rng.uniform(0.0, 0.5, 21))])
+    batch[3, IDX_MU] = -0.0
+    batch[4, IDX_RHO_S] = -0.0
+    out = process_model(batch, u, 0.1, PARAMS)
+    assert _bits(out) == _bits(reference_process_model(batch, u, 0.1, PARAMS))
+    for row_in, row_out in zip(batch, out):
+        assert _bits(process_model(row_in, u, 0.1, PARAMS)) == _bits(row_out)
+
+
 def test_process_model_zero_torque_decelerates_wheel():
     x = nominal_state(v=2.0, mu=0.4, slip_frac=0.1)
     u = nominal_input(m_d=(0.0,) * 4, f_dx=0.0)
@@ -189,13 +233,36 @@ def test_intensity_clamped_to_unit_interval():
     assert dynamics_intensity(inputs, meas) == 1.0
 
 
-# --- traction state view ------------------------------------------------------
+def test_intensity_equals_reference_on_random_windows():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        inputs = [nominal_input(m_d=tuple(rng.normal(500.0, 40.0, size=4)))
+                  for _ in range(rng.integers(1, 11))]
+        meas = [_meas(v) for v in rng.normal(2.0, 0.1, size=len(inputs))]
+        assert (dynamics_intensity(inputs, meas)
+                == reference_dynamics_intensity(inputs, meas))
 
-def test_traction_state_round_trip():
-    x = nominal_state(v=1.3, mu=0.22, rho_s=0.03)
-    ts = TractionState.from_vector(x)
-    assert ts.v == 1.3 and ts.rho_s == 0.03
-    assert np.array_equal(ts.as_vector(), x)
+
+# --- drive inputs ---------------------------------------------------------------
+
+@pytest.mark.parametrize("name, value", [
+    ("m_d", (500.0, float("nan"), 500.0, 500.0)),
+    ("m_d", (500.0, 500.0, 500.0, float("-inf"))),
+    ("f_zf", float("nan")),
+    ("f_zf", float("inf")),
+    ("f_dx", float("nan")),
+], ids=["nan_torque", "inf_torque", "nan_axle_load", "inf_axle_load",
+        "nan_drawbar"])
+def test_traction_input_rejects_non_finite(name, value):
+    fields = {"m_d": (500.0,) * 4, "f_zf": F_ZF_STATIC, "f_dx": 8000.0}
+    fields[name] = value
+    with pytest.raises(ValueError, match="non-finite drive input"):
+        TractionInput(**fields)
+
+
+def test_traction_input_needs_one_torque_per_wheel():
+    with pytest.raises(ValueError, match="one torque per wheel"):
+        TractionInput(m_d=(500.0,) * 3, f_zf=F_ZF_STATIC, f_dx=8000.0)
 
 
 # --- estimator stepping -------------------------------------------------------
@@ -207,8 +274,6 @@ def test_step_requires_initialization():
 
 
 def test_step_with_measurement_equal_to_prediction_keeps_mean():
-    from tractionmap import ukf
-
     est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY,
                             EstimatorConfig(adapt_enabled=False,
                                             fuzzy_enabled=False))
@@ -365,3 +430,112 @@ def test_observability_at_standstill():
 def test_observability_invariant_under_state_scaling():
     x0 = nominal_state()
     assert observability_check(PARAMS, x0) == observability_check(PARAMS, 2.0 * x0)
+
+
+# --- bit equality with the reference filter ----------------------------------
+#
+# The filter step must reproduce oracles.ReferenceTractionEstimator (the step
+# before one-derivative RK4, direct FilterState construction and cached
+# sigma weights) bit for bit: every record field and the final belief.
+
+THREE_SOIL = Path(__file__).resolve().parent.parent / "scenarios" / "three_soil.yaml"
+ABLATIONS = {
+    "full": EstimatorConfig(),
+    "no_fuzzy": EstimatorConfig(fuzzy_enabled=False),
+    "no_adapt": EstimatorConfig(adapt_enabled=False),
+    "neither": EstimatorConfig(fuzzy_enabled=False, adapt_enabled=False),
+}
+
+
+@lru_cache(maxsize=None)
+def _three_soil_30s(noise_mult):
+    """30 s cut of the three-soil scenario at nominal or 5x speed noise."""
+    scenario = replace(sim.load_scenario(THREE_SOIL), duration=30.0, seed=1)
+    noise = replace(scenario.noise,
+                    sigma_omega=scenario.noise.sigma_omega * noise_mult,
+                    sigma_v=scenario.noise.sigma_v * noise_mult)
+    return sim.simulate(replace(scenario, noise=noise))[0]
+
+
+def _record_bits(rec):
+    numbers = (rec.t, *rec.position, *rec.mu, rec.rho_s, *rec.slip,
+               *rec.cov_diag,
+               np.nan if rec.curve_scale is None else rec.curve_scale)
+    return rec.curve_scale is None, _bits(numbers)
+
+
+def _assert_steps_equal_reference(samples, config, vehicle=PARAMS):
+    est = TractionEstimator(vehicle, sim.STUBBLE_FAMILY, config)
+    ref = ReferenceTractionEstimator(vehicle, sim.STUBBLE_FAMILY, config)
+    first = TractionMeasurement(omega_w=samples[0].omega_w, v=samples[0].v)
+    est.initialize(first)
+    ref.initialize(first)
+    for prev, sample in zip(samples, samples[1:]):
+        u = TractionInput(m_d=prev.m_d, f_zf=prev.f_zf, f_dx=prev.f_dx)
+        y = TractionMeasurement(omega_w=sample.omega_w, v=sample.v)
+        rec = est.step(u, y, t=sample.t, position=sample.pos)
+        ref_rec = ref.step(u, y, t=sample.t, position=sample.pos)
+        assert rec == ref_rec
+        assert _record_bits(rec) == _record_bits(ref_rec)
+    assert est.clamp_violations == ref.clamp_violations
+    fs, ref_fs = est.state, ref.state
+    for name in ("mean", "cov", "a_diag", "gain", "innov_cov"):
+        assert _bits(getattr(fs, name)) == _bits(getattr(ref_fs, name)), name
+    assert _bits(fs.phi) == _bits(ref_fs.phi)
+    assert _bits(fs.residuals) == _bits(ref_fs.residuals)
+    assert fs.predicted == ref_fs.predicted
+    return est
+
+
+@pytest.mark.parametrize("ablation", list(ABLATIONS))
+@pytest.mark.parametrize("noise_mult", [1.0, 5.0], ids=["nominal", "noise5x"])
+def test_step_equals_reference_on_three_soil(noise_mult, ablation):
+    _assert_steps_equal_reference(_three_soil_30s(noise_mult),
+                                  ABLATIONS[ablation])
+
+
+def test_step_equals_reference_on_divergence_prone_scenario():
+    # criterion 4's adaptive run with a ten times too small Q
+    scenario = _divergence_prone_scenario(1)
+    samples, _ = sim.simulate(scenario)
+    small_q = tuple(q / 10.0 for q in EstimatorConfig().q_diag)
+    config = EstimatorConfig(q_diag=small_q, sigma_omega=0.05, sigma_v=0.1,
+                             adapt_enabled=True, fuzzy_enabled=False)
+    _assert_steps_equal_reference(samples, config, scenario.vehicle)
+
+
+def test_step_equals_reference_when_parameters_are_clamped():
+    # soil without rolling resistance: the rho_s estimate dithers around
+    # its lower bound and gets clamped
+    soil = replace(sim.SOIL_MEDIUM, rho_s=0.0)
+    scenario = single_soil_scenario(soil, duration=20.0,
+                                    noise=sim.SensorNoise(), seed=3,
+                                    f_dx=12000.0)
+    samples, _ = sim.simulate(scenario)
+    est = _assert_steps_equal_reference(samples, EstimatorConfig())
+    assert est.clamp_violations > 0
+
+
+@pytest.mark.parametrize("index", range(5, 10))
+@pytest.mark.parametrize("value", [-0.3, -0.2, -0.0, 0.5, 1.5, 1.6,
+                                   float("nan")])
+def test_clamp_parameters_equals_reference(index, value):
+    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY)
+    ref = ReferenceTractionEstimator(PARAMS, sim.STUBBLE_FAMILY)
+    mean = nominal_state()
+    mean[index] = value
+    fs = ukf.FilterState.initial(mean, np.eye(10))
+    out, ref_out = est._clamp_parameters(fs), ref._clamp_parameters(fs)
+    assert est.clamp_violations == ref.clamp_violations
+    assert (out is fs) == (ref_out is fs)
+    assert _bits(out.mean) == _bits(ref_out.mean)
+
+
+def test_step_equals_reference_with_jittered_cholesky():
+    # a zero prior variance makes the first covariance singular, so the
+    # first sigma points need the jittered Cholesky factor
+    p_diag = EstimatorConfig().init_p_diag[:-1] + (0.0,)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(np.diag(p_diag))
+    _assert_steps_equal_reference(_three_soil_30s(1.0)[:60],
+                                  EstimatorConfig(init_p_diag=p_diag))

@@ -53,6 +53,23 @@ def test_sigma_points_reproduce_moments(seed, n):
     assert np.abs(rebuilt_cov - cov).max() < 1e-10 * scale
 
 
+def test_sigma_points_weights_are_shared_and_read_only():
+    rng = np.random.default_rng(4)
+    a = ukf.sigma_points(rng.normal(size=3), random_psd(rng, 3))
+    b = ukf.sigma_points(rng.normal(size=3), random_psd(rng, 3))
+    assert a.w_mean is b.w_mean and a.w_cov is b.w_cov
+    with pytest.raises(ValueError):
+        a.w_mean[0] = 1.0
+    with pytest.raises(ValueError):
+        a.w_cov[1] = 1.0
+
+
+def test_sigma_points_rejects_non_positive_spread():
+    with pytest.raises(ValueError):
+        ukf.sigma_points(np.zeros(2), np.eye(2),
+                         ukf.UnscentedScaling(alpha=0.0))
+
+
 def test_sigma_points_failure_on_non_psd():
     bad = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(ukf.DecompositionFailure):
@@ -145,6 +162,27 @@ def test_update_perfect_measurement_keeps_mean():
     assert np.allclose(out.mean, before, atol=1e-12)
     # posterior covariance never exceeds the prior
     assert np.all(np.linalg.eigvalsh(cov_before - out.cov) > -1e-12)
+
+
+def test_update_rejects_non_finite_innovation_covariance():
+    model = ukf.NonlinearModel(
+        state_dim=2, input_dim=1, output_dim=2, f=lambda x, u: x.copy(),
+        h=lambda x: np.full((x.shape[0], 2), np.nan))
+    noise = ukf.NoiseSpec(q=0.01 * np.eye(2), r=0.1 * np.eye(2))
+    fs = ukf.predict(ukf.FilterState.initial(np.zeros(2), np.eye(2)), model,
+                     None, noise)
+    with pytest.raises(ukf.SingularInnovationCov, match="not finite"):
+        ukf.update(fs, model, np.zeros(2), noise)
+
+
+def test_update_rejects_ill_conditioned_innovation_covariance():
+    # two outputs that measure the same state: S = [[1, 1], [1, 1]] + 1e-14 I
+    model = linear_model(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]))
+    noise = ukf.NoiseSpec(q=np.zeros((2, 2)), r=1e-14 * np.eye(2))
+    fs = ukf.predict(ukf.FilterState.initial(np.zeros(2), np.eye(2)), model,
+                     None, noise)
+    with pytest.raises(ukf.SingularInnovationCov, match="condition"):
+        ukf.update(fs, model, np.zeros(2), noise)
 
 
 def test_update_uninformative_measurement():
@@ -246,6 +284,26 @@ def test_adapt_q_insufficient_samples():
     fs = ukf.FilterState.initial(np.zeros(2), np.eye(2))
     with pytest.raises(ukf.InsufficientSamples):
         ukf.adapt_q(fs)
+
+
+@pytest.mark.parametrize("settings", [
+    {"window": 0}, {"window": 1},
+    {"a_min": 0.0}, {"a_min": -1.0}, {"a_min": 2.0, "a_max": 1.0},
+    {"a_min": float("nan")},
+    {"gain": 0.0}, {"gain": 1.5},
+    {"leak": -0.1}, {"leak": 1.0},
+], ids=["window_0", "window_1", "a_min_0", "a_min_negative",
+        "a_min_above_a_max", "a_min_nan", "gain_0", "gain_above_1",
+        "leak_negative", "leak_1"])
+def test_adaptation_config_rejects_values_that_break_adapt_q(settings):
+    with pytest.raises(ValueError):
+        ukf.AdaptationConfig(**settings)
+
+
+def test_adaptation_config_accepts_boundaries():
+    cfg = ukf.AdaptationConfig(window=2, a_min=1.0, a_max=1.0, gain=1.0,
+                               leak=0.0)
+    assert cfg.window == 2
 
 
 def test_adapt_q_respects_clamp():
