@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -113,19 +114,20 @@ def build_map(records: list[EstimateRecord],
               resolution: float = 1.0) -> GroundMap | None:
     """Raw ground map from the estimate stream; origin at the first insert.
 
-    Only records with a successful curve-scale extraction are inserted;
-    the stored layers are (a, p, alpha1, alpha2, rho_s).
+    Only records with a successful curve-scale extraction are inserted,
+    in stream order, by one bulk ``insert_auto``; the stored layers are
+    (a, p, alpha1, alpha2, rho_s).
     """
-    p, alpha1, alpha2 = curve_family
-    gmap: GroundMap | None = None
-    for rec in records:
-        if rec.curve_scale is None:
-            continue
-        values = (rec.curve_scale, p, alpha1, alpha2, rec.rho_s)
-        if gmap is None:
-            gmap = GroundMap.empty(origin=rec.position, resolution=resolution)
-        gmap = mapping.insert_auto(gmap, rec.position, values)
-    return gmap
+    kept = [rec for rec in records if rec.curve_scale is not None]
+    if not kept:
+        return None
+    positions = np.array([rec.position for rec in kept], dtype=float)
+    values = np.empty((len(kept), mapping.NUM_LAYERS))
+    values[:, 0] = [rec.curve_scale for rec in kept]
+    values[:, 1:4] = curve_family
+    values[:, 4] = [rec.rho_s for rec in kept]
+    gmap = GroundMap.empty(origin=kept[0].position, resolution=resolution)
+    return mapping.insert_auto(gmap, positions, values)
 
 
 def _kept_indices(truth: list[TruthRecord]) -> list[int]:
@@ -251,28 +253,61 @@ def write_estimates_csv(records: list[EstimateRecord], path) -> None:
 
 def save_map_state(gmap: GroundMap, path) -> None:
     """Write the recorded cells as JSON: one ``[i, j, count, *layers]``
-    list per non-empty cell, in row-major order."""
+    list per non-empty cell, in row-major order.
+
+    Raises ValueError, and writes nothing, when the origin, the resolution
+    or a recorded value is not finite, since ``load_map_state`` rejects
+    those.
+    """
     i, j = np.nonzero(gmap.counts > 0)
+    values = gmap.values[i, j]
+    if not (np.all(np.isfinite(values))
+            and np.all(np.isfinite([*gmap.origin, gmap.resolution]))):
+        raise ValueError("map origin, resolution and values must be finite "
+                         "to be saved")
     cells = [[ci, cj, n, *v] for ci, cj, n, v in zip(
-        i.tolist(), j.tolist(), gmap.counts[i, j].tolist(),
-        gmap.values[i, j].tolist())]
+        i.tolist(), j.tolist(), gmap.counts[i, j].tolist(), values.tolist())]
     state = {"origin": list(gmap.origin), "resolution": gmap.resolution,
              "width": int(gmap.shape[0]), "length": int(gmap.shape[1]),
              "layers": list(mapping.LAYER_NAMES), "cells": cells}
     with open(path, "w") as fh:
-        json.dump(state, fh, indent=1)
+        json.dump(state, fh, indent=1, allow_nan=False)
+
+
+def _is_finite_number(x) -> bool:
+    # int/float comparison is exact, so a huge JSON integer does not
+    # overflow here
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and -math.inf < x < math.inf)
 
 
 def load_map_state(path) -> GroundMap:
     """Read a map written by ``save_map_state``.
 
-    Raises ValueError unless every cell is a row of finite numbers: an
-    integer index inside the grid, an integer count of at least 1 and one
-    value per layer, with no cell listed twice.
+    Raises ValueError unless the state is a JSON object with an integer
+    width and length of at least 1, a finite positive resolution, two
+    finite origin numbers and the layers ``LAYER_NAMES``, and every cell
+    is a row of finite numbers: an integer index inside the grid, an
+    integer count of at least 1 and one value per layer, with no cell
+    listed twice.
     """
     with open(path) as fh:
         state = json.load(fh)
-    gmap = GroundMap.empty(origin=tuple(state["origin"]),
+    if not isinstance(state, dict):
+        raise ValueError("map state must be a JSON object")
+    for name in ("width", "length"):
+        size = state[name]
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(f"map {name} must be an integer of at least 1")
+    if not (_is_finite_number(state["resolution"]) and state["resolution"] > 0):
+        raise ValueError("map resolution must be a finite positive number")
+    origin = state["origin"]
+    if not (isinstance(origin, list) and len(origin) == 2
+            and all(map(_is_finite_number, origin))):
+        raise ValueError("map origin must be two finite numbers")
+    if state["layers"] != list(mapping.LAYER_NAMES):
+        raise ValueError(f"map layers must be {list(mapping.LAYER_NAMES)}")
+    gmap = GroundMap.empty(origin=tuple(origin),
                            resolution=state["resolution"],
                            width=state["width"], length=state["length"])
     row_len = 3 + mapping.NUM_LAYERS
@@ -459,12 +494,16 @@ def _interpolation_from_args(args) -> InterpolationConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command in ("run", "replay"):
+        try:
+            mapping.check_resolution(args.resolution)
+        except ValueError as exc:  # before any output is written
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 1
 
     if args.command == "run":
         try:
             interp = _interpolation_from_args(args)
-            if args.resolution <= 0:
-                raise ValueError("resolution must be positive")
             config = RunConfig(
                 scenario_path=args.scenario, out_dir=args.out, seed=args.seed,
                 interpolation=interp, resolution=args.resolution,

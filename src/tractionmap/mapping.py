@@ -12,6 +12,7 @@ snapshot, so the sweep order is irrelevant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,12 +21,10 @@ LAYER_NAMES = ("a", "p", "alpha1", "alpha2", "rho_s")
 NUM_LAYERS = len(LAYER_NAMES)
 
 
-class OutOfBounds(IndexError):
-    """Position maps outside the current grid; carries the offending index."""
-
-    def __init__(self, index: tuple[int, int]):
-        super().__init__(f"cell index {index} outside grid")
-        self.index = index
+def check_resolution(resolution: float) -> None:
+    """Raise ValueError unless 0 < resolution < inf (meters per cell)."""
+    if not 0.0 < resolution < math.inf:
+        raise ValueError("resolution must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,7 @@ class GroundMap:
     counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.resolution <= 0.0:
-            raise ValueError("resolution must be positive")
+        check_resolution(self.resolution)
         if self.values is None:
             self.values = np.zeros((1, 1, NUM_LAYERS))
         if self.counts is None:
@@ -92,30 +90,6 @@ class GroundMap:
     def copy(self) -> "GroundMap":
         return GroundMap(origin=self.origin, resolution=self.resolution,
                          values=self.values.copy(), counts=self.counts.copy())
-
-
-def world_to_grid(pos: tuple[float, float], gmap: GroundMap) -> tuple[int, int]:
-    """Cell index of a world position: floor((pos - origin)/resolution)."""
-    i = int(np.floor((pos[0] - gmap.origin[0]) / gmap.resolution))
-    j = int(np.floor((pos[1] - gmap.origin[1]) / gmap.resolution))
-    w, l = gmap.shape
-    if not (0 <= i < w and 0 <= j < l):
-        raise OutOfBounds((i, j))
-    return i, j
-
-
-def insert(gmap: GroundMap, pos: tuple[float, float], values) -> GroundMap:
-    """Running-mean insert of one parameter vector at a world position."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (NUM_LAYERS,):
-        raise ValueError(f"expected {NUM_LAYERS} layer values")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    i, j = world_to_grid(pos, gmap)
-    count = gmap.counts[i, j]
-    gmap.values[i, j] = (gmap.values[i, j] * count + values) / (count + 1)
-    gmap.counts[i, j] = count + 1
-    return gmap
 
 
 def grow_to_include(gmap: GroundMap, pos: tuple[float, float]) -> GroundMap:
@@ -149,13 +123,62 @@ def grow_to_include(gmap: GroundMap, pos: tuple[float, float]) -> GroundMap:
     return new
 
 
-def insert_auto(gmap: GroundMap, pos: tuple[float, float], values) -> GroundMap:
-    """Insert, growing the map when the position falls outside."""
-    try:
-        return insert(gmap, pos, values)
-    except OutOfBounds:
-        gmap = grow_to_include(gmap, pos)
-        return insert(gmap, pos, values)
+def insert_auto(gmap: GroundMap, positions, values) -> GroundMap:
+    """Running-mean insert of parameter rows at world positions, in order.
+
+    ``positions`` is (n, 2) and ``values`` (n, NUM_LAYERS).  A row lands
+    in cell ``floor((pos - origin) / resolution)``.  At the first row that
+    falls outside, the map grows through one ``grow_to_include`` call and
+    the rows from there on are placed against the grown map's origin; a
+    row that rounding at the shifted origin still leaves outside grows it
+    again.  Returns the map holding every row (a new one if it grew).
+
+    Each cell takes its rows in stream order: rows are applied in rounds
+    by their rank within the cell, each round updating distinct cells
+    with ``(v * count + x) / (count + 1)``, so every cell sees the same
+    float64 operations on the same operands as one insert per row.
+    """
+    positions = np.asarray(positions, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError("positions must be an (n, 2) array")
+    if values.shape != (len(positions), NUM_LAYERS):
+        raise ValueError(f"expected {NUM_LAYERS} layer values per position")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    start = 0
+    while start < len(positions):
+        cell = np.floor((positions[start:] - gmap.origin) / gmap.resolution)
+        # NaN compares false, so a NaN position counts as outside and
+        # grow_to_include raises on it
+        inside = ((cell >= 0) & (cell < gmap.shape)).all(axis=1)
+        stop = len(cell) if inside.all() else int(np.argmin(inside))
+        if stop:
+            _insert_rows(gmap, cell[:stop].astype(np.int64),
+                         values[start:start + stop])
+        start += stop
+        if start < len(positions):
+            gmap = grow_to_include(gmap, tuple(positions[start].tolist()))
+    return gmap
+
+
+def _insert_rows(gmap: GroundMap, cell: np.ndarray, values: np.ndarray) -> None:
+    """Running-mean insert of rows at in-bounds cell indices, in order."""
+    flat = cell[:, 0] * gmap.shape[1] + cell[:, 1]
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    first = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    rank = np.arange(len(flat)) - np.repeat(first, np.diff(np.r_[first, len(flat)]))
+    # rows grouped by rank, stream order kept within each cell
+    by_rank = order[np.argsort(rank, kind="stable")]
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)).tolist():
+        rows = by_rank[lo:hi]
+        lo = hi
+        i, j = cell[rows, 0], cell[rows, 1]
+        count = gmap.counts[i, j][:, None]
+        gmap.values[i, j] = (gmap.values[i, j] * count + values[rows]) / (count + 1)
+        gmap.counts[i, j] = count[:, 0] + 1
 
 
 def _band_offsets(d_min_excl: float, d_max_incl: float) -> list[tuple[int, int]]:

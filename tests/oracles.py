@@ -14,7 +14,12 @@ tolerance).  Likewise ``reference_interpolate``,
 ``reference_load_map_state`` are the map layer as it was before the
 interpolation swept only the occupied box in row tiles and the map files
 were written in bulk, kept verbatim; the map layer must reproduce their
-arrays and file bytes exactly.  ``reference_process_model``,
+arrays and file bytes exactly.  ``reference_build_map`` with
+``reference_insert_auto``, ``insert``, ``world_to_grid`` and
+``OutOfBounds`` is the map build as it was before it became one bulk
+``insert_auto`` call, one scalar insert per record, kept verbatim; the
+bulk build must reproduce its origin, values and counts exactly.
+``reference_process_model``,
 ``reference_sigma_points``, ``reference_predict``, ``reference_update``,
 ``reference_adapt_q``, ``reference_dynamics_intensity`` and
 ``ReferenceTractionEstimator`` are the filter step as it was before it
@@ -74,11 +79,13 @@ from tractionmap.mapping import (
     GroundMap,
     InterpolationConfig,
     _band_offsets,
+    grow_to_include,
 )
 from tractionmap.sim import (
     _SIGN_SPEED,
     INTERNAL_DT,
     SAMPLE_DT,
+    STUBBLE_FAMILY,
     ScenarioInfeasible,
     ScenarioSpec,
     TelemetrySample,
@@ -388,6 +395,70 @@ def reference_load_map_state(path) -> GroundMap:
         i, j, count = int(cell[0]), int(cell[1]), int(cell[2])
         gmap.counts[i, j] = count
         gmap.values[i, j] = cell[3:]
+    return gmap
+
+
+# --- map build: one scalar insert per record -------------------------------------
+
+
+class OutOfBounds(IndexError):
+    """Position maps outside the current grid; carries the offending index."""
+
+    def __init__(self, index: tuple[int, int]):
+        super().__init__(f"cell index {index} outside grid")
+        self.index = index
+
+
+def world_to_grid(pos: tuple[float, float], gmap: GroundMap) -> tuple[int, int]:
+    """Cell index of a world position: floor((pos - origin)/resolution)."""
+    i = int(np.floor((pos[0] - gmap.origin[0]) / gmap.resolution))
+    j = int(np.floor((pos[1] - gmap.origin[1]) / gmap.resolution))
+    w, l = gmap.shape
+    if not (0 <= i < w and 0 <= j < l):
+        raise OutOfBounds((i, j))
+    return i, j
+
+
+def insert(gmap: GroundMap, pos: tuple[float, float], values) -> GroundMap:
+    """Running-mean insert of one parameter vector at a world position."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (NUM_LAYERS,):
+        raise ValueError(f"expected {NUM_LAYERS} layer values")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    i, j = world_to_grid(pos, gmap)
+    count = gmap.counts[i, j]
+    gmap.values[i, j] = (gmap.values[i, j] * count + values) / (count + 1)
+    gmap.counts[i, j] = count + 1
+    return gmap
+
+
+def reference_insert_auto(gmap: GroundMap, pos: tuple[float, float], values) -> GroundMap:
+    """Insert, growing the map when the position falls outside."""
+    try:
+        return insert(gmap, pos, values)
+    except OutOfBounds:
+        gmap = grow_to_include(gmap, pos)
+        return insert(gmap, pos, values)
+
+
+def reference_build_map(records: list[EstimateRecord],
+                        curve_family=STUBBLE_FAMILY,
+                        resolution: float = 1.0) -> GroundMap | None:
+    """Raw ground map from the estimate stream; origin at the first insert.
+
+    Only records with a successful curve-scale extraction are inserted;
+    the stored layers are (a, p, alpha1, alpha2, rho_s).
+    """
+    p, alpha1, alpha2 = curve_family
+    gmap: GroundMap | None = None
+    for rec in records:
+        if rec.curve_scale is None:
+            continue
+        values = (rec.curve_scale, p, alpha1, alpha2, rec.rho_s)
+        if gmap is None:
+            gmap = GroundMap.empty(origin=rec.position, resolution=resolution)
+        gmap = reference_insert_auto(gmap, rec.position, values)
     return gmap
 
 

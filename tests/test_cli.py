@@ -174,18 +174,22 @@ def test_run_with_interpolation_disabled(scenario_file, tmp_path):
 
 # --- command line -----------------------------------------------------------------
 
-@pytest.mark.parametrize("settings", [
-    None,
-    {"drawbar": {"constant": 15000.0, "sin_amplitude": 1000.0,
-                 "sin_period": 0.0}},
-    {"noise": {"sigma_omega": -0.01}},
-], ids=["missing", "zero_sin_period", "negative_sigma"])
-def test_main_bad_scenario_no_partial_outputs(settings, tmp_path, capsys):
+@pytest.mark.parametrize("settings, options", [
+    (None, []),
+    ({"drawbar": {"constant": 15000.0, "sin_amplitude": 1000.0,
+                  "sin_period": 0.0}}, []),
+    ({"noise": {"sigma_omega": -0.01}}, []),
+    ({}, ["--resolution", "nan"]),
+    ({}, ["--resolution", "inf"]),
+], ids=["missing", "zero_sin_period", "negative_sigma", "nan_resolution",
+        "inf_resolution"])
+def test_main_bad_scenario_no_partial_outputs(settings, options, tmp_path,
+                                              capsys):
     path = tmp_path / "scenario.yaml"
     if settings is not None:
         path.write_text(yaml.safe_dump({**SMALL_SCENARIO, **settings}))
     out = tmp_path / "never"
-    code = cli.main(["run", str(path), "--out", str(out)])
+    code = cli.main(["run", str(path), "--out", str(out), *options])
     assert code == 1
     assert not out.exists()
     assert "configuration error" in capsys.readouterr().err
@@ -225,7 +229,7 @@ def test_main_export_map_missing_state(tmp_path, capsys):
 GOOD_VALUES = [0.7, 0.6, -20.0, -3.0, 0.06]
 
 
-@pytest.mark.parametrize("cells, message", [
+@pytest.mark.parametrize("change, message", [
     ([[4, 0, 1, *GOOD_VALUES]], "outside"),
     ([[0, 3, 1, *GOOD_VALUES]], "outside"),
     ([[-1, 0, 1, *GOOD_VALUES]], "outside"),
@@ -242,17 +246,42 @@ GOOD_VALUES = [0.7, 0.6, -20.0, -3.0, 0.06]
     (7, "layer values"),
     ([[1, 1, 1, *GOOD_VALUES], [2, 0, 1, *GOOD_VALUES],
       [1, 1, 2, *GOOD_VALUES]], "twice"),
+    ({"width": 2.5}, "width"),
+    ({"width": "2"}, "width"),
+    ({"width": True}, "width"),
+    ({"length": 0}, "length"),
+    ({"resolution": float("nan")}, "resolution"),
+    ({"resolution": float("inf")}, "resolution"),
+    ({"resolution": 0}, "resolution"),
+    ({"resolution": "1"}, "resolution"),
+    ({"origin": [0.0]}, "origin"),
+    ({"origin": [0.0, float("nan")]}, "origin"),
+    ({"origin": [0.0, "1"]}, "origin"),
+    ({"origin": {"x": 0.0, "y": 0.0}}, "origin"),
+    ({"layers": ["a", "p"]}, "layers"),
+    ("[0.0, 0.0]", "object"),
 ], ids=["i_at_width", "j_at_length", "negative_i", "negative_j",
         "zero_count", "negative_count", "four_values", "six_values",
         "nan_value", "inf_value", "null_index", "fractional_index",
-        "text_value", "cells_not_a_list", "duplicate_cell"])
-def test_main_export_map_rejects_malformed_state(cells, message, tmp_path,
+        "text_value", "cells_not_a_list", "duplicate_cell",
+        "fractional_width", "text_width", "bool_width", "zero_length",
+        "nan_resolution", "inf_resolution", "zero_resolution",
+        "text_resolution", "one_origin_number", "nan_origin",
+        "text_origin", "origin_not_a_list", "wrong_layers",
+        "state_not_an_object"])
+def test_main_export_map_rejects_malformed_state(change, message, tmp_path,
                                                  capsys):
+    # ``change`` is the cells entry, header fields to replace, or the
+    # whole file's text
     state = {"origin": [0.0, 0.0], "resolution": 1.0, "width": 4,
              "length": 3, "layers": list(mapping.LAYER_NAMES),
-             "cells": cells}
+             "cells": [[1, 1, 1, *GOOD_VALUES]]}
+    if isinstance(change, dict):
+        state.update(change)
+    else:
+        state["cells"] = change
     path = tmp_path / "map_state.json"
-    path.write_text(json.dumps(state))
+    path.write_text(change if isinstance(change, str) else json.dumps(state))
     out = tmp_path / "a.csv"
     code = cli.main(["export-map", str(path), "--layer", "a",
                      "--out", str(out)])
@@ -277,6 +306,20 @@ def test_main_replay_round_trip(scenario_file, tmp_path, capsys):
     with open(replay_out / "metrics.json") as fh:
         metrics = json.load(fh)
     assert len(metrics["per_soil"]) == 2
+
+
+@pytest.mark.parametrize("resolution", ["0", "nan", "inf"])
+def test_main_replay_rejects_bad_resolution(resolution, scenario_file,
+                                            tmp_path, capsys):
+    scenario = replace(sim.load_scenario(scenario_file), duration=1.0)
+    samples, _ = sim.simulate(scenario)
+    sim.write_telemetry_csv(samples, tmp_path / "telemetry.csv")
+    out = tmp_path / "never"
+    code = cli.main(["replay", str(tmp_path / "telemetry.csv"), "--out",
+                     str(out), "--resolution", resolution])
+    assert code == 1
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_main_replay_missing_telemetry(tmp_path):
