@@ -289,7 +289,8 @@ def load_map_state(path) -> GroundMap:
     finite origin numbers and the layers ``LAYER_NAMES``, and every cell
     is a row of finite numbers: an integer index inside the grid, an
     integer count of at least 1 and one value per layer, with no cell
-    listed twice.
+    listed twice, and when the grid the header describes cannot be
+    allocated.
     """
     with open(path) as fh:
         state = json.load(fh)
@@ -307,9 +308,13 @@ def load_map_state(path) -> GroundMap:
         raise ValueError("map origin must be two finite numbers")
     if state["layers"] != list(mapping.LAYER_NAMES):
         raise ValueError(f"map layers must be {list(mapping.LAYER_NAMES)}")
-    gmap = GroundMap.empty(origin=tuple(origin),
-                           resolution=state["resolution"],
-                           width=state["width"], length=state["length"])
+    try:
+        gmap = GroundMap.empty(origin=tuple(origin),
+                               resolution=state["resolution"],
+                               width=state["width"], length=state["length"])
+    except MemoryError as exc:
+        raise ValueError(f"map grid of {state['width']} x {state['length']} "
+                         f"cells cannot be allocated: {exc}") from exc
     row_len = 3 + mapping.NUM_LAYERS
     try:
         table = np.array(state["cells"], dtype=float)
@@ -368,72 +373,37 @@ def format_metrics(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> MetricsReport:
-    """Execute the full pipeline and write all outputs to config.out_dir."""
-    t0 = time.perf_counter()
-    scenario = sim.load_scenario(config.scenario_path)
-    if config.seed is not None:
-        scenario = replace(scenario, seed=config.seed)
+def _estimate_map_score(samples: list[TelemetrySample],
+                        truth: list[TruthRecord] | None, vehicle,
+                        out_dir, t0: float, resolution: float,
+                        interpolation: InterpolationConfig | None
+                        ) -> MetricsReport | None:
+    """The stages ``run`` and ``replay`` share: estimate, map, interpolate
+    (unless ``interpolation`` is None), write, then score against
+    ``truth`` when it is given.
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    samples, truth = sim.simulate(scenario)
-    records, est = run_estimation(samples, scenario.vehicle)
-    raw_map = build_map(records, resolution=config.resolution)
-    interp_map = None
-    if raw_map is not None and config.interpolate:
-        interp_map = mapping.interpolate(raw_map, config.interpolation)
-
-    sim.write_telemetry_csv(samples, out / "telemetry.csv")
-    sim.write_truth_csv(truth, out / "truth.csv")
-    write_estimates_csv(records, out / "estimates.csv")
-    write_timeseries_csv(records, truth, out / "timeseries.csv")
-    if raw_map is not None:
-        _write_map_layers(raw_map, out, "map_raw_")
-        save_map_state(raw_map, out / "map_state.json")
-    if interp_map is not None:
-        _write_map_layers(interp_map, out, "map_")
-
-    runtime = time.perf_counter() - t0
-    report = compute_metrics(records, truth, raw_map, interp_map,
-                             runtime_s=runtime,
-                             clamp_violations=est.clamp_violations)
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(asdict(report), fh, indent=1)
-    with open(out / "metrics.txt", "w") as fh:
-        fh.write(format_metrics(report))
-    return report
-
-
-def replay(telemetry_path, out_dir, truth_path=None,
-           interpolation: InterpolationConfig = InterpolationConfig(),
-           resolution: float = 1.0, do_interpolate: bool = True) -> MetricsReport | None:
-    """Re-run estimation on a recorded telemetry CSV."""
-    t0 = time.perf_counter()
-    samples = sim.read_telemetry_csv(telemetry_path)
-    if len(samples) < 2:
-        raise ValueError("telemetry must contain at least two samples")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    records, est = run_estimation(samples, VehicleParams())
+    The output directory is created only once every result is in hand, so
+    a failed stage leaves none behind.  ``runtime_s`` counts from ``t0``.
+    """
+    records, est = run_estimation(samples, vehicle)
     raw_map = build_map(records, resolution=resolution)
     interp_map = None
-    if raw_map is not None and do_interpolate:
+    if raw_map is not None and interpolation is not None:
         interp_map = mapping.interpolate(raw_map, interpolation)
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_estimates_csv(records, out / "estimates.csv")
+    if truth is not None:
+        write_timeseries_csv(records, truth, out / "timeseries.csv")
     if raw_map is not None:
         _write_map_layers(raw_map, out, "map_raw_")
         save_map_state(raw_map, out / "map_state.json")
     if interp_map is not None:
         _write_map_layers(interp_map, out, "map_")
-
-    if truth_path is None:
+    if truth is None:
         return None
-    truth = sim.read_truth_csv(truth_path)
-    write_timeseries_csv(records, truth, out / "timeseries.csv")
+
     report = compute_metrics(records, truth, raw_map, interp_map,
                              runtime_s=time.perf_counter() - t0,
                              clamp_violations=est.clamp_violations)
@@ -442,6 +412,38 @@ def replay(telemetry_path, out_dir, truth_path=None,
     with open(out / "metrics.txt", "w") as fh:
         fh.write(format_metrics(report))
     return report
+
+
+def run(config: RunConfig) -> MetricsReport:
+    """Simulate the scenario, run the shared stages on its telemetry and
+    truth, and write those two logs next to the other outputs."""
+    t0 = time.perf_counter()
+    scenario = sim.load_scenario(config.scenario_path)
+    if config.seed is not None:
+        scenario = replace(scenario, seed=config.seed)
+    samples, truth = sim.simulate(scenario)
+    report = _estimate_map_score(
+        samples, truth, scenario.vehicle, config.out_dir, t0,
+        config.resolution, config.interpolation if config.interpolate else None)
+    out = Path(config.out_dir)
+    sim.write_telemetry_csv(samples, out / "telemetry.csv")
+    sim.write_truth_csv(truth, out / "truth.csv")
+    return report
+
+
+def replay(telemetry_path, out_dir, truth_path=None,
+           interpolation: InterpolationConfig = InterpolationConfig(),
+           resolution: float = 1.0, do_interpolate: bool = True) -> MetricsReport | None:
+    """Re-run estimation on a recorded telemetry CSV; score it only when
+    the aligned truth CSV is given."""
+    t0 = time.perf_counter()
+    samples = sim.read_telemetry_csv(telemetry_path)
+    if len(samples) < 2:
+        raise ValueError("telemetry must contain at least two samples")
+    truth = None if truth_path is None else sim.read_truth_csv(truth_path)
+    return _estimate_map_score(samples, truth, VehicleParams(), out_dir, t0,
+                               resolution,
+                               interpolation if do_interpolate else None)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +484,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _interpolation_from_args(args) -> InterpolationConfig:
-    base = InterpolationConfig()
-    fields = {
-        "eps_low": args.eps_low, "eps_mid": args.eps_mid,
-        "eps_high": args.eps_high, "w_low": args.w_low,
-        "w_mid": args.w_mid, "w_high": args.w_high}
-    overrides = {k: v for k, v in fields.items() if v is not None}
-    merged = {**{f: getattr(base, f) for f in fields}, **overrides}
-    return InterpolationConfig(**merged)
+    overrides = {name: getattr(args, name)
+                 for name in ("eps_low", "eps_mid", "eps_high",
+                              "w_low", "w_mid", "w_high")
+                 if getattr(args, name) is not None}
+    return replace(InterpolationConfig(), **overrides)
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 GRAVITY = 9.81  # m/s^2
 
@@ -187,3 +188,17 @@ def wheel_vertical_forces(f_zf: float, params: VehicleParams) -> tuple[float, fl
     front = vertical_force(0.5 * f_zf, 0.0, params)
     rear = vertical_force(0.5 * f_zr, 0.0, params)
     return (front, front, rear, rear)
+
+
+@lru_cache(maxsize=16)
+def wheel_geometry(f_zf: float, params: VehicleParams
+                   ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-wheel vertical forces and rolling radii for a front-axle load.
+
+    ``wheel_vertical_forces`` followed by ``rolling_radius`` of each wheel,
+    as tuples of floats.  Cached on ``(f_zf, params)``: the filter asks
+    for the same sample's geometry in its process model and again for the
+    record's slips.
+    """
+    f_z = wheel_vertical_forces(f_zf, params)
+    return f_z, tuple(rolling_radius(f, params) for f in f_z)

@@ -27,9 +27,8 @@ from .dynamics import (
     DegenerateSlip,
     VehicleParams,
     invert_mu_for_a,
-    rolling_radius,
     slip,
-    wheel_vertical_forces,
+    wheel_geometry,
 )
 
 STATE_DIM = 10
@@ -128,9 +127,9 @@ def process_model(x: np.ndarray, u: TractionInput, dt: float,
     if not np.isfinite(x).all():
         raise ValueError("state must be finite")
 
-    loads = wheel_vertical_forces(u.f_zf, params)
+    loads, radii = wheel_geometry(u.f_zf, params)
     f_z = np.array(loads)
-    r_d = np.array([rolling_radius(f, params) for f in loads])
+    r_d = np.array(radii)
     m_d = np.asarray(u.m_d, dtype=float)
     m = params.vehicle_mass
 
@@ -218,7 +217,6 @@ class TractionEstimator:
         self.config = config
         self.noise = config.noise_spec()
         self.model = ukf.NonlinearModel(
-            state_dim=STATE_DIM, input_dim=6, output_dim=5,
             f=lambda x, u: process_model(x, u, config.dt, vehicle),
             h=measurement_model)
         self.state: ukf.FilterState | None = None
@@ -290,13 +288,11 @@ class TractionEstimator:
 
     def _make_record(self, fs: ukf.FilterState, u: TractionInput,
                      t: float, position: tuple[float, float]) -> EstimateRecord:
-        f_z = wheel_vertical_forces(u.f_zf, self.vehicle)
+        _, r_d = wheel_geometry(u.f_zf, self.vehicle)
         x = fs.mean.tolist()
         v_hat = x[IDX_V]
         mu_hat = x[IDX_MU]
-        slips = tuple(
-            slip(v_hat, x[i], rolling_radius(f_z[i], self.vehicle))
-            for i in range(4))
+        slips = tuple(slip(v_hat, x[i], r_d[i]) for i in range(4))
 
         p, alpha1, alpha2 = self.curve_family
         scales = []

@@ -87,10 +87,6 @@ class GroundMap:
     def coverage(self) -> float:
         return float(np.count_nonzero(self.counts)) / self.counts.size
 
-    def copy(self) -> "GroundMap":
-        return GroundMap(origin=self.origin, resolution=self.resolution,
-                         values=self.values.copy(), counts=self.counts.copy())
-
 
 def grow_to_include(gmap: GroundMap, pos: tuple[float, float]) -> GroundMap:
     """Reallocate (doubling per axis as needed) so ``pos`` falls inside.

@@ -36,9 +36,8 @@ from .dynamics import (
     SoilParams,
     VehicleParams,
     mu_curve,
-    rolling_radius,
     slip,
-    wheel_vertical_forces,
+    wheel_geometry,
 )
 
 INTERNAL_DT = 1e-3   # s, plant integration step
@@ -245,10 +244,9 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
     """
     veh = scenario.vehicle
     f_zf = 0.5 * (veh.vehicle_mass - 4.0 * veh.wheel_mass) * GRAVITY
-    f_z = wheel_vertical_forces(f_zf, veh)
     # rolling_radius raises NonPositiveRadius for r_d <= 0, so the kernel's
     # inlined slip drops the per-call radius check of dynamics.slip.
-    r_d = tuple(rolling_radius(f, veh) for f in f_z)
+    f_z, r_d = wheel_geometry(f_zf, veh)
     j_w = veh.wheel_inertia
     rho_t = veh.tire_rr_coeff
     m = veh.vehicle_mass

@@ -80,32 +80,18 @@ class FuzzySupervisor:
     centers: tuple[float, float, float] = (0.0, 0.5, 1.0)
     outputs: tuple[float, float, float] = (0.2, 1.0, 5.0)
 
-    @property
-    def phi_low(self) -> float:
-        return self.outputs[0]
-
-    @property
-    def phi_high(self) -> float:
-        return self.outputs[2]
-
 
 @dataclass(frozen=True)
 class NonlinearModel:
     """Discrete-time model x' = f(x, u) + q, y = h(x) + r.
 
     ``f`` and ``h`` must accept state arrays of shape (n,) or (N, n) and
-    map them row-wise (the filter propagates all sigma points in one call).
+    map them row-wise (the filter propagates all sigma points in one call);
+    the state and output sizes are read from the arrays.
     """
 
-    state_dim: int
-    input_dim: int
-    output_dim: int
     f: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
     h: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self) -> None:
-        if min(self.state_dim, self.input_dim, self.output_dim) < 1:
-            raise ValueError("all dimensions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -336,7 +322,8 @@ def fuzzy_factor(dynamics_signal: float,
     Membership degrees of the (clamped) signal in the steady/moderate/
     intense triangles weight the singleton rule outputs; the centroid of
     those weighted outputs is the factor.  Monotone nondecreasing, equal
-    to phi_low at 0 and phi_high from the intense center on.
+    to the steady output at 0 and the intense output from the intense
+    center on.
     """
     if dynamics_signal < 0.0:
         raise ValueError("dynamics_signal must be non-negative")

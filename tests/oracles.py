@@ -744,7 +744,6 @@ class ReferenceTractionEstimator(TractionEstimator):
     def __init__(self, vehicle, curve_family, config=EstimatorConfig()):
         super().__init__(vehicle, curve_family, config)
         self.model = ukf.NonlinearModel(
-            state_dim=STATE_DIM, input_dim=6, output_dim=5,
             f=lambda x, u: reference_process_model(x, u, config.dt, vehicle),
             h=measurement_model)
 

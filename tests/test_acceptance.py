@@ -64,8 +64,7 @@ def test_criterion_1_linear_kf_equivalence():
     h_mat = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
     q = 0.01 * np.eye(4)
     r = 0.1 * np.eye(2)
-    model = ukf.NonlinearModel(state_dim=4, input_dim=1, output_dim=2,
-                               f=lambda x, u: x @ f_mat.T,
+    model = ukf.NonlinearModel(f=lambda x, u: x @ f_mat.T,
                                h=lambda x: x @ h_mat.T)
     noise = ukf.NoiseSpec(q=q, r=r)
     oracle = LinearKalmanFilter(f_mat, h_mat, q, r, np.zeros(4), np.eye(4))

@@ -1,5 +1,10 @@
 import csv
+import importlib.util
 import json
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +21,13 @@ from tractionmap.cli import (
     compute_r_squared,
 )
 from tractionmap.dynamics import mu_curve
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+_spec = importlib.util.spec_from_file_location(
+    "cmp_outputs", ROOT / "scripts" / "cmp_outputs.py")
+cmp_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cmp_outputs)
 
 SMALL_SCENARIO = {
     "field": {
@@ -291,6 +303,34 @@ def test_main_export_map_rejects_malformed_state(change, message, tmp_path,
     assert "configuration error" in err and message in err
 
 
+def _limit_address_space():
+    limit = 2 * 1024 ** 3
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_main_export_map_rejects_unallocatable_grid(tmp_path):
+    # the header alone asks for 10^12 x 1 cells; the child process runs
+    # under a 2 GiB address-space limit, so the allocation fails there (one
+    # BLAS thread keeps numpy's own start-up reservations far below it)
+    state = {"origin": [0.0, 0.0], "resolution": 1.0, "width": 10 ** 12,
+             "length": 1, "layers": list(mapping.LAYER_NAMES),
+             "cells": [[1, 0, 1, *GOOD_VALUES]]}
+    path = tmp_path / "map_state.json"
+    path.write_text(json.dumps(state))
+    out = tmp_path / "a.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tractionmap.cli", "export-map", str(path),
+         "--layer", "a", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC),
+             "OPENBLAS_NUM_THREADS": "1"}, capture_output=True,
+        text=True, timeout=120, preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    assert not out.exists()
+    assert "configuration error" in proc.stderr
+    assert "cannot be allocated" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_main_replay_round_trip(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", str(scenario_file), "--out", str(out)]) == 0
@@ -299,10 +339,13 @@ def test_main_replay_round_trip(scenario_file, tmp_path, capsys):
                      "--truth", str(out / "truth.csv"),
                      "--out", str(replay_out)])
     assert code == 0
-    assert (replay_out / "estimates.csv").is_file()
-    # estimation is deterministic: the replayed estimates equal the originals
-    assert ((replay_out / "estimates.csv").read_text()
-            == (out / "estimates.csv").read_text())
+    # estimation is deterministic: every file the replay writes equals the
+    # run's copy, the runtime lines of the metrics files excepted
+    for name in ("telemetry.csv", "truth.csv"):
+        (out / name).rename(tmp_path / name)
+    lines = cmp_outputs.compare(out, replay_out)
+    assert len(lines) == 15
+    assert all(line.startswith("identical") for line in lines), lines
     with open(replay_out / "metrics.json") as fh:
         metrics = json.load(fh)
     assert len(metrics["per_soil"]) == 2
@@ -328,8 +371,7 @@ def test_main_replay_missing_telemetry(tmp_path):
 
 def test_main_replay_names_non_finite_drive_input(tmp_path, capsys):
     # torque md1 of sample 500 of the seed-1 three-soil telemetry set to NaN
-    scenario = sim.load_scenario(
-        Path(__file__).resolve().parent.parent / "scenarios" / "three_soil.yaml")
+    scenario = sim.load_scenario(ROOT / "scenarios" / "three_soil.yaml")
     samples, _ = sim.simulate(replace(scenario, duration=60.0, seed=1))
     samples[500] = replace(samples[500],
                            m_d=(float("nan"),) + samples[500].m_d[1:])
@@ -339,6 +381,7 @@ def test_main_replay_names_non_finite_drive_input(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "non-finite drive input" in err and "m_d=(nan," in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_pipeline_error_exit_code(tmp_path, capsys):
@@ -349,3 +392,4 @@ def test_main_pipeline_error_exit_code(tmp_path, capsys):
     code = cli.main(["run", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "pipeline error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -17,6 +17,7 @@ from tractionmap.dynamics import (
     rolling_radius,
     slip,
     vertical_force,
+    wheel_geometry,
     wheel_vertical_forces,
 )
 
@@ -247,6 +248,15 @@ def test_wheel_vertical_forces_balance():
     assert forces[0] == forces[1] and forces[2] == forces[3]
     # 50/50 split puts a quarter of the weight under each wheel
     assert forces[0] == pytest.approx(PARAMS.vehicle_mass * GRAVITY / 4, rel=1e-12)
+
+
+def test_wheel_geometry_is_loads_then_radii():
+    f_z, r_d = wheel_geometry(20000.0, PARAMS)
+    assert f_z == wheel_vertical_forces(20000.0, PARAMS)
+    assert r_d == tuple(rolling_radius(f, PARAMS) for f in f_z)
+    assert all(type(x) is float for x in f_z + r_d)
+    with pytest.raises(ValueError):
+        wheel_geometry(1e6, PARAMS)
 
 
 def test_wheel_vertical_forces_rejects_overload():

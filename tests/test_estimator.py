@@ -16,7 +16,7 @@ from oracles import (
     wheel_accel,
 )
 from test_acceptance import _divergence_prone_scenario
-from tractionmap import cli, sim, ukf
+from tractionmap import cli, dynamics, sim, ukf
 from tractionmap.dynamics import (
     GRAVITY,
     VehicleParams,
@@ -296,6 +296,24 @@ def test_estimate_record_fields():
     assert len(rec.mu) == 4 and len(rec.slip) == 4
     assert len(rec.cov_diag) == 10
     assert all(c > 0 for c in rec.cov_diag)
+
+
+def test_step_derives_wheel_geometry_once(monkeypatch):
+    # process_model and the record read one cached geometry per sample
+    loads = []
+    original = dynamics.wheel_vertical_forces
+    monkeypatch.setattr(dynamics, "wheel_vertical_forces",
+                        lambda f_zf, params: loads.append(f_zf)
+                        or original(f_zf, params))
+    dynamics.wheel_geometry.cache_clear()
+    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY)
+    est.initialize(_meas(2.0))
+    f_zfs = [F_ZF_STATIC + 100.0 * k for k in range(5)]
+    for k, f_zf in enumerate(f_zfs):
+        rec = est.step(TractionInput(m_d=(500.0,) * 4, f_zf=f_zf, f_dx=8000.0),
+                       _meas(2.01), t=0.1 * (k + 1))
+        assert all(type(s) is float for s in rec.slip)
+    assert loads == f_zfs
 
 
 # --- closed-loop behaviour against the simulator ------------------------------

@@ -228,9 +228,9 @@ def test_interpolate_commutes_with_grid_reflection():
         i, j = rng.integers(0, 15), rng.integers(0, 9)
         gmap.counts[i, j] = 1
         gmap.values[i, j] = rng.uniform(0.0, 1.0, 5)
-    flipped = gmap.copy()
-    flipped.values = flipped.values[::-1].copy()
-    flipped.counts = flipped.counts[::-1].copy()
+    flipped = GroundMap(origin=gmap.origin, resolution=gmap.resolution,
+                        values=gmap.values[::-1].copy(),
+                        counts=gmap.counts[::-1].copy())
     out = interpolate(gmap)
     out_flipped = interpolate(flipped)
     assert np.allclose(out.values[::-1], out_flipped.values, atol=1e-12)

@@ -12,9 +12,8 @@ from tractionmap import ukf
 def linear_model(f_mat, h_mat):
     f_mat = np.asarray(f_mat, dtype=float)
     h_mat = np.asarray(h_mat, dtype=float)
-    return ukf.NonlinearModel(
-        state_dim=f_mat.shape[0], input_dim=1, output_dim=h_mat.shape[0],
-        f=lambda x, u: x @ f_mat.T, h=lambda x: x @ h_mat.T)
+    return ukf.NonlinearModel(f=lambda x, u: x @ f_mat.T,
+                              h=lambda x: x @ h_mat.T)
 
 
 def random_psd(rng, n, scale=1.0):
@@ -166,7 +165,7 @@ def test_update_perfect_measurement_keeps_mean():
 
 def test_update_rejects_non_finite_innovation_covariance():
     model = ukf.NonlinearModel(
-        state_dim=2, input_dim=1, output_dim=2, f=lambda x, u: x.copy(),
+        f=lambda x, u: x.copy(),
         h=lambda x: np.full((x.shape[0], 2), np.nan))
     noise = ukf.NoiseSpec(q=0.01 * np.eye(2), r=0.1 * np.eye(2))
     fs = ukf.predict(ukf.FilterState.initial(np.zeros(2), np.eye(2)), model,
@@ -246,8 +245,7 @@ def _mc_adaptation(q_true_scale, seed, steps=600):
     rng = np.random.default_rng(seed)
     q = np.diag([2e-3, 1e-3])
     r = np.diag([0.05, 0.08])
-    model = ukf.NonlinearModel(state_dim=2, input_dim=1, output_dim=2,
-                               f=lambda x, u: x.copy(), h=lambda x: x.copy())
+    model = ukf.NonlinearModel(f=lambda x, u: x.copy(), h=lambda x: x.copy())
     noise = ukf.NoiseSpec(q=q, r=r)
     fs = ukf.FilterState.initial(np.zeros(2), np.eye(2))
     x = np.zeros(2)
@@ -328,9 +326,9 @@ def test_adapt_q_respects_clamp():
 
 def test_fuzzy_factor_endpoints():
     sup = ukf.FuzzySupervisor()
-    assert ukf.fuzzy_factor(0.0, sup) == pytest.approx(sup.phi_low)
-    assert ukf.fuzzy_factor(1.0, sup) == pytest.approx(sup.phi_high)
-    assert ukf.fuzzy_factor(7.5, sup) == pytest.approx(sup.phi_high)
+    assert ukf.fuzzy_factor(0.0, sup) == pytest.approx(sup.outputs[0])
+    assert ukf.fuzzy_factor(1.0, sup) == pytest.approx(sup.outputs[2])
+    assert ukf.fuzzy_factor(7.5, sup) == pytest.approx(sup.outputs[2])
     assert ukf.fuzzy_factor(0.5, sup) == pytest.approx(1.0)
 
 
@@ -343,7 +341,7 @@ def test_fuzzy_factor_rejects_negative_signal():
 def test_fuzzy_factor_within_bounds(signal):
     sup = ukf.FuzzySupervisor()
     phi = ukf.fuzzy_factor(signal, sup)
-    assert sup.phi_low - 1e-12 <= phi <= sup.phi_high + 1e-12
+    assert sup.outputs[0] - 1e-12 <= phi <= sup.outputs[2] + 1e-12
 
 
 def test_fuzzy_factor_monotone_on_grid():
