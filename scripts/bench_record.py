@@ -4,16 +4,19 @@
 Usage (from the repository root):
 
     python3 scripts/bench_record.py PARENT_DIR CHANGE_DIR \\
-        --workload field_survey:801 --workload three_soil_run:811 \\
-        --out BENCH_field_survey.json
+        --workload three_soil_run:951 --workload replay_sweep:961 \\
+        --workload field_survey:971 --out BENCH_three_soil_run.json
 
 Each directory is a checkout with ``perfbench/`` and ``src/``.  For each
 ``name:first_seed`` workload, pair k of ``PAIRS`` (10) runs
 ``perfbench/run.py --trace 0 --seconds 24`` with seed ``first_seed + k``
 in both checkouts, the parent first on even k and the change first on
 odd k.  Then one traced run per side on the first seed (``--trace 1
---seconds 1``) gives the map-stage times: the inclusive time of each
-traced span of that stage, summed over the traced set-up and pass.  The record holds each side's runs, median and
+--seconds 1``) gives the stage times of the plant (``sim.simulate``) and
+the map: the inclusive time of each traced span of that stage, summed
+over the traced set-up and pass.  The same run gives the tracer's plant
+numbers (``sim.simulate_s`` per call, ``sim.us_per_step`` per 1 ms plant
+step) and map counters.  The record holds each side's runs, median and
 quartiles of every end-to-end metric, the pairs the change won, the failed
 and attempted operations, the traced stage times and the machine.
 """
@@ -33,10 +36,12 @@ import numpy as np
 
 SIDES = ("parent", "change")
 PAIRS = 10  # alternating pairs per workload
-# Span names of the map stages, as the tracer names them.
-MAP_STAGES = ("cli.build_map", "mapping.interpolate", "cli.write.map_state",
-              "cli.write.map_layers", "cli.read.map_state")
-TRACED_METRICS = ("mapping.insert.calls", "mapping.insert_us",
+# Span names of the plant and map stages, as the tracer names them.
+TRACED_STAGES = ("sim.simulate", "cli.build_map", "mapping.interpolate",
+                 "cli.write.map_state", "cli.write.map_layers",
+                 "cli.read.map_state")
+TRACED_METRICS = ("sim.simulate_s", "sim.us_per_step",
+                  "mapping.insert.calls", "mapping.insert_us",
                   "mapping.grow.count", "mapping.grow.cells_copied")
 
 
@@ -59,7 +64,7 @@ def _stage_seconds(checkout: Path, workload: str, seed: int) -> dict:
         spans = json.load(fh)["spans"]
     totals = {}
     for name, _, start, end, *_ in spans:
-        if name in MAP_STAGES:
+        if name in TRACED_STAGES:
             totals[name] = totals.get(name, 0.0) + (end - start) / 1e9
     return totals
 

@@ -507,7 +507,10 @@ def main(argv=None) -> int:
                 scenario_path=args.scenario, out_dir=args.out, seed=args.seed,
                 interpolation=interp, resolution=args.resolution,
                 interpolate=not args.no_interpolate)
-            sim.load_scenario(args.scenario)  # validate before touching outputs
+            # validate, with the seed override, before touching outputs
+            scenario = sim.load_scenario(args.scenario)
+            if args.seed is not None:
+                replace(scenario, seed=args.seed)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 1

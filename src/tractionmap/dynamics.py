@@ -53,10 +53,13 @@ class VehicleParams:
     wheel_count: int = 4
 
     def __post_init__(self) -> None:
+        # Written so that NaN fails every check.
         for name in ("wheel_mass", "wheel_inertia", "vehicle_mass",
                      "unloaded_radius", "tire_pressure", "tire_width"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
+        if not self.vehicle_mass >= 4.0 * self.wheel_mass:
+            raise ValueError("vehicle_mass is less than the four wheels' mass")
         if not 0.0 <= self.tire_rr_coeff <= 0.1:
             raise ValueError("tire_rr_coeff outside [0, 0.1]")
         if self.wheel_count != 4:
@@ -80,12 +83,13 @@ class SoilParams:
     rho_s: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0:
-            raise ValueError("a must be strictly positive")
+        # Written so that NaN fails every check.
+        if not 0.0 < self.a < math.inf:
+            raise ValueError("a must be strictly positive and finite")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p outside [0, 1]")
-        if self.alpha1 >= 0.0 or self.alpha2 >= 0.0:
-            raise ValueError("alpha1 and alpha2 must be negative")
+        if not (-math.inf < self.alpha1 < 0.0 and -math.inf < self.alpha2 < 0.0):
+            raise ValueError("alpha1 and alpha2 must be negative and finite")
         if not 0.0 <= self.rho_s <= 0.5:
             raise ValueError("rho_s outside [0, 0.5]")
 

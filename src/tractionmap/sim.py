@@ -7,12 +7,15 @@ and emits 10 Hz telemetry with white Gaussian noise per channel plus an
 exactly aligned truth log for scoring.  Runs are reproducible per seed.
 
 The 1 ms step runs as one kernel: constants are computed once per soil and
-per vehicle, and the RK4 derivative is unrolled over the four wheels with
-slip and the odd-extended adhesion curve inlined.  It keeps the evaluation
-order and every sum's starting value of the scalar plant it replaced,
-which ``tests/oracles.py`` keeps as ``reference_simulate``; the tests
-require equal telemetry and truth (no tolerance).  The 10 Hz truth path
-still calls ``slip`` and ``mu_curve``.
+per vehicle, and the RK4 state is one wheel speed plus the vehicle speed,
+with slip and the odd-extended adhesion curve inlined.  The four wheels
+carry bit-equal loads, radii, torques and speeds (see ``simulate``), so
+one wheel is integrated and replicated into the four-wheel telemetry and
+truth.  The kernel keeps the evaluation order and every sum's starting
+value of the scalar four-wheel plant it replaced, which
+``tests/oracles.py`` keeps as ``reference_simulate``; the tests require
+``repr``-equal telemetry and truth (no tolerance).  The 10 Hz truth path
+still calls ``slip`` and ``mu_curve`` per wheel.
 
 Telemetry CSV column order:
     t, x, y, w1, w2, w3, w4, v, md1, md2, md3, md4, fzf, fdx
@@ -25,7 +28,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import yaml
@@ -83,8 +87,10 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         w, l = self.extent
+        if not (0.0 < w < math.inf and 0.0 < l < math.inf):
+            raise ValueError(f"field extent {self.extent} must be positive and finite")
         for rect, _ in self.regions:
-            if rect.x0 < 0 or rect.y0 < 0 or rect.x1 > w or rect.y1 > l:
+            if not (rect.x0 >= 0 and rect.y0 >= 0 and rect.x1 <= w and rect.y1 <= l):
                 raise ValueError(f"region {rect} outside field extent {self.extent}")
 
 
@@ -98,6 +104,9 @@ class DrawbarProfile:
     sin_period: float = 10.0
 
     def __post_init__(self) -> None:
+        for name in ("constant", "ramp_time", "sin_amplitude", "sin_period"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"drawbar {name} must be finite")
         if self.sin_amplitude > 0.0 and not self.sin_period > 0.0:
             raise ValueError("sin_period must be positive when sin_amplitude > 0")
 
@@ -145,10 +154,17 @@ class ScenarioSpec:
     ki: float = 3000.0             # N*m per m, total
 
     def __post_init__(self) -> None:
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
-        if self.target_speed <= 0.0:
-            raise ValueError("target_speed must be positive")
+        # Written so that NaN fails every check.
+        for name in ("duration", "target_speed", "power_cap",
+                     "max_wheel_torque"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("kp", "ki"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, Integral)
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if len(self.path) < 2:
             raise ValueError("path needs at least two waypoints")
 
@@ -244,11 +260,16 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
     """
     veh = scenario.vehicle
     f_zf = 0.5 * (veh.vehicle_mass - 4.0 * veh.wheel_mass) * GRAVITY
-    # rolling_radius raises NonPositiveRadius for r_d <= 0, so the kernel's
-    # inlined slip drops the per-call radius check of dynamics.slip.
+    # f_zf is exactly half the body weight (halving is exact in binary
+    # floating point), so the four loads and radii are bit-equal.  The
+    # wheels start at rest on one soil and take one torque command, and
+    # each wheel's power limit reads only its own speed, so they stay
+    # bit-equal: the kernel integrates one wheel.  rolling_radius raises
+    # NonPositiveRadius for r_d <= 0, so the kernel's inlined slip drops
+    # the per-call radius check of dynamics.slip.
     f_z, r_d = wheel_geometry(f_zf, veh)
+    fz, r = f_z[0], r_d[0]
     j_w = veh.wheel_inertia
-    rho_t = veh.tire_rr_coeff
     m = veh.vehicle_mass
     path = _Path(scenario.path)
     rng = np.random.default_rng(scenario.seed)
@@ -262,16 +283,14 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
     power_share = scenario.power_cap / 4.0
     noise = scenario.noise
 
-    # Per-wheel constants: radius, load, tire rolling-resistance torque
-    # r_d*rho_t*F_z and the stiffness numerator r_d^2*F_z.
-    r0, r1, r2, r3 = r_d
-    fz0, fz1, fz2, fz3 = f_z
-    rt0, rt1, rt2, rt3 = (r_d[i] * rho_t * f_z[i] for i in range(4))
-    rrf0, rrf1, rrf2, rrf3 = (r_d[i] * r_d[i] * f_z[i] for i in range(4))
+    # Tire rolling-resistance torque r_d*rho_t*F_z and the stiffness
+    # numerator r_d^2*F_z of the sub-step rule.
+    rt = r * veh.tire_rr_coeff * fz
+    rrf = r * r * fz
     exp = math.exp
     tanh = math.tanh
 
-    w0 = w1 = w2 = w3 = 0.0
+    w = 0.0
     v = 0.0
     s_path = 0.0
     integral = 0.0
@@ -284,12 +303,13 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
     samples: list[TelemetrySample] = []
     truth: list[TruthRecord] = []
 
-    def deriv(w0, w1, w2, w3, v):
-        # Slip (dynamics.slip) and the odd-extended curve (_plant_mu) per
-        # wheel; the clamps keep max(-1.0, s)'s -1.0 for a NaN slip.
+    def deriv(w, v):
+        # Slip (dynamics.slip) and the odd-extended curve (_plant_mu); the
+        # clamps keep max(-1.0, s)'s -1.0 for a NaN slip.  The vehicle row
+        # adds the four equal wheel forces one by one, as the four-wheel
+        # sum does (4.0 * fh can round differently).
         v_abs = abs(v)
-
-        x = r0 * abs(w0)
+        x = r * abs(w)
         if v_abs < STANDSTILL_EPS and x < STANDSTILL_EPS:
             s = 0.0
         elif v_abs <= x:
@@ -302,72 +322,13 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
         else:
             s = -1.0
         if s >= 0.0:
-            fh0 = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz0
+            fh = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz
         else:
             s = -s
-            fh0 = -(a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz0
-        dw0 = (md0 - r0 * fh0 - rt0 * tanh(w0 * r0 / _SIGN_SPEED)) / j_w
-
-        x = r1 * abs(w1)
-        if v_abs < STANDSTILL_EPS and x < STANDSTILL_EPS:
-            s = 0.0
-        elif v_abs <= x:
-            s = 1.0 - v_abs / x
-        else:
-            s = -1.0 + x / v_abs
-        if s > -1.0:
-            if s >= 1.0:
-                s = 1.0
-        else:
-            s = -1.0
-        if s >= 0.0:
-            fh1 = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz1
-        else:
-            s = -s
-            fh1 = -(a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz1
-        dw1 = (md1 - r1 * fh1 - rt1 * tanh(w1 * r1 / _SIGN_SPEED)) / j_w
-
-        x = r2 * abs(w2)
-        if v_abs < STANDSTILL_EPS and x < STANDSTILL_EPS:
-            s = 0.0
-        elif v_abs <= x:
-            s = 1.0 - v_abs / x
-        else:
-            s = -1.0 + x / v_abs
-        if s > -1.0:
-            if s >= 1.0:
-                s = 1.0
-        else:
-            s = -1.0
-        if s >= 0.0:
-            fh2 = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz2
-        else:
-            s = -s
-            fh2 = -(a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz2
-        dw2 = (md2 - r2 * fh2 - rt2 * tanh(w2 * r2 / _SIGN_SPEED)) / j_w
-
-        x = r3 * abs(w3)
-        if v_abs < STANDSTILL_EPS and x < STANDSTILL_EPS:
-            s = 0.0
-        elif v_abs <= x:
-            s = 1.0 - v_abs / x
-        else:
-            s = -1.0 + x / v_abs
-        if s > -1.0:
-            if s >= 1.0:
-                s = 1.0
-        else:
-            s = -1.0
-        if s >= 0.0:
-            fh3 = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz3
-        else:
-            s = -s
-            fh3 = -(a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz3
-        dw3 = (md3 - r3 * fh3 - rt3 * tanh(w3 * r3 / _SIGN_SPEED)) / j_w
-
-        dv = (0.0 + fh0 + fh1 + fh2 + fh3 - f_dx
-              - rho_s_mg * tanh(v / _SIGN_SPEED)) / m
-        return dw0, dw1, dw2, dw3, dv
+            fh = -(a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz
+        return ((md - r * fh - rt * tanh(w * r / _SIGN_SPEED)) / j_w,
+                (0.0 + fh + fh + fh + fh - f_dx
+                 - rho_s_mg * tanh(v / _SIGN_SPEED)) / m)
 
     for k in range(n_steps + 1):
         t = k * INTERNAL_DT
@@ -398,33 +359,24 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
             md = 0.0
         if max_torque < md:
             md = max_torque
-        md0 = md1 = md2 = md3 = md
-        lim = power_share / (1.0 if 1.0 > w0 else w0)
+        lim = power_share / (1.0 if 1.0 > w else w)
         if lim < md:
-            md0 = lim
-        lim = power_share / (1.0 if 1.0 > w1 else w1)
-        if lim < md:
-            md1 = lim
-        lim = power_share / (1.0 if 1.0 > w2 else w2)
-        if lim < md:
-            md2 = lim
-        lim = power_share / (1.0 if 1.0 > w3 else w3)
-        if lim < md:
-            md3 = lim
+            md = lim
 
         if k % emit_every == 0:
-            omega = (w0, w1, w2, w3)
-            m_d = (md0, md1, md2, md3)
-            slips = tuple(slip(v, omega[i], r_d[i]) for i in range(4))
+            # Truth evaluates each wheel through slip and _plant_mu (the
+            # benchmark's tracer counts these calls per wheel).
+            omega = (w, w, w, w)
+            slips = tuple(slip(v, w, r_i) for r_i in r_d)
             mus = tuple(_plant_mu(s, soil) for s in slips)
             pos_noisy = (pos[0] + rng.normal(0.0, noise.sigma_pos),
                          pos[1] + rng.normal(0.0, noise.sigma_pos))
             omega_noisy = tuple(w + rng.normal(0.0, noise.sigma_omega)
-                                for w in omega)
+                                for _ in range(4))
             v_noisy = v + rng.normal(0.0, noise.sigma_v)
             samples.append(TelemetrySample(
                 t=t, pos=pos_noisy, omega_w=omega_noisy, v=v_noisy,
-                m_d=m_d, f_zf=f_zf, f_dx=f_dx))
+                m_d=(md, md, md, md), f_zf=f_zf, f_dx=f_dx))
             truth.append(TruthRecord(
                 t=t, pos=pos, soil=soil, mu=mus, slip=slips, v=v,
                 omega_w=omega, drive_energy=drive_energy,
@@ -435,69 +387,31 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
 
         # Sub-step where the slip-adhesion coupling is stiff: the wheel-mode
         # rate is bounded by r^2 F_z mu'(0) / (J max(|v|, r|w|)).
-        v_abs = abs(v)
-        lam = 0.0
-        m_speed = v_abs
-        x = r0 * abs(w0)
+        m_speed = abs(v)
+        x = r * abs(w)
         if x > m_speed:
             m_speed = x
         if 1e-3 > m_speed:
             m_speed = 1e-3
-        x = rrf0 * slope_cap / (j_w * m_speed)
-        if x > lam:
-            lam = x
-        m_speed = v_abs
-        x = r1 * abs(w1)
-        if x > m_speed:
-            m_speed = x
-        if 1e-3 > m_speed:
-            m_speed = 1e-3
-        x = rrf1 * slope_cap / (j_w * m_speed)
-        if x > lam:
-            lam = x
-        m_speed = v_abs
-        x = r2 * abs(w2)
-        if x > m_speed:
-            m_speed = x
-        if 1e-3 > m_speed:
-            m_speed = 1e-3
-        x = rrf2 * slope_cap / (j_w * m_speed)
-        if x > lam:
-            lam = x
-        m_speed = v_abs
-        x = r3 * abs(w3)
-        if x > m_speed:
-            m_speed = x
-        if 1e-3 > m_speed:
-            m_speed = 1e-3
-        x = rrf3 * slope_cap / (j_w * m_speed)
-        if x > lam:
-            lam = x
+        lam = rrf * slope_cap / (j_w * m_speed)
+        if not lam > 0.0:   # max(0.0, lam), NaN included
+            lam = 0.0
         n_sub = min(200, max(1, int(INTERNAL_DT * lam / 2.0) + 1))
         h = INTERNAL_DT / n_sub
         hh = 0.5 * h
         h6 = h / 6.0
 
         for _ in range(n_sub):
-            k1w0, k1w1, k1w2, k1w3, k1v = deriv(w0, w1, w2, w3, v)
-            k2w0, k2w1, k2w2, k2w3, k2v = deriv(
-                w0 + hh * k1w0, w1 + hh * k1w1, w2 + hh * k1w2,
-                w3 + hh * k1w3, v + hh * k1v)
-            k3w0, k3w1, k3w2, k3w3, k3v = deriv(
-                w0 + hh * k2w0, w1 + hh * k2w1, w2 + hh * k2w2,
-                w3 + hh * k2w3, v + hh * k2v)
-            k4w0, k4w1, k4w2, k4w3, k4v = deriv(
-                w0 + h * k3w0, w1 + h * k3w1, w2 + h * k3w2,
-                w3 + h * k3w3, v + h * k3v)
-            w0 = w0 + h6 * (k1w0 + 2.0 * k2w0 + 2.0 * k3w0 + k4w0)
-            w1 = w1 + h6 * (k1w1 + 2.0 * k2w1 + 2.0 * k3w1 + k4w1)
-            w2 = w2 + h6 * (k1w2 + 2.0 * k2w2 + 2.0 * k3w2 + k4w2)
-            w3 = w3 + h6 * (k1w3 + 2.0 * k2w3 + 2.0 * k3w3 + k4w3)
+            k1w, k1v = deriv(w, v)
+            k2w, k2v = deriv(w + hh * k1w, v + hh * k1v)
+            k3w, k3v = deriv(w + hh * k2w, v + hh * k2v)
+            k4w, k4v = deriv(w + h * k3w, v + h * k3v)
+            w = w + h6 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
             v = v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
 
         # sum() keeps the reference's accumulation (and its int 0 start).
-        drive_energy += sum((md0 * w0, md1 * w1, md2 * w2,
-                             md3 * w3)) * INTERNAL_DT
+        e = md * w
+        drive_energy += sum((e, e, e, e)) * INTERNAL_DT
         v_pos = 0.0 if 0.0 > v else v
         drawbar_work += f_dx * v_pos * INTERNAL_DT
         s_path += v_pos * INTERNAL_DT

@@ -5,11 +5,11 @@ the code under test: the Kalman filter in closed matrix form, the band
 interpolation over an explicit all-pairs distance matrix, and the traction
 equilibrium by bisection on the adhesion curve.
 
-The one exception is ``reference_simulate``: the scalar plant as it was
-before ``sim.simulate`` became an unrolled per-soil kernel, kept verbatim.
-It calls ``slip`` and ``mu_curve`` per wheel and per RK4 stage, and the
-kernel must reproduce its telemetry and truth exactly (``==``, no
-tolerance).  Likewise ``reference_interpolate``,
+The one exception is ``reference_simulate``: the scalar four-wheel plant
+as it was before ``sim.simulate`` became a per-soil kernel that integrates
+one wheel for all four, kept verbatim.  It calls ``slip`` and ``mu_curve``
+per wheel and per RK4 stage, and the kernel must reproduce its telemetry
+and truth exactly (equal ``repr``, no tolerance).  Likewise ``reference_interpolate``,
 ``reference_export_layer_csv``, ``reference_save_map_state`` and
 ``reference_load_map_state`` are the map layer as it was before the
 interpolation swept only the occupied box in row tiles and the map files

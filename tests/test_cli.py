@@ -193,8 +193,33 @@ def test_run_with_interpolation_disabled(scenario_file, tmp_path):
     ({"noise": {"sigma_omega": -0.01}}, []),
     ({}, ["--resolution", "nan"]),
     ({}, ["--resolution", "inf"]),
+    ({"duration": float("nan")}, []),
+    ({"duration": float("inf")}, []),
+    ({"target_speed": float("nan")}, []),
+    ({"seed": 1.5}, []),
+    ({}, ["--seed", "-1"]),
+    ({"power_cap": -1.0}, []),
+    ({"max_wheel_torque": -5.0}, []),
+    ({"kp": float("nan")}, []),
+    ({"ki": -1.0}, []),
+    ({"drawbar": {"constant": float("nan")}}, []),
+    ({"drawbar": {"constant": 15000.0, "ramp_time": float("inf")}}, []),
+    ({"field": {**SMALL_SCENARIO["field"],
+                "default_soil": {"a": float("nan"), "p": 0.6, "alpha1": -20.0,
+                                 "alpha2": -3.0, "rho_s": 0.06}}}, []),
+    ({"field": {**SMALL_SCENARIO["field"], "extent": [float("nan"), 20.0]}},
+     []),
+    ({"field": {**SMALL_SCENARIO["field"], "extent": [-5.0, 20.0],
+                "regions": []}}, []),
+    ({"vehicle": {"wheel_inertia": float("nan")}}, []),
+    ({"vehicle": {"wheel_mass": 2000.0}}, []),
 ], ids=["missing", "zero_sin_period", "negative_sigma", "nan_resolution",
-        "inf_resolution"])
+        "inf_resolution", "nan_duration", "inf_duration", "nan_target_speed",
+        "fractional_seed", "negative_seed_override", "negative_power_cap",
+        "negative_max_wheel_torque", "nan_kp", "negative_ki",
+        "nan_drawbar_constant", "inf_drawbar_ramp_time", "nan_soil_a",
+        "nan_extent", "negative_extent", "nan_wheel_inertia",
+        "wheels_heavier_than_vehicle"])
 def test_main_bad_scenario_no_partial_outputs(settings, options, tmp_path,
                                               capsys):
     path = tmp_path / "scenario.yaml"

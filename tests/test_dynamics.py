@@ -275,6 +275,53 @@ def test_vehicle_params_validation():
         VehicleParams(wheel_count=2)
 
 
+@pytest.mark.parametrize("name", [
+    "wheel_mass", "wheel_inertia", "vehicle_mass", "unloaded_radius",
+    "tire_pressure", "tire_width"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_vehicle_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError):
+        VehicleParams(**{name: value})
+
+
+def test_vehicle_params_reject_wheels_heavier_than_vehicle():
+    with pytest.raises(ValueError, match="four wheels"):
+        VehicleParams(wheel_mass=2000.0)
+    # a body of zero weight is still a vehicle: every load is a wheel's own
+    f_z, _ = wheel_geometry(0.0, VehicleParams(vehicle_mass=640.0))
+    assert f_z == (160.0 * GRAVITY,) * 4
+
+
+# Vehicles well inside the physical range: loads stay far from overflow and
+# the body mass far from the subnormal range, where halving is not exact.
+@st.composite
+def vehicles(draw):
+    vehicle_mass = draw(st.floats(100.0, 1e5))
+    return VehicleParams(
+        wheel_mass=draw(st.floats(1.0, vehicle_mass / 4.0)),
+        wheel_inertia=draw(st.floats(0.1, 500.0)),
+        vehicle_mass=vehicle_mass,
+        unloaded_radius=draw(st.floats(0.2, 2.0)),
+        tire_pressure=draw(st.floats(0.3, 5.0)),
+        tire_width=draw(st.floats(0.1, 1.5)),
+        tire_rr_coeff=draw(st.floats(0.0, 0.1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vehicles())
+def test_even_load_split_gives_bit_equal_wheels(veh):
+    # The plant integrates one wheel for all four on exactly this: half the
+    # body weight on the front axle gives four bit-equal loads and radii.
+    f_zf = 0.5 * (veh.vehicle_mass - 4.0 * veh.wheel_mass) * GRAVITY
+    f_z = wheel_vertical_forces(f_zf, veh)
+    assert len({x.hex() for x in f_z}) == 1
+    try:
+        _, r_d = wheel_geometry(f_zf, veh)
+    except NonPositiveRadius:
+        return  # the load flattens the tire; simulate refuses such a vehicle
+    assert len({x.hex() for x in r_d}) == 1
+
+
 def test_soil_params_validation():
     with pytest.raises(ValueError):
         SoilParams(a=-0.1, p=0.5, alpha1=-1, alpha2=-1, rho_s=0.1)
@@ -284,3 +331,11 @@ def test_soil_params_validation():
         SoilParams(a=0.5, p=0.5, alpha1=1.0, alpha2=-1, rho_s=0.1)
     with pytest.raises(ValueError):
         SoilParams(a=0.5, p=0.5, alpha1=-1, alpha2=-1, rho_s=0.6)
+
+
+@pytest.mark.parametrize("field", ["a", "alpha1", "alpha2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_soil_params_reject_non_finite(field, value):
+    good = dict(a=0.5, p=0.5, alpha1=-1.0, alpha2=-1.0, rho_s=0.1)
+    with pytest.raises(ValueError):
+        SoilParams(**{**good, field: value})
