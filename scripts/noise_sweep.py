@@ -14,7 +14,7 @@ from pathlib import Path
 # Run from a plain checkout: the package lives in src/.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tractionmap import cli, mapping, sim  # noqa: E402
+from tractionmap import cli, sim  # noqa: E402
 
 
 def run_once(mult: float):
@@ -23,9 +23,8 @@ def run_once(mult: float):
     scenario = sim.default_scenario(noise=noise)
     samples, truth = sim.simulate(scenario)
     records, est = cli.run_estimation(samples, scenario.vehicle)
-    raw = cli.build_map(records)
-    interp = mapping.interpolate(raw) if raw is not None else None
-    return cli.compute_metrics(records, truth, raw, interp,
+    # no map: only the mu, R^2 and rho_s errors are printed
+    return cli.compute_metrics(records, truth, None, None,
                                clamp_violations=est.clamp_violations)
 
 

@@ -44,14 +44,13 @@ class DegenerateVariance(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Arguments of one pipeline run."""
+    """One pipeline run's arguments; ``interpolation=None`` skips the sweep."""
 
     scenario_path: str
     out_dir: str = "out"
     seed: int | None = None
-    interpolation: InterpolationConfig = InterpolationConfig()
+    interpolation: InterpolationConfig | None = InterpolationConfig()
     resolution: float = 1.0
-    interpolate: bool = True
 
 
 @dataclass(frozen=True)
@@ -110,13 +109,12 @@ def run_estimation(samples: list[TelemetrySample],
 
 
 def build_map(records: list[EstimateRecord],
-              curve_family=STUBBLE_FAMILY,
               resolution: float = 1.0) -> GroundMap | None:
     """Raw ground map from the estimate stream; origin at the first insert.
 
     Only records with a successful curve-scale extraction are inserted,
     in stream order, by one bulk ``insert_auto``; the stored layers are
-    (a, p, alpha1, alpha2, rho_s).
+    (a, rho_s).
     """
     kept = [rec for rec in records if rec.curve_scale is not None]
     if not kept:
@@ -124,8 +122,7 @@ def build_map(records: list[EstimateRecord],
     positions = np.array([rec.position for rec in kept], dtype=float)
     values = np.empty((len(kept), mapping.NUM_LAYERS))
     values[:, 0] = [rec.curve_scale for rec in kept]
-    values[:, 1:4] = curve_family
-    values[:, 4] = [rec.rho_s for rec in kept]
+    values[:, 1] = [rec.rho_s for rec in kept]
     gmap = GroundMap.empty(origin=kept[0].position, resolution=resolution)
     return mapping.insert_auto(gmap, positions, values)
 
@@ -424,7 +421,7 @@ def run(config: RunConfig) -> MetricsReport:
     samples, truth = sim.simulate(scenario)
     report = _estimate_map_score(
         samples, truth, scenario.vehicle, config.out_dir, t0,
-        config.resolution, config.interpolation if config.interpolate else None)
+        config.resolution, config.interpolation)
     out = Path(config.out_dir)
     sim.write_telemetry_csv(samples, out / "telemetry.csv")
     sim.write_truth_csv(truth, out / "truth.csv")
@@ -432,18 +429,17 @@ def run(config: RunConfig) -> MetricsReport:
 
 
 def replay(telemetry_path, out_dir, truth_path=None,
-           interpolation: InterpolationConfig = InterpolationConfig(),
-           resolution: float = 1.0, do_interpolate: bool = True) -> MetricsReport | None:
-    """Re-run estimation on a recorded telemetry CSV; score it only when
-    the aligned truth CSV is given."""
+           interpolation: InterpolationConfig | None = InterpolationConfig(),
+           resolution: float = 1.0) -> MetricsReport | None:
+    """Re-run estimation on a recorded telemetry CSV, interpolating unless
+    ``interpolation`` is None; score it only when the truth CSV is given."""
     t0 = time.perf_counter()
     samples = sim.read_telemetry_csv(telemetry_path)
     if len(samples) < 2:
         raise ValueError("telemetry must contain at least two samples")
     truth = None if truth_path is None else sim.read_truth_csv(truth_path)
     return _estimate_map_score(samples, truth, VehicleParams(), out_dir, t0,
-                               resolution,
-                               interpolation if do_interpolate else None)
+                               resolution, interpolation)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +501,8 @@ def main(argv=None) -> int:
             interp = _interpolation_from_args(args)
             config = RunConfig(
                 scenario_path=args.scenario, out_dir=args.out, seed=args.seed,
-                interpolation=interp, resolution=args.resolution,
-                interpolate=not args.no_interpolate)
+                interpolation=None if args.no_interpolate else interp,
+                resolution=args.resolution)
             # validate, with the seed override, before touching outputs
             scenario = sim.load_scenario(args.scenario)
             if args.seed is not None:
@@ -532,9 +528,9 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         try:
+            interp = None if args.no_interpolate else InterpolationConfig()
             report = replay(args.telemetry, args.out, truth_path=args.truth,
-                            resolution=args.resolution,
-                            do_interpolate=not args.no_interpolate)
+                            interpolation=interp, resolution=args.resolution)
         except Exception as exc:
             print(f"pipeline error: {exc}", file=sys.stderr)
             return 2

@@ -50,7 +50,6 @@ class VehicleParams:
     tire_pressure: float = 1.6      # bar
     tire_width: float = 0.6         # m
     tire_rr_coeff: float = 0.015    # dimensionless
-    wheel_count: int = 4
 
     def __post_init__(self) -> None:
         # Written so that NaN fails every check.
@@ -62,8 +61,6 @@ class VehicleParams:
             raise ValueError("vehicle_mass is less than the four wheels' mass")
         if not 0.0 <= self.tire_rr_coeff <= 0.1:
             raise ValueError("tire_rr_coeff outside [0, 0.1]")
-        if self.wheel_count != 4:
-            raise ValueError("model is formulated for exactly 4 wheels")
 
 
 @dataclass(frozen=True)

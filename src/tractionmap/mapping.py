@@ -2,7 +2,7 @@
 
 A GroundMap is a w x l grid of cells over planar world coordinates; each
 non-empty cell carries the running mean of every inserted parameter layer
-(a, p, alpha1, alpha2, rho_s) plus a hit count.  Interpolation fills and
+(the curve scale a and rho_s) plus a hit count.  Interpolation fills and
 smooths the map with a three-band Manhattan-distance rule: for each target
 cell, the mean of the non-empty source cells in each distance band is
 weighted by the band weight and the weighted means are averaged over the
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LAYER_NAMES = ("a", "p", "alpha1", "alpha2", "rho_s")
+LAYER_NAMES = ("a", "rho_s")
 NUM_LAYERS = len(LAYER_NAMES)
 
 
@@ -189,7 +189,7 @@ def _band_offsets(d_min_excl: float, d_max_incl: float) -> list[tuple[int, int]]
     return offsets
 
 
-# Cells per row tile of the interpolation sweep: a band's (6, rows, l)
+# Cells per row tile of the interpolation sweep: a band's (3, rows, l)
 # accumulator of about this many cells stays in cache across its offsets.
 TILE_CELLS = 8192
 
@@ -209,7 +209,7 @@ def interpolate(gmap: GroundMap,
     Only the bounding box of the filled cells, widened by the low band's
     reach and clipped to the grid, can be reached; the sweep covers that
     box alone, in row tiles of about ``TILE_CELLS`` cells.  The layers
-    and the fill mask are stacked as six planes, so each offset is one
+    and the fill mask are stacked as three planes, so each offset is one
     add.  Every cell sums its band's offsets in the same order as a
     full-grid sweep would, and the empty cells it reads add an exact
     +0.0, so the result does not depend on the box or the tiling.
@@ -232,7 +232,7 @@ def interpolate(gmap: GroundMap,
     j0, j1 = max(cols[0] - reach, 0), min(cols[-1] + 1 + reach, l)
     bw, bl = i1 - i0, j1 - j0
 
-    # Planes 0-4 hold the layers of the filled cells, plane 5 the fill
+    # Planes 0-1 hold the layers of the filled cells, plane 2 the fill
     # mask; the zero margin stands for the empty or off-grid cells beyond
     # the box.
     box_filled = filled[i0:i1, j0:j1]

@@ -167,6 +167,13 @@ class ScenarioSpec:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if len(self.path) < 2:
             raise ValueError("path needs at least two waypoints")
+        w, l = self.terrain.extent
+        for x, y in self.path:
+            if not (0.0 <= x <= w and 0.0 <= y <= l):
+                raise ValueError(f"path waypoint {(x, y)} must be finite and "
+                                 f"inside the field extent {self.terrain.extent}")
+        if not _Path(self.path).total > 0.0:
+            raise ValueError("path must have a positive length")
 
 
 @dataclass(frozen=True)

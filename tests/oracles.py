@@ -85,7 +85,6 @@ from tractionmap.sim import (
     _SIGN_SPEED,
     INTERNAL_DT,
     SAMPLE_DT,
-    STUBBLE_FAMILY,
     ScenarioInfeasible,
     ScenarioSpec,
     TelemetrySample,
@@ -443,19 +442,17 @@ def reference_insert_auto(gmap: GroundMap, pos: tuple[float, float], values) -> 
 
 
 def reference_build_map(records: list[EstimateRecord],
-                        curve_family=STUBBLE_FAMILY,
                         resolution: float = 1.0) -> GroundMap | None:
     """Raw ground map from the estimate stream; origin at the first insert.
 
     Only records with a successful curve-scale extraction are inserted;
-    the stored layers are (a, p, alpha1, alpha2, rho_s).
+    the stored layers are (a, rho_s).
     """
-    p, alpha1, alpha2 = curve_family
     gmap: GroundMap | None = None
     for rec in records:
         if rec.curve_scale is None:
             continue
-        values = (rec.curve_scale, p, alpha1, alpha2, rec.rho_s)
+        values = (rec.curve_scale, rec.rho_s)
         if gmap is None:
             gmap = GroundMap.empty(origin=rec.position, resolution=resolution)
         gmap = reference_insert_auto(gmap, rec.position, values)

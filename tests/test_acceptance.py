@@ -304,9 +304,14 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
     assert cli.main(["run", str(spath), "--out", str(out1)]) == 0
     assert cli.main(["run", str(spath), "--out", str(out2)]) == 0
 
-    names = sorted(p.name for p in out1.glob("*.csv"))
-    names.append("map_state.json")
-    mismatches = [n for n in names
+    names = sorted(p.name for p in out1.iterdir())
+    expected = ["estimates.csv", "map_a.csv", "map_raw_a.csv",
+                "map_raw_rho_s.csv", "map_rho_s.csv", "map_state.json",
+                "metrics.json", "metrics.txt", "telemetry.csv",
+                "timeseries.csv", "truth.csv"]
+    # the metrics files carry the wall-clock runtime; compared below
+    compared = [n for n in names if not n.startswith("metrics.")]
+    mismatches = [n for n in compared
                   if not filecmp.cmp(out1 / n, out2 / n, shallow=False)]
 
     # metrics must agree too, apart from the wall-clock runtime field
@@ -316,8 +321,9 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
         m2 = json.load(fh)
     m1.pop("runtime_s"), m2.pop("runtime_s")
 
-    ok = not mismatches and m1 == m2 and len(names) > 10
-    report(8, ok, f"two identical-config runs: {len(names)} output files "
+    ok = not mismatches and m1 == m2 and names == expected
+    report(8, ok, f"two identical-config runs: {len(compared)} output files "
                   f"byte-identical"
+                  + ("" if names == expected else f"; wrote {names}")
                   + (f"; MISMATCH in {mismatches}" if mismatches else "")
                   + "; metrics equal modulo runtime")

@@ -178,7 +178,7 @@ def test_timeseries_pairs_truth_with_estimates(scenario_file, tmp_path):
 def test_run_with_interpolation_disabled(scenario_file, tmp_path):
     out = tmp_path / "out"
     report = cli.run(RunConfig(scenario_path=str(scenario_file),
-                               out_dir=str(out), interpolate=False))
+                               out_dir=str(out), interpolation=None))
     assert report.coverage_interpolated is None
     assert not (out / "map_a.csv").exists()
     assert (out / "map_raw_a.csv").is_file()
@@ -213,13 +213,21 @@ def test_run_with_interpolation_disabled(scenario_file, tmp_path):
                 "regions": []}}, []),
     ({"vehicle": {"wheel_inertia": float("nan")}}, []),
     ({"vehicle": {"wheel_mass": 2000.0}}, []),
+    ({"vehicle": {"wheel_count": 2}}, []),
+    ({"path": [[float("nan"), 10.0], [118.0, 10.0]]}, []),
+    ({"path": [[2.0, 10.0], [float("inf"), 10.0]]}, []),
+    ({"path": [[2.0, 10.0], [130.0, 10.0]]}, []),
+    ({"path": [[2.0, 10.0], [60.0, 10.0], [60.0, -1.0]]}, []),
+    ({"path": [[2.0, 10.0], [2.0, 10.0]]}, []),
 ], ids=["missing", "zero_sin_period", "negative_sigma", "nan_resolution",
         "inf_resolution", "nan_duration", "inf_duration", "nan_target_speed",
         "fractional_seed", "negative_seed_override", "negative_power_cap",
         "negative_max_wheel_torque", "nan_kp", "negative_ki",
         "nan_drawbar_constant", "inf_drawbar_ramp_time", "nan_soil_a",
         "nan_extent", "negative_extent", "nan_wheel_inertia",
-        "wheels_heavier_than_vehicle"])
+        "wheels_heavier_than_vehicle", "wheel_count_field", "nan_waypoint",
+        "inf_waypoint", "waypoint_beyond_length", "waypoint_below_width",
+        "zero_length_path"])
 def test_main_bad_scenario_no_partial_outputs(settings, options, tmp_path,
                                               capsys):
     path = tmp_path / "scenario.yaml"
@@ -263,7 +271,7 @@ def test_main_export_map_missing_state(tmp_path, capsys):
     assert code == 1
 
 
-GOOD_VALUES = [0.7, 0.6, -20.0, -3.0, 0.06]
+GOOD_VALUES = [0.7, 0.06]
 
 
 @pytest.mark.parametrize("change, message", [
@@ -273,10 +281,11 @@ GOOD_VALUES = [0.7, 0.6, -20.0, -3.0, 0.06]
     ([[0, -1, 1, *GOOD_VALUES]], "outside"),
     ([[1, 1, 0, *GOOD_VALUES]], "count"),
     ([[1, 1, -2, *GOOD_VALUES]], "count"),
-    ([[1, 1, 1, *GOOD_VALUES[:4]]], "layer values"),
+    # a cell of four or of six numbers: one layer value short or over
+    ([[1, 1, 1, *GOOD_VALUES[:1]]], "layer values"),
     ([[1, 1, 1, *GOOD_VALUES, 0.5]], "layer values"),
     ([[1, 1, 1, float("nan"), *GOOD_VALUES[1:]]], "finite"),
-    ([[1, 1, 1, *GOOD_VALUES[:4], float("inf")]], "finite"),
+    ([[1, 1, 1, *GOOD_VALUES[:1], float("inf")]], "finite"),
     ([[None, 1, 1, *GOOD_VALUES]], "finite"),
     ([[1.5, 1, 1, *GOOD_VALUES]], "integers"),
     ([[1, 1, 1, "a", *GOOD_VALUES[1:]]], "malformed"),
@@ -296,6 +305,8 @@ GOOD_VALUES = [0.7, 0.6, -20.0, -3.0, 0.06]
     ({"origin": [0.0, "1"]}, "origin"),
     ({"origin": {"x": 0.0, "y": 0.0}}, "origin"),
     ({"layers": ["a", "p"]}, "layers"),
+    ({"layers": ["a", "p", "alpha1", "alpha2", "rho_s"],
+      "cells": [[1, 1, 1, 0.7, 0.6, -20.0, -3.0, 0.06]]}, "layers"),
     ("[0.0, 0.0]", "object"),
 ], ids=["i_at_width", "j_at_length", "negative_i", "negative_j",
         "zero_count", "negative_count", "four_values", "six_values",
@@ -305,7 +316,7 @@ GOOD_VALUES = [0.7, 0.6, -20.0, -3.0, 0.06]
         "nan_resolution", "inf_resolution", "zero_resolution",
         "text_resolution", "one_origin_number", "nan_origin",
         "text_origin", "origin_not_a_list", "wrong_layers",
-        "state_not_an_object"])
+        "five_layer_state", "state_not_an_object"])
 def test_main_export_map_rejects_malformed_state(change, message, tmp_path,
                                                  capsys):
     # ``change`` is the cells entry, header fields to replace, or the
@@ -369,7 +380,7 @@ def test_main_replay_round_trip(scenario_file, tmp_path, capsys):
     for name in ("telemetry.csv", "truth.csv"):
         (out / name).rename(tmp_path / name)
     lines = cmp_outputs.compare(out, replay_out)
-    assert len(lines) == 15
+    assert len(lines) == 9
     assert all(line.startswith("identical") for line in lines), lines
     with open(replay_out / "metrics.json") as fh:
         metrics = json.load(fh)

@@ -271,8 +271,9 @@ def test_vehicle_params_validation():
         VehicleParams(vehicle_mass=-1.0)
     with pytest.raises(ValueError):
         VehicleParams(tire_rr_coeff=0.2)
-    with pytest.raises(ValueError):
-        VehicleParams(wheel_count=2)
+    # the model has exactly four wheels; the field is not accepted
+    with pytest.raises(TypeError):
+        VehicleParams(wheel_count=4)
 
 
 @pytest.mark.parametrize("name", [

@@ -19,6 +19,7 @@ from tractionmap import cli, mapping
 from tractionmap.estimator import EstimateRecord
 from tractionmap.mapping import (
     LAYER_NAMES,
+    NUM_LAYERS,
     GroundMap,
     InterpolationConfig,
     grow_to_include,
@@ -26,7 +27,7 @@ from tractionmap.mapping import (
     interpolate,
 )
 
-VALS = np.array([0.7, 0.6, -20.0, -3.0, 0.06])
+VALS = np.array([0.7, 0.06])
 
 
 def make_map(width=12, length=12, origin=(0.0, 0.0), resolution=1.0):
@@ -69,7 +70,7 @@ def test_insert_into_empty_cell():
 
 def test_insert_running_mean():
     gmap = make_map()
-    insert_auto(gmap, [(1.0, 1.0), (1.2, 1.8)], [np.full(5, 0.2), np.full(5, 0.4)])
+    insert_auto(gmap, [(1.0, 1.0), (1.2, 1.8)], [np.full(NUM_LAYERS, 0.2), np.full(NUM_LAYERS, 0.4)])
     assert gmap.counts[1, 1] == 2
     assert np.allclose(gmap.values[1, 1], 0.3)
 
@@ -77,9 +78,9 @@ def test_insert_running_mean():
 def test_insert_validates_values():
     gmap = make_map()
     with pytest.raises(ValueError):
-        insert_auto(gmap, [(1.0, 1.0)], [[1.0, 2.0]])
+        insert_auto(gmap, [(1.0, 1.0)], [[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
-        insert_auto(gmap, [(1.0, 1.0)], [[np.nan] * 5])
+        insert_auto(gmap, [(1.0, 1.0)], [[np.nan] * NUM_LAYERS])
     with pytest.raises(ValueError):
         insert_auto(gmap, [(1.0, 1.0)], [VALS, VALS])
     with pytest.raises(ValueError):
@@ -94,9 +95,9 @@ def test_insert_order_invariance(values, seed):
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(values))
     a, b = make_map(), make_map()
-    insert_auto(a, [(2.0, 2.0)] * len(values), np.repeat(np.c_[values], 5, axis=1))
+    insert_auto(a, [(2.0, 2.0)] * len(values), np.repeat(np.c_[values], NUM_LAYERS, axis=1))
     insert_auto(b, [(2.0, 2.0)] * len(values),
-                np.repeat(np.c_[values][order], 5, axis=1))
+                np.repeat(np.c_[values][order], NUM_LAYERS, axis=1))
     assert a.counts[2, 2] == b.counts[2, 2] == len(values)
     assert np.abs(a.values[2, 2] - b.values[2, 2]).max() < 1e-12
     # running mean equals the arithmetic mean of everything inserted
@@ -194,7 +195,7 @@ def test_interpolate_matches_brute_force_on_random_maps():
         for _ in range(rng.integers(3, 120)):
             i, j = rng.integers(0, 40, 2)
             gmap.counts[i, j] += 1
-            gmap.values[i, j] = rng.uniform(0.0, 1.0, 5)
+            gmap.values[i, j] = rng.uniform(0.0, 1.0, NUM_LAYERS)
         out = interpolate(gmap)
         ref_vals, ref_counts = brute_force_interpolate(
             gmap.values, gmap.counts, gmap.resolution,
@@ -209,11 +210,11 @@ def test_interpolate_output_within_source_range_per_layer():
     for _ in range(40):
         i, j = rng.integers(0, 20, 2)
         gmap.counts[i, j] = 1
-        gmap.values[i, j] = rng.uniform(-1.0, 1.0, 5)
+        gmap.values[i, j] = rng.uniform(-1.0, 1.0, NUM_LAYERS)
     out = interpolate(gmap)
     filled = gmap.counts > 0
     reached = out.counts > 0
-    for k in range(5):
+    for k in range(NUM_LAYERS):
         lo, hi = gmap.values[filled, k].min(), gmap.values[filled, k].max()
         assert out.values[reached, k].min() >= lo - 1e-12
         assert out.values[reached, k].max() <= hi + 1e-12
@@ -227,7 +228,7 @@ def test_interpolate_commutes_with_grid_reflection():
     for _ in range(25):
         i, j = rng.integers(0, 15), rng.integers(0, 9)
         gmap.counts[i, j] = 1
-        gmap.values[i, j] = rng.uniform(0.0, 1.0, 5)
+        gmap.values[i, j] = rng.uniform(0.0, 1.0, NUM_LAYERS)
     flipped = GroundMap(origin=gmap.origin, resolution=gmap.resolution,
                         values=gmap.values[::-1].copy(),
                         counts=gmap.counts[::-1].copy())
@@ -261,7 +262,7 @@ def _survey_track():
                 continue
             positions.append((float(x + rng.normal(0.0, 0.05)),
                               float(y + rng.normal(0.0, 0.05))))
-            rows.append(VALS + rng.normal(0.0, 0.02, 5))
+            rows.append(VALS + rng.normal(0.0, 0.02, NUM_LAYERS))
     gmap = GroundMap.empty(origin=positions[0], resolution=0.5)
     return insert_auto(gmap, positions, rows), InterpolationConfig()
 
@@ -272,7 +273,7 @@ def _all_edges():
     for i, j in [(0, 0), (0, 7), (0, 19), (13, 0), (29, 0), (29, 11),
                  (29, 19), (21, 19), (14, 9)]:
         gmap.counts[i, j] = 1 + rng.integers(0, 3)
-        gmap.values[i, j] = rng.uniform(-1.0, 1.0, 5)
+        gmap.values[i, j] = rng.uniform(-1.0, 1.0, NUM_LAYERS)
     return gmap, InterpolationConfig()
 
 
@@ -365,13 +366,13 @@ def test_save_map_state_rejects_non_finite(where, bad, tmp_path):
     path = tmp_path / "state.json"
     if where == "empty_cell_value":
         # a cell that is not written may hold anything
-        gmap.values[0, 0, 2] = bad
+        gmap.values[0, 0, 1] = bad
         cli.save_map_state(gmap, path)
         reference_save_map_state(gmap, tmp_path / "ref_state.json")
         assert path.read_bytes() == (tmp_path / "ref_state.json").read_bytes()
         return
     if where == "value":
-        gmap.values[1, 1, 3] = bad
+        gmap.values[1, 1, 1] = bad
     elif where == "origin":
         gmap.origin = (0.0, bad)
     else:
@@ -586,4 +587,4 @@ def test_layer_csv_rejects_unknown_layer(tmp_path):
 
 
 def test_layer_names_cover_soil_parameters():
-    assert LAYER_NAMES == ("a", "p", "alpha1", "alpha2", "rho_s")
+    assert LAYER_NAMES == ("a", "rho_s")
