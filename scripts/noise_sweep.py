@@ -1,26 +1,31 @@
 #!/usr/bin/env python3
 """Sweep the sensor-noise level and report identification quality per soil.
 
-For each multiplier of the nominal noise, runs the default three-soil
-scenario and prints per-soil mu error, curve R^2 and the rho_s error.
-Useful for judging how much sensor quality the identification needs.
+For each multiplier of the nominal wheel- and ground-speed noise, runs the
+three-soil case study (scenarios/three_soil.yaml) and prints per-soil mu
+error, curve R^2 and the rho_s error.  Useful for judging how much sensor
+quality the identification needs.
 
 Usage: python scripts/noise_sweep.py [multiplier ...]
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 # Run from a plain checkout: the package lives in src/.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(ROOT / "src"))
 
 from tractionmap import cli, sim  # noqa: E402
 
 
 def run_once(mult: float):
-    noise = sim.SensorNoise(sigma_omega=0.01 * mult, sigma_v=0.02 * mult,
-                            sigma_pos=0.3)
-    scenario = sim.default_scenario(noise=noise)
+    scenario = sim.load_scenario(ROOT / "scenarios" / "three_soil.yaml")
+    nominal = scenario.noise
+    scenario = replace(scenario, noise=replace(
+        nominal, sigma_omega=nominal.sigma_omega * mult,
+        sigma_v=nominal.sigma_v * mult))
     samples, truth = sim.simulate(scenario)
     records, est = cli.run_estimation(samples, scenario.vehicle)
     # no map: only the mu, R^2 and rho_s errors are printed

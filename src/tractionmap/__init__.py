@@ -3,7 +3,7 @@
 from .dynamics import SoilParams, VehicleParams
 from .estimator import TractionEstimator, TractionInput, TractionMeasurement
 from .mapping import GroundMap, InterpolationConfig
-from .sim import ScenarioSpec, default_scenario, simulate
+from .sim import ScenarioSpec, simulate
 
 __all__ = [
     "GroundMap",
@@ -14,7 +14,6 @@ __all__ = [
     "TractionInput",
     "TractionMeasurement",
     "VehicleParams",
-    "default_scenario",
     "simulate",
 ]
 

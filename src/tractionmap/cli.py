@@ -141,6 +141,14 @@ def _kept_indices(truth: list[TruthRecord]) -> list[int]:
     return kept
 
 
+def _pair_with_truth(records: list[EstimateRecord],
+                     truth: list[TruthRecord]) -> list[EstimateRecord | None]:
+    """The record at each truth sample's time (t rounded to 1 us), or None
+    where there is none."""
+    by_t = {round(r.t, 6): r for r in records}
+    return [by_t.get(round(tr.t, 6)) for tr in truth]
+
+
 def compute_metrics(records: list[EstimateRecord],
                     truth: list[TruthRecord],
                     raw_map: GroundMap | None,
@@ -154,8 +162,8 @@ def compute_metrics(records: list[EstimateRecord],
     sample only initializes the filter), so truth[i+1] pairs with
     records[i].
     """
-    by_t = {round(r.t, 6): r for r in records}
-    kept = [i for i in _kept_indices(truth) if round(truth[i].t, 6) in by_t]
+    paired = _pair_with_truth(records, truth)
+    kept = [i for i in _kept_indices(truth) if paired[i] is not None]
 
     soils: list = []
     for rec in truth:
@@ -174,7 +182,7 @@ def compute_metrics(records: list[EstimateRecord],
         true_sum = 0.0
         scales = []
         for i in idx:
-            est = by_t[round(truth[i].t, 6)]
+            est = paired[i]
             for w in range(4):
                 err_sum += abs(est.mu[w] - truth[i].mu[w])
                 true_sum += abs(truth[i].mu[w])
@@ -215,7 +223,6 @@ def compute_metrics(records: list[EstimateRecord],
 def write_timeseries_csv(records: list[EstimateRecord],
                          truth: list[TruthRecord], path) -> None:
     """Plot-ready aligned series: true vs estimated mu per wheel and rho_s."""
-    by_t = {round(r.t, 6): r for r in records}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["t"]
@@ -223,8 +230,7 @@ def write_timeseries_csv(records: list[EstimateRecord],
             header += [f"mu{w}_true", f"mu{w}_est"]
         header += ["rho_s_true", "rho_s_est"]
         writer.writerow(header)
-        for tr in truth:
-            rec = by_t.get(round(tr.t, 6))
+        for tr, rec in zip(truth, _pair_with_truth(records, truth)):
             if rec is None:
                 continue
             row = [tr.t]
@@ -411,13 +417,18 @@ def _estimate_map_score(samples: list[TelemetrySample],
     return report
 
 
-def run(config: RunConfig) -> MetricsReport:
-    """Simulate the scenario, run the shared stages on its telemetry and
-    truth, and write those two logs next to the other outputs."""
-    t0 = time.perf_counter()
+def _load_run_scenario(config: RunConfig) -> sim.ScenarioSpec:
+    """The scenario file of ``config`` with its seed override applied."""
     scenario = sim.load_scenario(config.scenario_path)
     if config.seed is not None:
         scenario = replace(scenario, seed=config.seed)
+    return scenario
+
+
+def _run_scenario(scenario: sim.ScenarioSpec, config: RunConfig,
+                  t0: float) -> MetricsReport:
+    """Simulate the scenario, run the shared stages on its telemetry and
+    truth, and write those two logs next to the other outputs."""
     samples, truth = sim.simulate(scenario)
     report = _estimate_map_score(
         samples, truth, scenario.vehicle, config.out_dir, t0,
@@ -426,6 +437,12 @@ def run(config: RunConfig) -> MetricsReport:
     sim.write_telemetry_csv(samples, out / "telemetry.csv")
     sim.write_truth_csv(truth, out / "truth.csv")
     return report
+
+
+def run(config: RunConfig) -> MetricsReport:
+    """Load the scenario of ``config`` and run the whole pipeline on it."""
+    t0 = time.perf_counter()
+    return _run_scenario(_load_run_scenario(config), config, t0)
 
 
 def replay(telemetry_path, out_dir, truth_path=None,
@@ -445,8 +462,17 @@ def replay(telemetry_path, out_dir, truth_path=None,
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a configuration error: exit 1, not argparse's 2,
+    which is the pipeline-error code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: configuration error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tractionmap",
         description="Traction-parameter identification and mapping simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -497,21 +523,20 @@ def main(argv=None) -> int:
             return 1
 
     if args.command == "run":
+        t0 = time.perf_counter()
         try:
             interp = _interpolation_from_args(args)
             config = RunConfig(
                 scenario_path=args.scenario, out_dir=args.out, seed=args.seed,
                 interpolation=None if args.no_interpolate else interp,
                 resolution=args.resolution)
-            # validate, with the seed override, before touching outputs
-            scenario = sim.load_scenario(args.scenario)
-            if args.seed is not None:
-                replace(scenario, seed=args.seed)
+            # validated, with the seed override, before touching outputs
+            scenario = _load_run_scenario(config)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 1
         try:
-            report = run(config)
+            report = _run_scenario(scenario, config, t0)
         except Exception as exc:  # pipeline errors surface verbatim
             print(f"pipeline error: {exc}", file=sys.stderr)
             return 2

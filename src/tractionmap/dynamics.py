@@ -164,21 +164,14 @@ def rolling_radius(f_z: float, params: VehicleParams) -> float:
     return r_d
 
 
-def vertical_force(f_z_axle: float, a_z: float, params: VehicleParams) -> float:
-    """Vertical ground force under one wheel from the vertical balance.
-
-    F_z = m_w*a_z + m_w*g + F_z_axle.
-    """
-    return params.wheel_mass * a_z + params.wheel_mass * GRAVITY + f_z_axle
-
-
 def wheel_vertical_forces(f_zf: float, params: VehicleParams) -> tuple[float, float, float, float]:
     """Per-wheel vertical ground forces (front1, front2, rear1, rear2).
 
     ``f_zf`` is the total front-axle load measured in the suspension, i.e.
     excluding wheel weight.  The rear axle carries the rest of the body in
     static balance; each axle splits equally left/right, and each ground
-    force adds the wheel's own weight.
+    force adds the wheel's own weight: F_z = m_w*g + F_z_axle/2.  The
+    wheels do not move vertically (a_z = 0).
     """
     if f_zf < 0.0:
         raise ValueError("f_zf must be non-negative")
@@ -186,8 +179,9 @@ def wheel_vertical_forces(f_zf: float, params: VehicleParams) -> tuple[float, fl
     f_zr = body_weight - f_zf
     if f_zr < 0.0:
         raise ValueError(f"front axle load {f_zf:.0f} N exceeds body weight")
-    front = vertical_force(0.5 * f_zf, 0.0, params)
-    rear = vertical_force(0.5 * f_zr, 0.0, params)
+    wheel_weight = params.wheel_mass * GRAVITY
+    front = wheel_weight + 0.5 * f_zf
+    rear = wheel_weight + 0.5 * f_zr
     return (front, front, rear, rear)
 
 

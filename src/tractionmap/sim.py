@@ -428,42 +428,9 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
     return samples, truth
 
 
-# ---------------------------------------------------------------------------
-# Presets
-
-STUBBLE_FAMILY = (0.6, -20.0, -3.0)   # (p, alpha1, alpha2)
-
-SOIL_FIRM = SoilParams(a=0.85, p=0.6, alpha1=-20.0, alpha2=-3.0, rho_s=0.04)
-SOIL_MEDIUM = SoilParams(a=0.70, p=0.6, alpha1=-20.0, alpha2=-3.0, rho_s=0.06)
-SOIL_LOOSE = SoilParams(a=0.55, p=0.6, alpha1=-20.0, alpha2=-3.0, rho_s=0.08)
-
-
-def default_field(length: float = 250.0, width: float = 20.0) -> FieldSpec:
-    """Three parallel soil strips across the driving direction."""
-    third = length / 3.0
-    return FieldSpec(
-        extent=(length, width),
-        regions=(
-            (Rect(0.0, 0.0, third, width), SOIL_FIRM),
-            (Rect(third, 0.0, 2.0 * third, width), SOIL_MEDIUM),
-            (Rect(2.0 * third, 0.0, length, width), SOIL_LOOSE),
-        ),
-        default_soil=SOIL_MEDIUM)
-
-
-def default_scenario(duration: float = 120.0, seed: int = 42,
-                     noise: SensorNoise = SensorNoise()) -> ScenarioSpec:
-    """Three-soil straight-line cruise at 2 m/s with an 8 kN drawbar pull."""
-    terrain = default_field()
-    return ScenarioSpec(
-        vehicle=VehicleParams(),
-        terrain=terrain,
-        path=((2.0, 10.0), (terrain.extent[0] - 2.0, 10.0)),
-        target_speed=2.0,
-        drawbar=DrawbarProfile(),
-        noise=noise,
-        duration=duration,
-        seed=seed)
+# Shape (p, alpha1, alpha2) of the adhesion curve whose scale a is
+# identified; the soils of scenarios/three_soil.yaml all have it.
+STUBBLE_FAMILY = (0.6, -20.0, -3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,10 @@ round-trip tests.
 scalar force balances that check ``estimator.process_model``, and
 ``observability_check`` guards the claim that the measured speeds make the
 estimator's state observable.
+
+``THREE_SOIL`` is the case study's scenario file, the one definition of
+it that the tests load, and ``three_soils`` gives its firm, medium and
+loose soils to the tests that need one.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -91,8 +95,17 @@ from tractionmap.sim import (
     TruthRecord,
     _Path,
     _plant_mu,
+    load_scenario,
     soil_lookup,
 )
+
+THREE_SOIL = Path(__file__).resolve().parent.parent / "scenarios" / "three_soil.yaml"
+
+
+def three_soils() -> tuple:
+    """The soils of the case study's regions in path order: firm
+    (a = 0.85), medium (0.70) and loose (0.55)."""
+    return tuple(soil for _, soil in load_scenario(THREE_SOIL).terrain.regions)
 
 
 class LinearKalmanFilter:

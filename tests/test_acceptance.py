@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, each at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
-criterion.  The heavyweight three-soil pipelines are shared module fixtures.
+criterion.  The heavyweight three-soil pipelines, on scenarios/three_soil.yaml
+with only the sensor noise replaced, are shared module fixtures.
 """
 
 import dataclasses
@@ -13,7 +14,13 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import LinearKalmanFilter, brute_force_interpolate, steady_state_slip
+from oracles import (
+    THREE_SOIL,
+    LinearKalmanFilter,
+    brute_force_interpolate,
+    steady_state_slip,
+    three_soils,
+)
 from tractionmap import cli, mapping, sim, ukf
 from tractionmap.dynamics import VehicleParams, invert_mu_for_a, mu_curve, SoilParams
 from tractionmap.estimator import EstimatorConfig
@@ -32,7 +39,7 @@ class PipelineResult:
 
 
 def _run_pipeline(noise: sim.SensorNoise) -> PipelineResult:
-    scenario = sim.default_scenario(noise=noise)
+    scenario = dataclasses.replace(sim.load_scenario(THREE_SOIL), noise=noise)
     t0 = time.perf_counter()
     samples, truth = sim.simulate(scenario)
     records, est = cli.run_estimation(samples, scenario.vehicle)
@@ -124,8 +131,9 @@ def test_criterion_3_curve_fidelity(noisy_pipeline, clean_pipeline):
 # --- criterion 4: adaptive-Q directionality --------------------------------------
 
 def _divergence_prone_scenario(seed: int) -> sim.ScenarioSpec:
+    _, medium, _ = three_soils()
     terrain = sim.FieldSpec(extent=(200.0, 20.0), regions=(),
-                            default_soil=sim.SOIL_MEDIUM)
+                            default_soil=medium)
     return sim.ScenarioSpec(
         vehicle=VehicleParams(), terrain=terrain,
         path=((2.0, 10.0), (198.0, 10.0)), target_speed=2.0,
@@ -259,7 +267,7 @@ def test_criterion_6_interpolation_oracle():
 # --- criterion 7: simulator steady-state slip ----------------------------------------
 
 def test_criterion_7_steady_state_slip():
-    soil = sim.SOIL_MEDIUM
+    _, soil, _ = three_soils()
     terrain = sim.FieldSpec(extent=(400.0, 20.0), regions=(),
                             default_soil=soil)
     scenario = sim.ScenarioSpec(

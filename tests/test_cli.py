@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import import_layer_csv
+from oracles import THREE_SOIL, import_layer_csv, three_soils
 from tractionmap import cli, mapping, sim
 from tractionmap.cli import (
     DegenerateVariance,
@@ -63,14 +63,15 @@ def scenario_file(tmp_path):
 
 def test_r_squared_identical_curves():
     grid = np.linspace(0.0, 0.5, 51)
-    soil = sim.SOIL_MEDIUM
+    _, soil, _ = three_soils()
     curve = [mu_curve(s, soil) for s in grid]
     assert compute_r_squared(curve, curve) == pytest.approx(1.0)
 
 
 def test_r_squared_mean_predictor_is_zero():
     grid = np.linspace(0.0, 0.5, 25)
-    true = np.array([mu_curve(s, sim.SOIL_FIRM) for s in grid])
+    firm, _, _ = three_soils()
+    true = np.array([mu_curve(s, firm) for s in grid])
     flat = np.full_like(true, true.mean())
     assert compute_r_squared(flat, true) == pytest.approx(0.0, abs=1e-12)
 
@@ -240,6 +241,27 @@ def test_main_bad_scenario_no_partial_outputs(settings, options, tmp_path,
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["export-map", "s.json", "--layer", "p"],
+    ["run", str(THREE_SOIL), "--seed", "abc"],
+], ids=["unknown_layer", "text_seed"])
+def test_main_usage_error_is_configuration_error(argv, tmp_path, capsys):
+    # argparse exits 2 on a usage error; 2 is the pipeline-error code here
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "never")])
+    assert exc.value.code == 1
+    assert not (tmp_path / "never").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tractionmap") and "configuration error" in err
+
+
+def test_main_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "usage: tractionmap run" in capsys.readouterr().out
+
+
 def test_main_rejects_bad_interpolation_override(scenario_file, tmp_path,
                                                  capsys):
     code = cli.main(["run", str(scenario_file), "--out",
@@ -407,7 +429,7 @@ def test_main_replay_missing_telemetry(tmp_path):
 
 def test_main_replay_names_non_finite_drive_input(tmp_path, capsys):
     # torque md1 of sample 500 of the seed-1 three-soil telemetry set to NaN
-    scenario = sim.load_scenario(ROOT / "scenarios" / "three_soil.yaml")
+    scenario = sim.load_scenario(THREE_SOIL)
     samples, _ = sim.simulate(replace(scenario, duration=60.0, seed=1))
     samples[500] = replace(samples[500],
                            m_d=(float("nan"),) + samples[500].m_d[1:])
@@ -429,3 +451,19 @@ def test_main_pipeline_error_exit_code(tmp_path, capsys):
     assert code == 2
     assert "pipeline error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_noise_sweep_script_prints_one_row_per_multiplier():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "noise_sweep.py"), "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split("|")[0].strip() == "noise x"
+    assert len(rows) == 1
+    # multiplier | soil1 | soil2 | soil3 | rho_s error
+    cells = [c.strip() for c in rows[0].split("|")]
+    assert len(cells) == 5 and float(cells[0]) == 1.0
+    for cell in cells[1:4]:
+        err, r2 = cell.split(" / ")
+        assert float(err) < 5.0 and float(r2) >= 0.85

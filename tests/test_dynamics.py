@@ -16,7 +16,6 @@ from tractionmap.dynamics import (
     mu_curve_shape,
     rolling_radius,
     slip,
-    vertical_force,
     wheel_geometry,
     wheel_vertical_forces,
 )
@@ -227,19 +226,6 @@ def test_vehicle_accel_affine_in_forces():
 
 
 # --- vertical forces ------------------------------------------------------
-
-def test_vertical_force_values():
-    assert vertical_force(0.0, 0.0, PARAMS) == pytest.approx(1569.6)
-    assert vertical_force(14000.0, 0.0, PARAMS) == pytest.approx(15569.6)
-    assert vertical_force(0.0, -GRAVITY, PARAMS) == pytest.approx(0.0, abs=1e-12)
-
-
-@given(f_axle=st.floats(0.0, 5e4), a_z=st.floats(-20.0, 20.0))
-def test_vertical_force_round_trip(f_axle, a_z):
-    f_z = vertical_force(f_axle, a_z, PARAMS)
-    back = f_z - PARAMS.wheel_mass * a_z - PARAMS.wheel_mass * GRAVITY
-    assert back == pytest.approx(f_axle, rel=1e-12, abs=1e-9)
-
 
 def test_wheel_vertical_forces_balance():
     f_zf = 0.5 * (PARAMS.vehicle_mass - 4 * PARAMS.wheel_mass) * GRAVITY

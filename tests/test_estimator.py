@@ -12,6 +12,7 @@ from oracles import (
     observability_check,
     reference_dynamics_intensity,
     reference_process_model,
+    three_soils,
     vehicle_accel,
     wheel_accel,
 )
@@ -38,6 +39,7 @@ from tractionmap.estimator import (
 )
 
 PARAMS = VehicleParams()
+FIRM, MEDIUM, LOOSE = three_soils()
 F_ZF_STATIC = 0.5 * (PARAMS.vehicle_mass - 4 * PARAMS.wheel_mass) * GRAVITY
 
 
@@ -330,7 +332,7 @@ def single_soil_scenario(soil, duration, seed=0, noise=None, f_dx=15000.0):
 
 
 def test_noise_free_convergence_within_10s():
-    scenario = single_soil_scenario(sim.SOIL_MEDIUM, duration=12.0)
+    scenario = single_soil_scenario(MEDIUM, duration=12.0)
     samples, truth = sim.simulate(scenario)
     records, _ = cli.run_estimation(samples, scenario.vehicle)
     truth_by_t = {round(r.t, 6): r for r in truth}
@@ -343,10 +345,10 @@ def test_noise_free_convergence_within_10s():
 
 
 def test_soil_step_tracked_within_5s_at_nominal_noise():
-    regions = ((sim.Rect(0.0, 0.0, 40.0, 20.0), sim.SOIL_FIRM),
-               (sim.Rect(40.0, 0.0, 400.0, 20.0), sim.SOIL_LOOSE))
+    regions = ((sim.Rect(0.0, 0.0, 40.0, 20.0), FIRM),
+               (sim.Rect(40.0, 0.0, 400.0, 20.0), LOOSE))
     terrain = sim.FieldSpec(extent=(400.0, 20.0), regions=regions,
-                            default_soil=sim.SOIL_FIRM)
+                            default_soil=FIRM)
     scenario = sim.ScenarioSpec(
         vehicle=PARAMS, terrain=terrain,
         path=((2.0, 10.0), (398.0, 10.0)), target_speed=2.0,
@@ -371,7 +373,7 @@ def test_soil_step_tracked_within_5s_at_nominal_noise():
 
 
 def test_estimated_slip_rms_noise_free():
-    scenario = single_soil_scenario(sim.SOIL_MEDIUM, duration=30.0)
+    scenario = single_soil_scenario(MEDIUM, duration=30.0)
     samples, truth = sim.simulate(scenario)
     records, _ = cli.run_estimation(samples, scenario.vehicle)
     truth_by_t = {round(r.t, 6): r for r in truth}
@@ -385,18 +387,18 @@ def test_estimated_slip_rms_noise_free():
 def test_curve_scale_round_trip_above_5pct_slip():
     # loose soil at 15 kN cruises at ~8.7% slip, comfortably above the
     # 5% identifiability floor
-    scenario = single_soil_scenario(sim.SOIL_LOOSE, duration=40.0)
+    scenario = single_soil_scenario(LOOSE, duration=40.0)
     samples, truth = sim.simulate(scenario)
     records, _ = cli.run_estimation(samples, scenario.vehicle)
     scales = [r.curve_scale for r in records
               if r.t >= 10.0 and r.curve_scale is not None]
     assert scales
     mean_scale = float(np.mean(scales))
-    assert abs(mean_scale - sim.SOIL_LOOSE.a) / sim.SOIL_LOOSE.a < 0.02
+    assert abs(mean_scale - LOOSE.a) / LOOSE.a < 0.02
 
 
 def test_parameter_bounds_after_burn_in():
-    scenario = single_soil_scenario(sim.SOIL_MEDIUM, duration=20.0,
+    scenario = single_soil_scenario(MEDIUM, duration=20.0,
                                     noise=sim.SensorNoise(), seed=9)
     samples, _ = sim.simulate(scenario)
     records, est = cli.run_estimation(samples, scenario.vehicle)
@@ -409,7 +411,7 @@ def test_parameter_bounds_after_burn_in():
 
 
 def test_covariance_stays_psd_over_10k_steps():
-    scenario = single_soil_scenario(sim.SOIL_MEDIUM, duration=60.0,
+    scenario = single_soil_scenario(MEDIUM, duration=60.0,
                                     noise=sim.SensorNoise(), seed=11)
     samples, _ = sim.simulate(scenario)
     est = TractionEstimator(scenario.vehicle, sim.STUBBLE_FAMILY)
@@ -525,7 +527,7 @@ def test_step_equals_reference_on_divergence_prone_scenario():
 def test_step_equals_reference_when_parameters_are_clamped():
     # soil without rolling resistance: the rho_s estimate dithers around
     # its lower bound and gets clamped
-    soil = replace(sim.SOIL_MEDIUM, rho_s=0.0)
+    soil = replace(MEDIUM, rho_s=0.0)
     scenario = single_soil_scenario(soil, duration=20.0,
                                     noise=sim.SensorNoise(), seed=3,
                                     f_dx=12000.0)

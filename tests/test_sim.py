@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reference_simulate, steady_state_slip
+from oracles import THREE_SOIL, reference_simulate, steady_state_slip, three_soils
 from test_acceptance import _divergence_prone_scenario
 from tractionmap import sim
 from tractionmap.dynamics import VehicleParams
@@ -21,6 +21,7 @@ from tractionmap.sim import (
 )
 
 PARAMS = VehicleParams()
+FIRM, MEDIUM, LOOSE = three_soils()
 
 
 def cruise_scenario(soil, duration=60.0, seed=0, noise=None, f_dx=15000.0):
@@ -36,28 +37,29 @@ def cruise_scenario(soil, duration=60.0, seed=0, noise=None, f_dx=15000.0):
 # --- soil lookup ---------------------------------------------------------------
 
 def test_soil_lookup_regions_and_default():
-    terrain = sim.default_field()
-    assert soil_lookup(terrain, (10.0, 5.0)) == sim.SOIL_FIRM
-    assert soil_lookup(terrain, (100.0, 5.0)) == sim.SOIL_MEDIUM
-    assert soil_lookup(terrain, (240.0, 5.0)) == sim.SOIL_LOOSE
+    terrain = sim.load_scenario(THREE_SOIL).terrain
+    assert soil_lookup(terrain, (10.0, 5.0)) == FIRM
+    assert soil_lookup(terrain, (100.0, 5.0)) == MEDIUM
+    assert soil_lookup(terrain, (240.0, 5.0)) == LOOSE
 
 
 def test_soil_lookup_first_region_wins_on_shared_boundary():
-    third = 250.0 / 3.0
-    terrain = sim.default_field()
-    # x = third lies on the boundary shared by regions 1 and 2
-    assert soil_lookup(terrain, (third, 5.0)) == sim.SOIL_FIRM
+    terrain = sim.load_scenario(THREE_SOIL).terrain
+    # the first region's right edge is the second region's left edge
+    boundary = terrain.regions[0][0].x1
+    assert boundary == terrain.regions[1][0].x0
+    assert soil_lookup(terrain, (boundary, 5.0)) == FIRM
 
 
 def test_soil_lookup_default_when_outside_all_regions():
     terrain = FieldSpec(extent=(100.0, 100.0),
-                        regions=((Rect(0, 0, 10, 10), sim.SOIL_FIRM),),
-                        default_soil=sim.SOIL_LOOSE)
-    assert soil_lookup(terrain, (50.0, 50.0)) == sim.SOIL_LOOSE
+                        regions=((Rect(0, 0, 10, 10), FIRM),),
+                        default_soil=LOOSE)
+    assert soil_lookup(terrain, (50.0, 50.0)) == LOOSE
 
 
 def test_soil_lookup_out_of_field():
-    terrain = sim.default_field()
+    terrain = sim.load_scenario(THREE_SOIL).terrain
     with pytest.raises(OutOfField):
         soil_lookup(terrain, (-1.0, 5.0))
     with pytest.raises(OutOfField):
@@ -67,19 +69,19 @@ def test_soil_lookup_out_of_field():
 def test_field_spec_validates_regions():
     with pytest.raises(ValueError):
         FieldSpec(extent=(10.0, 10.0),
-                  regions=((Rect(0, 0, 20, 5), sim.SOIL_FIRM),),
-                  default_soil=sim.SOIL_MEDIUM)
+                  regions=((Rect(0, 0, 20, 5), FIRM),),
+                  default_soil=MEDIUM)
     with pytest.raises(ValueError):
         FieldSpec(extent=(10.0, 10.0),
-                  regions=((Rect(0, 0, math.nan, 5), sim.SOIL_FIRM),),
-                  default_soil=sim.SOIL_MEDIUM)
+                  regions=((Rect(0, 0, math.nan, 5), FIRM),),
+                  default_soil=MEDIUM)
 
 
 @pytest.mark.parametrize("extent", [
     (math.nan, 20.0), (20.0, math.inf), (0.0, 20.0), (-5.0, 20.0)])
 def test_field_spec_rejects_bad_extent(extent):
     with pytest.raises(ValueError, match="extent"):
-        FieldSpec(extent=extent, regions=(), default_soil=sim.SOIL_MEDIUM)
+        FieldSpec(extent=extent, regions=(), default_soil=MEDIUM)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -92,11 +94,11 @@ def test_field_spec_rejects_bad_extent(extent):
 ])
 def test_scenario_spec_rejects_bad_numbers(name, value):
     with pytest.raises(ValueError, match=name):
-        dataclasses.replace(cruise_scenario(sim.SOIL_MEDIUM), **{name: value})
+        dataclasses.replace(cruise_scenario(MEDIUM), **{name: value})
 
 
 def test_scenario_spec_accepts_zero_gains_and_numpy_seed():
-    base = cruise_scenario(sim.SOIL_MEDIUM)
+    base = cruise_scenario(MEDIUM)
     dataclasses.replace(base, kp=0.0, ki=0.0, seed=np.int64(3))
 
 
@@ -129,9 +131,9 @@ def test_drawbar_profile_rejects_non_finite(name, value):
 # --- simulate: equilibrium against the bisection oracle --------------------------
 
 def test_cruise_slip_matches_traction_balance():
-    scenario = cruise_scenario(sim.SOIL_MEDIUM)
+    scenario = cruise_scenario(MEDIUM)
     samples, truth = simulate(scenario)
-    s_oracle = steady_state_slip(sim.SOIL_MEDIUM, PARAMS, 15000.0)
+    s_oracle = steady_state_slip(MEDIUM, PARAMS, 15000.0)
     tail = [r for r in truth if r.t >= 50.0]
     for rec in tail:
         for w in range(4):
@@ -139,7 +141,7 @@ def test_cruise_slip_matches_traction_balance():
 
 
 def test_cruise_reaches_target_speed():
-    scenario = cruise_scenario(sim.SOIL_FIRM)
+    scenario = cruise_scenario(FIRM)
     _, truth = simulate(scenario)
     assert truth[-1].v == pytest.approx(2.0, abs=1e-3)
 
@@ -149,7 +151,7 @@ def test_cruise_reaches_target_speed():
 def _standstill_start():
     # Zero noise and the full drawbar from t = 0: the first steps run in
     # the standstill case of slip, under load.
-    scenario = cruise_scenario(sim.SOIL_LOOSE, duration=20.0)
+    scenario = cruise_scenario(LOOSE, duration=20.0)
     return dataclasses.replace(
         scenario, drawbar=DrawbarProfile(constant=15000.0, ramp_time=0.0))
 
@@ -157,14 +159,15 @@ def _standstill_start():
 def _other_vehicle():
     # No tire rolling resistance (the tanh term's factor is 0.0), softer
     # tires and a smaller wheel inertia than the default vehicle.
-    scenario = sim.default_scenario(duration=40.0)
+    scenario = dataclasses.replace(sim.load_scenario(THREE_SOIL),
+                                   duration=40.0)
     return dataclasses.replace(scenario, vehicle=VehicleParams(
         tire_rr_coeff=0.0, tire_pressure=1.1, wheel_inertia=20.0))
 
 
 @pytest.mark.parametrize("make_scenario", [
     # crosses the first soil boundary at about 42 s
-    lambda: sim.default_scenario(duration=50.0),
+    lambda: dataclasses.replace(sim.load_scenario(THREE_SOIL), duration=50.0),
     lambda: _divergence_prone_scenario(1),
     _standstill_start,
     _other_vehicle,
@@ -182,7 +185,7 @@ def test_simulate_equals_reference_plant(make_scenario):
 # --- determinism ------------------------------------------------------------------
 
 def test_fixed_seed_reproduces_streams_exactly():
-    scenario = cruise_scenario(sim.SOIL_MEDIUM, duration=10.0,
+    scenario = cruise_scenario(MEDIUM, duration=10.0,
                                noise=SensorNoise(), seed=77)
     s1, t1 = simulate(scenario)
     s2, t2 = simulate(scenario)
@@ -191,7 +194,7 @@ def test_fixed_seed_reproduces_streams_exactly():
 
 
 def test_different_seeds_differ():
-    base = cruise_scenario(sim.SOIL_MEDIUM, duration=10.0, noise=SensorNoise())
+    base = cruise_scenario(MEDIUM, duration=10.0, noise=SensorNoise())
     s1, _ = simulate(base)
     s2, _ = simulate(dataclasses.replace(base, seed=base.seed + 1))
     assert s1 != s2
@@ -200,7 +203,7 @@ def test_different_seeds_differ():
 # --- truth invariants --------------------------------------------------------------
 
 def test_truth_slip_bounded_and_speed_nonnegative():
-    scenario = cruise_scenario(sim.SOIL_LOOSE, duration=30.0)
+    scenario = cruise_scenario(LOOSE, duration=30.0)
     _, truth = simulate(scenario)
     for rec in truth:
         assert rec.v >= 0.0
@@ -209,10 +212,10 @@ def test_truth_slip_bounded_and_speed_nonnegative():
 
 
 def test_soil_boundary_jump_is_sharp():
-    regions = ((Rect(0.0, 0.0, 30.0, 20.0), sim.SOIL_FIRM),
-               (Rect(30.0, 0.0, 400.0, 20.0), sim.SOIL_LOOSE))
+    regions = ((Rect(0.0, 0.0, 30.0, 20.0), FIRM),
+               (Rect(30.0, 0.0, 400.0, 20.0), LOOSE))
     terrain = FieldSpec(extent=(400.0, 20.0), regions=regions,
-                        default_soil=sim.SOIL_FIRM)
+                        default_soil=FIRM)
     scenario = ScenarioSpec(
         vehicle=PARAMS, terrain=terrain,
         path=((2.0, 10.0), (398.0, 10.0)), target_speed=2.0,
@@ -223,12 +226,12 @@ def test_soil_boundary_jump_is_sharp():
                  if cur.soil != prev.soil]
     assert len(crossings) == 1
     before, after = crossings[0]
-    assert before.soil == sim.SOIL_FIRM and after.soil == sim.SOIL_LOOSE
+    assert before.soil == FIRM and after.soil == LOOSE
     assert before.pos[0] < 30.0 <= after.pos[0]
 
 
 def test_energy_balance_losses_nonnegative():
-    scenario = cruise_scenario(sim.SOIL_MEDIUM, duration=40.0)
+    scenario = cruise_scenario(MEDIUM, duration=40.0)
     _, truth = simulate(scenario)
 
     def kinetic(rec):
@@ -250,7 +253,7 @@ def test_energy_balance_losses_nonnegative():
 
 def test_noise_sigmas_match_configuration():
     noise = SensorNoise(sigma_omega=0.01, sigma_v=0.02, sigma_pos=0.3)
-    scenario = cruise_scenario(sim.SOIL_MEDIUM, duration=160.0,
+    scenario = cruise_scenario(MEDIUM, duration=160.0,
                                noise=noise, seed=5)
     samples, truth = simulate(scenario)
     # pool normalized residuals across all 7 noisy channels: > 1e4 draws
@@ -269,7 +272,7 @@ def test_noise_sigmas_match_configuration():
 
 def test_infeasible_drawbar_raises():
     terrain = FieldSpec(extent=(400.0, 20.0), regions=(),
-                        default_soil=sim.SOIL_MEDIUM)
+                        default_soil=MEDIUM)
     scenario = ScenarioSpec(
         vehicle=PARAMS, terrain=terrain,
         path=((2.0, 10.0), (398.0, 10.0)), target_speed=2.0,
@@ -282,7 +285,7 @@ def test_infeasible_drawbar_raises():
 
 
 def test_samples_emitted_at_10hz():
-    scenario = cruise_scenario(sim.SOIL_MEDIUM, duration=12.0)
+    scenario = cruise_scenario(MEDIUM, duration=12.0)
     samples, truth = simulate(scenario)
     assert len(samples) == len(truth) == 121
     dts = [b.t - a.t for a, b in zip(samples, samples[1:])]
@@ -333,7 +336,7 @@ def test_load_scenario_rejects_non_mapping(tmp_path):
 
 
 def test_telemetry_csv_round_trip(tmp_path):
-    scenario = cruise_scenario(sim.SOIL_MEDIUM, duration=5.0,
+    scenario = cruise_scenario(MEDIUM, duration=5.0,
                                noise=SensorNoise(), seed=2)
     samples, truth = simulate(scenario)
     tpath = tmp_path / "telemetry.csv"
@@ -343,7 +346,7 @@ def test_telemetry_csv_round_trip(tmp_path):
 
 
 def test_truth_csv_round_trip(tmp_path):
-    scenario = cruise_scenario(sim.SOIL_MEDIUM, duration=5.0)
+    scenario = cruise_scenario(MEDIUM, duration=5.0)
     _, truth = simulate(scenario)
     path = tmp_path / "truth.csv"
     sim.write_truth_csv(truth, path)
@@ -351,9 +354,17 @@ def test_truth_csv_round_trip(tmp_path):
     assert back == truth
 
 
-def test_default_scenario_shape():
-    scenario = sim.default_scenario()
+def test_three_soil_scenario_shape():
+    scenario = sim.load_scenario(THREE_SOIL)
     assert scenario.duration == 120.0
-    assert len(scenario.terrain.regions) == 3
-    soils = [soil for _, soil in scenario.terrain.regions]
-    assert {s.a for s in soils} == {0.85, 0.70, 0.55}
+    assert scenario.seed == 42
+    regions = scenario.terrain.regions
+    # three strips met in path order: the path runs along +x
+    assert scenario.path[0][0] < scenario.path[-1][0]
+    assert [rect.x0 for rect, _ in regions] == sorted(
+        rect.x0 for rect, _ in regions)
+    assert [soil.a for _, soil in regions] == [0.85, 0.70, 0.55]
+    # one curve family, the one the estimator identifies the scale of
+    soils = [soil for _, soil in regions] + [scenario.terrain.default_soil]
+    assert {(soil.p, soil.alpha1, soil.alpha2) for soil in soils} == {
+        sim.STUBBLE_FAMILY}
