@@ -41,7 +41,6 @@ TRACED_STAGES = ("sim.simulate", "cli.build_map", "mapping.interpolate",
                  "cli.write.map_state", "cli.write.map_layers",
                  "cli.read.map_state")
 TRACED_METRICS = ("sim.simulate_s", "sim.us_per_step",
-                  "mapping.insert.calls", "mapping.insert_us",
                   "mapping.grow.count", "mapping.grow.cells_copied")
 
 

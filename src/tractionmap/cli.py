@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mapping, sim
-from .dynamics import VehicleParams, mu_curve, mu_curve_shape
+from .dynamics import SAMPLE_DT, VehicleParams, mu_curve, mu_curve_shape
 from .estimator import (
     EstimateRecord,
     EstimatorConfig,
@@ -51,6 +51,9 @@ class RunConfig:
     seed: int | None = None
     interpolation: InterpolationConfig | None = InterpolationConfig()
     resolution: float = 1.0
+
+    def __post_init__(self) -> None:
+        mapping.check_resolution(self.resolution)
 
 
 @dataclass(frozen=True)
@@ -141,12 +144,18 @@ def _kept_indices(truth: list[TruthRecord]) -> list[int]:
     return kept
 
 
-def _pair_with_truth(records: list[EstimateRecord],
-                     truth: list[TruthRecord]) -> list[EstimateRecord | None]:
-    """The record at each truth sample's time (t rounded to 1 us), or None
-    where there is none."""
-    by_t = {round(r.t, 6): r for r in records}
-    return [by_t.get(round(tr.t, 6)) for tr in truth]
+def _aligned_truth(records: list[EstimateRecord],
+                   truth: list[TruthRecord]) -> list[TruthRecord]:
+    """``truth[1:]``, whose k-th entry pairs with ``records[k]``: the first
+    sample only initializes the filter.  Raises ValueError unless the logs
+    hold one truth sample more than records and the paired times agree."""
+    paired = truth[1:]
+    if (len(paired) != len(records)
+            or any(r.t != tr.t for r, tr in zip(records, paired))):
+        raise ValueError(
+            f"{len(records)} estimates do not align with {len(truth)} truth "
+            f"samples: records[k] must share the time of truth[k + 1]")
+    return paired
 
 
 def compute_metrics(records: list[EstimateRecord],
@@ -160,10 +169,11 @@ def compute_metrics(records: list[EstimateRecord],
 
     Estimation records start one sample after the truth log (the first
     sample only initializes the filter), so truth[i+1] pairs with
-    records[i].
+    records[i]; raises ValueError when the logs do not align that way.
     """
-    paired = _pair_with_truth(records, truth)
-    kept = [i for i in _kept_indices(truth) if paired[i] is not None]
+    _aligned_truth(records, truth)
+    # burn-in always drops truth[0], the sample without a record
+    kept = _kept_indices(truth)
 
     soils: list = []
     for rec in truth:
@@ -182,7 +192,7 @@ def compute_metrics(records: list[EstimateRecord],
         true_sum = 0.0
         scales = []
         for i in idx:
-            est = paired[i]
+            est = records[i - 1]
             for w in range(4):
                 err_sum += abs(est.mu[w] - truth[i].mu[w])
                 true_sum += abs(truth[i].mu[w])
@@ -223,6 +233,7 @@ def compute_metrics(records: list[EstimateRecord],
 def write_timeseries_csv(records: list[EstimateRecord],
                          truth: list[TruthRecord], path) -> None:
     """Plot-ready aligned series: true vs estimated mu per wheel and rho_s."""
+    paired = _aligned_truth(records, truth)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["t"]
@@ -230,9 +241,7 @@ def write_timeseries_csv(records: list[EstimateRecord],
             header += [f"mu{w}_true", f"mu{w}_est"]
         header += ["rho_s_true", "rho_s_est"]
         writer.writerow(header)
-        for tr, rec in zip(truth, _pair_with_truth(records, truth)):
-            if rec is None:
-                continue
+        for tr, rec in zip(paired, records):
             row = [tr.t]
             for w in range(4):
                 row += [tr.mu[w], rec.mu[w]]
@@ -445,16 +454,43 @@ def run(config: RunConfig) -> MetricsReport:
     return _run_scenario(_load_run_scenario(config), config, t0)
 
 
+def _load_replay_inputs(telemetry_path, truth_path, resolution: float
+                        ) -> tuple[list[TelemetrySample],
+                                   list[TruthRecord] | None]:
+    """The telemetry and truth (None without a path) a replay runs on.
+
+    Raises ValueError unless the resolution is valid, the telemetry holds
+    at least two samples whose ``t`` steps all lie within 1e-9 s of
+    ``SAMPLE_DT``, and the truth's ``t`` column equals the telemetry's;
+    the readers raise OSError or ValueError on a missing or malformed
+    file.
+    """
+    mapping.check_resolution(resolution)
+    samples = sim.read_telemetry_csv(telemetry_path)
+    if len(samples) < 2:
+        raise ValueError("telemetry must contain at least two samples")
+    for prev, cur in zip(samples, samples[1:]):
+        if not abs(cur.t - prev.t - SAMPLE_DT) <= 1e-9:  # NaN fails too
+            raise ValueError(
+                f"telemetry t steps from {prev.t!r} to {cur.t!r}; replay "
+                f"needs one sample every {SAMPLE_DT} s")
+    if truth_path is None:
+        return samples, None
+    truth = sim.read_truth_csv(truth_path)
+    if [tr.t for tr in truth] != [s.t for s in samples]:
+        raise ValueError("the truth log's t column is not the telemetry's")
+    return samples, truth
+
+
 def replay(telemetry_path, out_dir, truth_path=None,
            interpolation: InterpolationConfig | None = InterpolationConfig(),
            resolution: float = 1.0) -> MetricsReport | None:
     """Re-run estimation on a recorded telemetry CSV, interpolating unless
-    ``interpolation`` is None; score it only when the truth CSV is given."""
+    ``interpolation`` is None; score it only when the truth CSV is given.
+    Every input is read and checked before the first stage runs."""
     t0 = time.perf_counter()
-    samples = sim.read_telemetry_csv(telemetry_path)
-    if len(samples) < 2:
-        raise ValueError("telemetry must contain at least two samples")
-    truth = None if truth_path is None else sim.read_truth_csv(truth_path)
+    samples, truth = _load_replay_inputs(telemetry_path, truth_path,
+                                         resolution)
     return _estimate_map_score(samples, truth, VehicleParams(), out_dir, t0,
                                resolution, interpolation)
 
@@ -515,12 +551,6 @@ def _interpolation_from_args(args) -> InterpolationConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command in ("run", "replay"):
-        try:
-            mapping.check_resolution(args.resolution)
-        except ValueError as exc:  # before any output is written
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 1
 
     if args.command == "run":
         t0 = time.perf_counter()
@@ -544,18 +574,18 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "replay":
-        if not Path(args.telemetry).is_file():
-            print(f"configuration error: no such file {args.telemetry}",
-                  file=sys.stderr)
-            return 1
-        if args.truth is not None and not Path(args.truth).is_file():
-            print(f"configuration error: no such file {args.truth}",
-                  file=sys.stderr)
+        t0 = time.perf_counter()
+        try:
+            # read and checked before any stage runs or output is written
+            samples, truth = _load_replay_inputs(args.telemetry, args.truth,
+                                                 args.resolution)
+        except (OSError, ValueError, csv.Error) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
             return 1
         try:
             interp = None if args.no_interpolate else InterpolationConfig()
-            report = replay(args.telemetry, args.out, truth_path=args.truth,
-                            interpolation=interp, resolution=args.resolution)
+            report = _estimate_map_score(samples, truth, VehicleParams(),
+                                         args.out, t0, args.resolution, interp)
         except Exception as exc:
             print(f"pipeline error: {exc}", file=sys.stderr)
             return 2

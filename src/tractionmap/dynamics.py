@@ -15,6 +15,9 @@ from functools import lru_cache
 
 GRAVITY = 9.81  # m/s^2
 
+# Sample period of the drive-train telemetry and of the filter step (10 Hz).
+SAMPLE_DT = 0.1  # s
+
 # Below this speed scale (both |v| and r_d*|omega|) a wheel is treated as
 # standing still and slip carries no information.
 STANDSTILL_EPS = 1e-3

@@ -24,6 +24,7 @@ import numpy as np
 from . import ukf
 from .dynamics import (
     GRAVITY,
+    SAMPLE_DT,
     DegenerateSlip,
     VehicleParams,
     invert_mu_for_a,
@@ -51,7 +52,12 @@ CURVE_SCALE_RANGE = (0.0, 5.0)
 TORQUE_RATE_SCALE = 1000.0   # N*m/s per wheel
 ACCEL_SCALE = 1.0            # m/s^2
 
-_SAMPLE_PERIOD = 0.1  # s, 10 Hz
+# Samples in the dynamics-intensity window.
+INTENSITY_WINDOW = 10
+
+# Prior means of the parameter states.
+INIT_MU = 0.3
+INIT_RHO_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -165,10 +171,10 @@ def dynamics_intensity(recent_inputs, recent_measurements) -> float:
         b0, b1, b2, b3 = cur.m_d
         torque_rate = max(torque_rate, abs(b0 - a0), abs(b1 - a1),
                           abs(b2 - a2), abs(b3 - a3))
-    torque_rate /= _SAMPLE_PERIOD
+    torque_rate /= SAMPLE_DT
 
     if len(meas) >= 2:
-        span = (len(meas) - 1) * _SAMPLE_PERIOD
+        span = (len(meas) - 1) * SAMPLE_DT
         accel = abs(meas[-1].v - meas[0].v) / span
     else:
         accel = 0.0
@@ -179,21 +185,18 @@ def dynamics_intensity(recent_inputs, recent_measurements) -> float:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Tuning of the traction AUKF-FS."""
+    """Tuning of the traction AUKF-FS.
 
-    dt: float = _SAMPLE_PERIOD
+    The filter steps at ``SAMPLE_DT`` with the ``ukf`` module's default
+    sigma-point scaling, Q adaptation and fuzzy rule base.
+    """
+
     q_diag: tuple = (1e-2,) * 5 + (1e-4,) * 4 + (1e-5,)
     sigma_omega: float = 0.01     # rad/s measurement noise
     sigma_v: float = 0.02         # m/s measurement noise
-    init_mu: float = 0.3
-    init_rho_s: float = 0.05
     init_p_diag: tuple = (0.1 ** 2,) * 5 + (0.2 ** 2,) * 4 + (0.05 ** 2,)
-    scaling: ukf.UnscentedScaling = ukf.UnscentedScaling()
-    adaptation: ukf.AdaptationConfig = ukf.AdaptationConfig()
-    supervisor: ukf.FuzzySupervisor = ukf.FuzzySupervisor()
     adapt_enabled: bool = True
     fuzzy_enabled: bool = True
-    intensity_window: int = 10
 
     def noise_spec(self) -> ukf.NoiseSpec:
         r = np.diag([max(self.sigma_omega ** 2, 1e-8)] * 4
@@ -217,19 +220,19 @@ class TractionEstimator:
         self.config = config
         self.noise = config.noise_spec()
         self.model = ukf.NonlinearModel(
-            f=lambda x, u: process_model(x, u, config.dt, vehicle),
+            f=lambda x, u: process_model(x, u, SAMPLE_DT, vehicle),
             h=measurement_model)
         self.state: ukf.FilterState | None = None
         self.clamp_violations = 0
-        self._inputs: deque = deque(maxlen=config.intensity_window)
-        self._measurements: deque = deque(maxlen=config.intensity_window)
+        self._inputs: deque = deque(maxlen=INTENSITY_WINDOW)
+        self._measurements: deque = deque(maxlen=INTENSITY_WINDOW)
 
     def initialize(self, y: TractionMeasurement) -> None:
         """Seed speeds from the first measurement, parameters from priors."""
         mean = np.empty(STATE_DIM)
         mean[:5] = y.as_vector()
-        mean[IDX_MU] = self.config.init_mu
-        mean[IDX_RHO_S] = self.config.init_rho_s
+        mean[IDX_MU] = INIT_MU
+        mean[IDX_RHO_S] = INIT_RHO_S
         self.state = ukf.FilterState.initial(
             mean, np.diag(self.config.init_p_diag))
         self._measurements.append(y)
@@ -248,19 +251,18 @@ class TractionEstimator:
         phi, a_diag = fs.phi, fs.a_diag
         if cfg.fuzzy_enabled:
             signal = dynamics_intensity(self._inputs, self._measurements)
-            phi = ukf.fuzzy_factor(signal, cfg.supervisor)
+            phi = ukf.fuzzy_factor(signal)
         if cfg.adapt_enabled:
             try:
-                a_diag = ukf.adapt_q(fs, cfg.adaptation)
+                a_diag = ukf.adapt_q(fs)
             except ukf.InsufficientSamples:
                 pass
         fs = ukf.FilterState(mean=fs.mean, cov=fs.cov, a_diag=a_diag, phi=phi,
                              residuals=fs.residuals, gain=fs.gain,
                              innov_cov=fs.innov_cov, predicted=fs.predicted)
 
-        fs = ukf.predict(fs, self.model, u, self.noise, cfg.scaling)
-        fs = ukf.update(fs, self.model, y.as_vector(), self.noise, cfg.scaling,
-                        residual_window=cfg.adaptation.window)
+        fs = ukf.predict(fs, self.model, u, self.noise)
+        fs = ukf.update(fs, self.model, y.as_vector(), self.noise)
         fs = self._clamp_parameters(fs)
         self.state = fs
         self._measurements.append(y)

@@ -13,7 +13,7 @@ snapshot, so the sweep order is irrelevant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,16 +60,12 @@ class GroundMap:
     """
 
     origin: tuple[float, float]
-    resolution: float = 1.0
-    values: np.ndarray = field(default=None)  # type: ignore[assignment]
-    counts: np.ndarray = field(default=None)  # type: ignore[assignment]
+    resolution: float
+    values: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
         check_resolution(self.resolution)
-        if self.values is None:
-            self.values = np.zeros((1, 1, NUM_LAYERS))
-        if self.counts is None:
-            self.counts = np.zeros(self.values.shape[:2], dtype=int)
         if self.values.shape[:2] != self.counts.shape:
             raise ValueError("values/counts shape mismatch")
 

@@ -36,6 +36,7 @@ import yaml
 
 from .dynamics import (
     GRAVITY,
+    SAMPLE_DT,
     STANDSTILL_EPS,
     SoilParams,
     VehicleParams,
@@ -44,8 +45,7 @@ from .dynamics import (
     wheel_geometry,
 )
 
-INTERNAL_DT = 1e-3   # s, plant integration step
-SAMPLE_DT = 0.1      # s, telemetry emission period (10 Hz)
+INTERNAL_DT = 1e-3   # s, plant integration step; telemetry every SAMPLE_DT
 
 # Speed scale of the smooth sign used for rolling-resistance forces; keeps
 # a standing vehicle from being pushed backwards by a constant resistance
@@ -261,7 +261,9 @@ def _soil_constants(soil: SoilParams, m: float) -> tuple:
 def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthRecord]]:
     """Run the closed-loop plant and return aligned telemetry and truth.
 
-    Deterministic for a fixed ScenarioSpec (seed included).  Raises
+    The run ends after ``duration`` or at the first 10 Hz sample at or
+    past the path's last waypoint, whichever comes first.  Deterministic
+    for a fixed ScenarioSpec (seed included).  Raises
     ScenarioInfeasible when the vehicle has not reached 10% of the target
     speed 30 s in.
     """
@@ -388,6 +390,8 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
                 t=t, pos=pos, soil=soil, mu=mus, slip=slips, v=v,
                 omega_w=omega, drive_energy=drive_energy,
                 drawbar_work=drawbar_work))
+            if s_path >= path.total:
+                break
 
         if k == n_steps:
             break
@@ -477,11 +481,36 @@ def load_scenario(path) -> ScenarioSpec:
         drawbar=drawbar, noise=noise, **kwargs)
 
 
+TELEMETRY_COLUMNS = ("t", "x", "y", "w1", "w2", "w3", "w4", "v",
+                     "md1", "md2", "md3", "md4", "fzf", "fdx")
+TRUTH_COLUMNS = ("t", "x", "y", "a", "p", "alpha1", "alpha2", "rho_s",
+                 "mu1", "mu2", "mu3", "mu4",
+                 "slip1", "slip2", "slip3", "slip4", "v",
+                 "w1", "w2", "w3", "w4",
+                 "drive_energy", "drawbar_work")
+
+
+def _read_rows(path, columns: tuple[str, ...], kind: str) -> list[list[float]]:
+    """The rows of a CSV log as floats; raises ValueError unless the header
+    is ``columns`` and every row holds one number per column."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(columns):
+            raise ValueError(f"{path}: unrecognized {kind} header {header}")
+        rows = []
+        for row in reader:
+            if len(row) != len(columns):
+                raise ValueError(f"{path} line {reader.line_num}: "
+                                 f"{len(row)} fields, expected {len(columns)}")
+            rows.append([float(x) for x in row])
+    return rows
+
+
 def write_telemetry_csv(samples, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "w1", "w2", "w3", "w4", "v",
-                         "md1", "md2", "md3", "md4", "fzf", "fdx"])
+        writer.writerow(TELEMETRY_COLUMNS)
         for s in samples:
             writer.writerow([repr(float(x)) for x in
                              (s.t, *s.pos, *s.omega_w, s.v, *s.m_d,
@@ -489,29 +518,17 @@ def write_telemetry_csv(samples, path) -> None:
 
 
 def read_telemetry_csv(path) -> list[TelemetrySample]:
-    samples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["t", "x", "y"]:
-            raise ValueError(f"unrecognized telemetry header {header[:3]}")
-        for row in reader:
-            vals = [float(x) for x in row]
-            samples.append(TelemetrySample(
-                t=vals[0], pos=(vals[1], vals[2]),
-                omega_w=tuple(vals[3:7]), v=vals[7],
-                m_d=tuple(vals[8:12]), f_zf=vals[12], f_dx=vals[13]))
-    return samples
+    return [TelemetrySample(t=vals[0], pos=(vals[1], vals[2]),
+                            omega_w=tuple(vals[3:7]), v=vals[7],
+                            m_d=tuple(vals[8:12]), f_zf=vals[12],
+                            f_dx=vals[13])
+            for vals in _read_rows(path, TELEMETRY_COLUMNS, "telemetry")]
 
 
 def write_truth_csv(records, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "a", "p", "alpha1", "alpha2", "rho_s",
-                         "mu1", "mu2", "mu3", "mu4",
-                         "slip1", "slip2", "slip3", "slip4", "v",
-                         "w1", "w2", "w3", "w4",
-                         "drive_energy", "drawbar_work"])
+        writer.writerow(TRUTH_COLUMNS)
         for r in records:
             soil = r.soil
             writer.writerow([repr(float(x)) for x in
@@ -521,17 +538,10 @@ def write_truth_csv(records, path) -> None:
 
 
 def read_truth_csv(path) -> list[TruthRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            vals = [float(x) for x in row]
-            records.append(TruthRecord(
-                t=vals[0], pos=(vals[1], vals[2]),
-                soil=SoilParams(a=vals[3], p=vals[4], alpha1=vals[5],
-                                alpha2=vals[6], rho_s=vals[7]),
-                mu=tuple(vals[8:12]), slip=tuple(vals[12:16]), v=vals[16],
-                omega_w=tuple(vals[17:21]),
-                drive_energy=vals[21], drawbar_work=vals[22]))
-    return records
+    return [TruthRecord(t=vals[0], pos=(vals[1], vals[2]),
+                        soil=SoilParams(a=vals[3], p=vals[4], alpha1=vals[5],
+                                        alpha2=vals[6], rho_s=vals[7]),
+                        mu=tuple(vals[8:12]), slip=tuple(vals[12:16]),
+                        v=vals[16], omega_w=tuple(vals[17:21]),
+                        drive_energy=vals[21], drawbar_work=vals[22])
+            for vals in _read_rows(path, TRUTH_COLUMNS, "truth")]

@@ -31,6 +31,13 @@ class InsufficientSamples(RuntimeError):
     """Innovation window not yet full; keep the previous adaptation."""
 
 
+# Fuzzy supervisor: centers of the steady/moderate/intense triangular
+# memberships over the dynamics-intensity signal in [0, 1], and the
+# singleton rule output of each, combined by centroid defuzzification.
+FUZZY_CENTERS = (0.0, 0.5, 1.0)
+FUZZY_OUTPUTS = (0.2, 1.0, 5.0)
+
+
 @dataclass(frozen=True)
 class UnscentedScaling:
     """Sigma-point spread parameters (standard scaled unscented transform)."""
@@ -69,16 +76,6 @@ class AdaptationConfig:
             raise ValueError("gain must be in (0, 1]")
         if not 0.0 <= self.leak < 1.0:
             raise ValueError("leak must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class FuzzySupervisor:
-    """Triangular memberships (steady/moderate/intense) over a normalized
-    dynamics-intensity signal in [0, 1], with singleton rule outputs combined
-    by centroid defuzzification."""
-
-    centers: tuple[float, float, float] = (0.0, 0.5, 1.0)
-    outputs: tuple[float, float, float] = (0.2, 1.0, 5.0)
 
 
 @dataclass(frozen=True)
@@ -315,8 +312,7 @@ def adapt_q(fs: FilterState,
     return np.clip(a_new, cfg.a_min, cfg.a_max)
 
 
-def fuzzy_factor(dynamics_signal: float,
-                 supervisor: FuzzySupervisor = FuzzySupervisor()) -> float:
+def fuzzy_factor(dynamics_signal: float) -> float:
     """Tracking-strength multiplier from the dynamics-intensity signal.
 
     Membership degrees of the (clamped) signal in the steady/moderate/
@@ -327,8 +323,8 @@ def fuzzy_factor(dynamics_signal: float,
     """
     if dynamics_signal < 0.0:
         raise ValueError("dynamics_signal must be non-negative")
-    x = min(dynamics_signal, supervisor.centers[2])
-    c = supervisor.centers
+    c = FUZZY_CENTERS
+    x = min(dynamics_signal, c[2])
 
     def triangle(left: float, center: float, right: float) -> float:
         if x <= left or x >= right:
@@ -343,4 +339,4 @@ def fuzzy_factor(dynamics_signal: float,
         triangle(c[1], c[2], c[2] + (c[2] - c[1])),
     )
     total = sum(memberships)
-    return sum(m * out for m, out in zip(memberships, supervisor.outputs)) / total
+    return sum(m * out for m, out in zip(memberships, FUZZY_OUTPUTS)) / total

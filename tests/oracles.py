@@ -59,7 +59,6 @@ from tractionmap.dynamics import (
     wheel_vertical_forces,
 )
 from tractionmap.estimator import (
-    _SAMPLE_PERIOD,
     ACCEL_SCALE,
     CURVE_SCALE_RANGE,
     IDX_MU,
@@ -533,7 +532,7 @@ def vehicle_accel(mu_i, f_z_i, f_dx: float, rho_s: float,
 # wheel speeds and ground speed identify all ten states).
 
 def observability_check(params: VehicleParams, x0: np.ndarray,
-                        dt: float = _SAMPLE_PERIOD,
+                        dt: float = SAMPLE_DT,
                         f_zf: float | None = None) -> bool:
     """Numerical observability of the linearized model at ``x0``.
 
@@ -568,9 +567,12 @@ def observability_check(params: VehicleParams, x0: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # The filter step before one-derivative RK4, direct FilterState
-# construction and cached sigma weights, kept verbatim.  The one edit:
+# construction and cached sigma weights, kept verbatim.  The edits:
 # ``ReferenceTractionEstimator`` calls the reference functions below instead
-# of the ``ukf`` and ``estimator`` ones.
+# of the ``ukf`` and ``estimator`` ones, and it reads the sample period, the
+# sigma-point scaling, the Q adaptation and the fuzzy rule base from the
+# module constants and defaults that replaced those ``EstimatorConfig``
+# fields.
 
 def _reference_symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
@@ -736,10 +738,10 @@ def reference_dynamics_intensity(recent_inputs, recent_measurements) -> float:
     for prev, cur in zip(inputs, inputs[1:]):
         for a, b in zip(prev.m_d, cur.m_d):
             torque_rate = max(torque_rate, abs(b - a))
-    torque_rate /= _SAMPLE_PERIOD
+    torque_rate /= SAMPLE_DT
 
     if len(meas) >= 2:
-        span = (len(meas) - 1) * _SAMPLE_PERIOD
+        span = (len(meas) - 1) * SAMPLE_DT
         accel = abs(meas[-1].v - meas[0].v) / span
     else:
         accel = 0.0
@@ -754,7 +756,7 @@ class ReferenceTractionEstimator(TractionEstimator):
     def __init__(self, vehicle, curve_family, config=EstimatorConfig()):
         super().__init__(vehicle, curve_family, config)
         self.model = ukf.NonlinearModel(
-            f=lambda x, u: reference_process_model(x, u, config.dt, vehicle),
+            f=lambda x, u: reference_process_model(x, u, SAMPLE_DT, vehicle),
             h=measurement_model)
 
     def step(self, u, y, t=0.0, position=(0.0, 0.0)):
@@ -767,17 +769,15 @@ class ReferenceTractionEstimator(TractionEstimator):
         if cfg.fuzzy_enabled:
             signal = reference_dynamics_intensity(self._inputs,
                                                   self._measurements)
-            fs = replace(fs, phi=ukf.fuzzy_factor(signal, cfg.supervisor))
+            fs = replace(fs, phi=ukf.fuzzy_factor(signal))
         if cfg.adapt_enabled:
             try:
-                fs = replace(fs, a_diag=reference_adapt_q(fs, cfg.adaptation))
+                fs = replace(fs, a_diag=reference_adapt_q(fs))
             except ukf.InsufficientSamples:
                 pass
 
-        fs = reference_predict(fs, self.model, u, self.noise, cfg.scaling)
-        fs = reference_update(fs, self.model, y.as_vector(), self.noise,
-                              cfg.scaling,
-                              residual_window=cfg.adaptation.window)
+        fs = reference_predict(fs, self.model, u, self.noise)
+        fs = reference_update(fs, self.model, y.as_vector(), self.noise)
         fs = self._clamp_parameters(fs)
         self.state = fs
         self._measurements.append(y)

@@ -154,6 +154,39 @@ def test_metrics_recomputable_from_exported_logs(scenario_file, tmp_path):
                                                     rel=1e-12)
 
 
+@pytest.fixture(scope="module")
+def short_logs():
+    """Telemetry and truth of the first 3 s of the three-soil run."""
+    scenario = replace(sim.load_scenario(THREE_SOIL), duration=3.0)
+    return sim.simulate(scenario)
+
+
+def _shift_t(records, k, dt):
+    return records[:k] + [replace(records[k], t=records[k].t + dt)] \
+        + records[k + 1:]
+
+
+@pytest.mark.parametrize("misalign", [
+    lambda rec, tr: (rec, tr[:10]),
+    lambda rec, tr: (rec, tr[1:]),
+    lambda rec, tr: (rec[1:], tr),
+    lambda rec, tr: (rec, _shift_t(tr, 12, 1e-6)),
+    lambda rec, tr: (rec, [tr[0]] + tr),
+], ids=["short_truth", "truth_starts_late", "records_start_late",
+        "one_truth_time_off", "truth_starts_early"])
+def test_misaligned_logs_are_refused(misalign, short_logs, tmp_path):
+    samples, truth = short_logs
+    records, _ = cli.run_estimation(samples, sim.load_scenario(
+        THREE_SOIL).vehicle)
+    cli.compute_metrics(records, truth, None, None)  # aligned: scored
+    records, truth = misalign(records, truth)
+    with pytest.raises(ValueError, match="do not align"):
+        cli.compute_metrics(records, truth, None, None)
+    with pytest.raises(ValueError, match="do not align"):
+        cli.write_timeseries_csv(records, truth, tmp_path / "ts.csv")
+    assert not (tmp_path / "ts.csv").exists()
+
+
 def test_run_seed_override_changes_noise_draws(scenario_file, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -425,6 +458,56 @@ def test_main_replay_rejects_bad_resolution(resolution, scenario_file,
 
 def test_main_replay_missing_telemetry(tmp_path):
     assert cli.main(["replay", str(tmp_path / "no.csv")]) == 1
+
+
+def _edit_line(path, k, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[k] = edit(lines[k])
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda tel, tr, logs: tel.write_text(""),
+    lambda tel, tr, logs: _edit_line(tel, 0, lambda l: "time" + l[1:]),
+    lambda tel, tr, logs: _edit_line(tel, 5, lambda l: l.rsplit(",", 1)[0]
+                                     + "\r\n"),
+    lambda tel, tr, logs: _edit_line(tel, 5, lambda l: "abc" + l[l.index(","):]),
+    lambda tel, tr, logs: sim.write_telemetry_csv(logs[0][:1], tel),
+    lambda tel, tr, logs: sim.write_telemetry_csv(
+        [replace(s, t=0.5 * s.t) for s in logs[0]], tel),
+    lambda tel, tr, logs: sim.write_telemetry_csv(
+        logs[0][:10] + logs[0][11:], tel),
+    lambda tel, tr, logs: sim.write_telemetry_csv(
+        _shift_t(logs[0], 4, float("nan")), tel),
+    lambda tel, tr, logs: tr.unlink(),
+    lambda tel, tr, logs: _edit_line(tr, 0, lambda l: l.replace("mu1", "mu0")),
+    lambda tel, tr, logs: _edit_line(tr, 3, lambda l: l.replace(",", ";")),
+    lambda tel, tr, logs: sim.write_truth_csv(logs[1][:10], tr),
+    lambda tel, tr, logs: sim.write_truth_csv(
+        _shift_t(logs[1], 7, 1e-6), tr),
+], ids=["telemetry_empty", "telemetry_header", "telemetry_short_row",
+        "telemetry_text_cell", "one_sample", "telemetry_20hz",
+        "telemetry_gap", "telemetry_nan_t", "truth_missing", "truth_header",
+        "truth_malformed_row", "truth_short", "truth_time_off"])
+def test_main_replay_refuses_bad_inputs(spoil, short_logs, tmp_path, capsys):
+    samples, truth = short_logs
+    telemetry, truth_csv = tmp_path / "telemetry.csv", tmp_path / "truth.csv"
+    sim.write_telemetry_csv(samples, telemetry)
+    sim.write_truth_csv(truth, truth_csv)
+    spoil(telemetry, truth_csv, short_logs)
+    out = tmp_path / "never"
+    code = cli.main(["replay", str(telemetry), "--truth", str(truth_csv),
+                     "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan"), float("inf")])
+def test_run_config_checks_resolution(resolution):
+    # refused before the scenario is read, let alone simulated
+    with pytest.raises(ValueError, match="resolution"):
+        RunConfig(scenario_path="no_such_scenario.yaml", resolution=resolution)
 
 
 def test_main_replay_names_non_finite_drive_input(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -281,8 +281,7 @@ def test_step_with_measurement_equal_to_prediction_keeps_mean():
                                             fuzzy_enabled=False))
     est.initialize(_meas(2.0))
     u = nominal_input()
-    predicted = ukf.predict(est.state, est.model, u, est.noise,
-                            est.config.scaling)
+    predicted = ukf.predict(est.state, est.model, u, est.noise)
     y = TractionMeasurement(omega_w=tuple(predicted.mean[:4]),
                             v=float(predicted.mean[4]))
     rec = est.step(u, y, t=0.1)
@@ -316,6 +315,14 @@ def test_step_derives_wheel_geometry_once(monkeypatch):
                        _meas(2.01), t=0.1 * (k + 1))
         assert all(type(s) is float for s in rec.slip)
     assert loads == f_zfs
+
+
+def test_estimator_config_holds_only_the_tuning_callers_set():
+    # the sample period, priors, intensity window, sigma-point scaling,
+    # Q adaptation and fuzzy rule base are fixed by the filter design
+    assert [f.name for f in fields(EstimatorConfig)] == [
+        "q_diag", "sigma_omega", "sigma_v", "init_p_diag", "adapt_enabled",
+        "fuzzy_enabled"]
 
 
 # --- closed-loop behaviour against the simulator ------------------------------

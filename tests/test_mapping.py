@@ -35,6 +35,13 @@ def make_map(width=12, length=12, origin=(0.0, 0.0), resolution=1.0):
                            width=width, length=length)
 
 
+def test_ground_map_needs_its_arrays():
+    # a map is built by GroundMap.empty or from explicit arrays, never 1x1
+    # by default
+    with pytest.raises(TypeError):
+        GroundMap(origin=(0.0, 0.0), resolution=1.0)
+
+
 # --- world/grid transform of the scalar reference ----------------------------
 
 def test_world_to_grid_origin_is_zero_cell():

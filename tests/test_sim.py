@@ -182,6 +182,21 @@ def test_simulate_equals_reference_plant(make_scenario):
     assert repr(truth) == repr(ref_truth)
 
 
+def test_simulate_ends_at_the_first_sample_past_the_path_end():
+    # 18 m at 2 m/s: the path ends about 10 s into the 20 s run
+    scenario = dataclasses.replace(cruise_scenario(MEDIUM, duration=20.0),
+                                   path=((2.0, 10.0), (20.0, 10.0)))
+    samples, truth = simulate(scenario)
+    ref_samples, ref_truth = reference_simulate(scenario)
+    n = len(truth)
+    assert n < len(ref_truth)
+    assert [tr.pos for tr in truth].count((20.0, 10.0)) == 1
+    assert truth[-1].pos == (20.0, 10.0)
+    # up to there it is the run that goes on to the full duration
+    assert repr(samples) == repr(ref_samples[:n])
+    assert repr(truth) == repr(ref_truth[:n])
+
+
 # --- determinism ------------------------------------------------------------------
 
 def test_fixed_seed_reproduces_streams_exactly():

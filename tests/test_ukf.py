@@ -325,11 +325,11 @@ def test_adapt_q_respects_clamp():
 # --- fuzzy supervisor -------------------------------------------------------
 
 def test_fuzzy_factor_endpoints():
-    sup = ukf.FuzzySupervisor()
-    assert ukf.fuzzy_factor(0.0, sup) == pytest.approx(sup.outputs[0])
-    assert ukf.fuzzy_factor(1.0, sup) == pytest.approx(sup.outputs[2])
-    assert ukf.fuzzy_factor(7.5, sup) == pytest.approx(sup.outputs[2])
-    assert ukf.fuzzy_factor(0.5, sup) == pytest.approx(1.0)
+    outputs = ukf.FUZZY_OUTPUTS
+    assert ukf.fuzzy_factor(0.0) == pytest.approx(outputs[0])
+    assert ukf.fuzzy_factor(1.0) == pytest.approx(outputs[2])
+    assert ukf.fuzzy_factor(7.5) == pytest.approx(outputs[2])
+    assert ukf.fuzzy_factor(0.5) == pytest.approx(1.0)
 
 
 def test_fuzzy_factor_rejects_negative_signal():
@@ -339,12 +339,11 @@ def test_fuzzy_factor_rejects_negative_signal():
 
 @given(st.floats(0.0, 2.0))
 def test_fuzzy_factor_within_bounds(signal):
-    sup = ukf.FuzzySupervisor()
-    phi = ukf.fuzzy_factor(signal, sup)
-    assert sup.outputs[0] - 1e-12 <= phi <= sup.outputs[2] + 1e-12
+    outputs = ukf.FUZZY_OUTPUTS
+    phi = ukf.fuzzy_factor(signal)
+    assert outputs[0] - 1e-12 <= phi <= outputs[2] + 1e-12
 
 
 def test_fuzzy_factor_monotone_on_grid():
-    sup = ukf.FuzzySupervisor()
-    values = [ukf.fuzzy_factor(x, sup) for x in np.linspace(0.0, 1.2, 121)]
+    values = [ukf.fuzzy_factor(x) for x in np.linspace(0.0, 1.2, 121)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
