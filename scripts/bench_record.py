@@ -16,7 +16,9 @@ odd k.  Then one traced run per side on the first seed (``--trace 1
 the map: the inclusive time of each traced span of that stage, summed
 over the traced set-up and pass.  The same run gives the tracer's plant
 numbers (``sim.simulate_s`` per call, ``sim.us_per_step`` per 1 ms plant
-step) and map counters.  The record holds each side's runs, median and
+step), filter numbers (``ukf.predict_ms``, ``ukf.update_ms`` and
+``ukf.adapt_q_ms`` per call, ``estimator.step_p50_ms`` per 10 Hz sample)
+and map counters.  The record holds each side's runs, median and
 quartiles of every end-to-end metric, the pairs the change won, the failed
 and attempted operations, the traced stage times and the machine.
 """
@@ -41,6 +43,8 @@ TRACED_STAGES = ("sim.simulate", "cli.build_map", "mapping.interpolate",
                  "cli.write.map_state", "cli.write.map_layers",
                  "cli.read.map_state")
 TRACED_METRICS = ("sim.simulate_s", "sim.us_per_step",
+                  "ukf.predict_ms", "ukf.update_ms", "ukf.adapt_q_ms",
+                  "estimator.step_p50_ms",
                   "mapping.grow.count", "mapping.grow.cells_copied")
 
 

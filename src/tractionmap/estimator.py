@@ -187,8 +187,8 @@ def dynamics_intensity(recent_inputs, recent_measurements) -> float:
 class EstimatorConfig:
     """Tuning of the traction AUKF-FS.
 
-    The filter steps at ``SAMPLE_DT`` with the ``ukf`` module's default
-    sigma-point scaling, Q adaptation and fuzzy rule base.
+    The filter steps at ``SAMPLE_DT`` with the ``ukf`` module's fixed
+    sigma-point spread, Q adaptation and fuzzy rule base.
     """
 
     q_diag: tuple = (1e-2,) * 5 + (1e-4,) * 4 + (1e-5,)
@@ -253,10 +253,7 @@ class TractionEstimator:
             signal = dynamics_intensity(self._inputs, self._measurements)
             phi = ukf.fuzzy_factor(signal)
         if cfg.adapt_enabled:
-            try:
-                a_diag = ukf.adapt_q(fs)
-            except ukf.InsufficientSamples:
-                pass
+            a_diag = ukf.adapt_q(fs)
         fs = ukf.FilterState(mean=fs.mean, cov=fs.cov, a_diag=a_diag, phi=phi,
                              residuals=fs.residuals, gain=fs.gain,
                              innov_cov=fs.innov_cov, predicted=fs.predicted)

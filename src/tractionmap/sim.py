@@ -92,6 +92,9 @@ class FieldSpec:
         for rect, _ in self.regions:
             if not (rect.x0 >= 0 and rect.y0 >= 0 and rect.x1 <= w and rect.y1 <= l):
                 raise ValueError(f"region {rect} outside field extent {self.extent}")
+            # An inverted rectangle contains no position.
+            if not (rect.x0 <= rect.x1 and rect.y0 <= rect.y1):
+                raise ValueError(f"region {rect} needs x0 <= x1 and y0 <= y1")
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,8 @@ class SensorNoise:
 
     def __post_init__(self) -> None:
         for name in ("sigma_omega", "sigma_v", "sigma_pos"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -155,8 +158,10 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         # Written so that NaN fails every check.
-        for name in ("duration", "target_speed", "power_cap",
-                     "max_wheel_torque"):
+        if not SAMPLE_DT <= self.duration < math.inf:
+            raise ValueError(f"duration must be at least the {SAMPLE_DT} s "
+                             "sample period and finite")
+        for name in ("target_speed", "power_cap", "max_wheel_torque"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("kp", "ki"):

@@ -27,55 +27,33 @@ class SingularInnovationCov(np.linalg.LinAlgError):
     """Predicted output covariance cannot be inverted."""
 
 
-class InsufficientSamples(RuntimeError):
-    """Innovation window not yet full; keep the previous adaptation."""
-
-
 # Fuzzy supervisor: centers of the steady/moderate/intense triangular
 # memberships over the dynamics-intensity signal in [0, 1], and the
 # singleton rule output of each, combined by centroid defuzzification.
 FUZZY_CENTERS = (0.0, 0.5, 1.0)
 FUZZY_OUTPUTS = (0.2, 1.0, 5.0)
 
+# Sigma-point spread of the standard scaled unscented transform.
+ALPHA = 0.1
+BETA = 2.0
+KAPPA = 0.0
 
-@dataclass(frozen=True)
-class UnscentedScaling:
-    """Sigma-point spread parameters (standard scaled unscented transform)."""
-
-    alpha: float = 0.1
-    beta: float = 2.0
-    kappa: float = 0.0
-
-
-@dataclass(frozen=True)
-class AdaptationConfig:
-    """Innovation-matching adaptation of the process-noise scale.
-
-    ``window`` innovations form the sample output covariance; the diagonal
-    adaptation entries relax toward the ratio of observed vs. modelled
-    innovation spread with relaxation ``gain`` per step, clamped to
-    [a_min, a_max].  ``leak`` pulls entries toward 1 so that a
-    statistically consistent run holds A near identity instead of letting
-    the window noise (successive windows share most samples) random-walk
-    it away; a sustained mismatch still dominates the leak.
-    """
-
-    window: int = 30
-    a_min: float = 0.01
-    a_max: float = 100.0
-    gain: float = 0.1
-    leak: float = 0.05
-
-    def __post_init__(self) -> None:
-        # The sample covariance divides by window - 1.
-        if not self.window >= 2:
-            raise ValueError("window must be at least 2")
-        if not 0.0 < self.a_min <= self.a_max:
-            raise ValueError("need 0 < a_min <= a_max")
-        if not 0.0 < self.gain <= 1.0:
-            raise ValueError("gain must be in (0, 1]")
-        if not 0.0 <= self.leak < 1.0:
-            raise ValueError("leak must be in [0, 1)")
+# Innovation-matching adaptation of the process-noise scale.
+#
+# ``ADAPT_WINDOW`` innovations form the sample output covariance; the
+# diagonal adaptation entries relax toward the ratio of observed vs.
+# modelled innovation spread with relaxation ``ADAPT_GAIN`` per step,
+# clamped to [A_MIN, A_MAX].  ``ADAPT_LEAK`` pulls entries toward 1 so
+# that a statistically consistent run holds A near identity instead of
+# letting the window noise (successive windows share most samples)
+# random-walk it away; a sustained mismatch still dominates the leak.
+# ``update`` keeps the last ``ADAPT_WINDOW`` innovations, the ones
+# ``adapt_q`` reads.
+ADAPT_WINDOW = 30
+A_MIN = 0.01
+A_MAX = 100.0
+ADAPT_GAIN = 0.1
+ADAPT_LEAK = 0.05
 
 
 @dataclass(frozen=True)
@@ -170,37 +148,33 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _sigma_weights(n: int, scaling: UnscentedScaling
-                   ) -> tuple[float, np.ndarray, np.ndarray]:
+def _sigma_weights(n: int) -> tuple[float, np.ndarray, np.ndarray]:
     """(n + lambda, w_mean, w_cov) for n states; the arrays are read-only
     because every SigmaSet of that size shares them."""
-    lam = scaling.alpha ** 2 * (n + scaling.kappa) - n
+    lam = ALPHA ** 2 * (n + KAPPA) - n
     scale = n + lam
-    if scale <= 0.0:
-        raise ValueError("alpha^2 (n + kappa) must be positive")
     w_mean = np.full(2 * n + 1, 0.5 / scale)
     w_cov = w_mean.copy()
     w_mean[0] = lam / scale
-    w_cov[0] = lam / scale + (1.0 - scaling.alpha ** 2 + scaling.beta)
+    w_cov[0] = lam / scale + (1.0 - ALPHA ** 2 + BETA)
     w_mean.flags.writeable = False
     w_cov.flags.writeable = False
     return scale, w_mean, w_cov
 
 
-def sigma_points(mean: np.ndarray, cov: np.ndarray,
-                 scaling: UnscentedScaling = UnscentedScaling()) -> SigmaSet:
+def sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaSet:
     """Scaled-unscented sigma points for N(mean, cov).
 
     lambda = alpha^2 (n + kappa) - n; points are mean +/- the columns of
     the Cholesky factor of (n + lambda) cov.  Weighted mean reproduces
     ``mean`` exactly and the weighted covariance reproduces ``cov`` up to
-    floating-point error.  The weight vectors are cached per (n, scaling)
-    and read-only.
+    floating-point error.  The weight vectors are cached per n and
+    read-only.
     """
     mean = np.asarray(mean, dtype=float)
     cov = _symmetrize(np.asarray(cov, dtype=float))
     n = mean.shape[0]
-    scale, w_mean, w_cov = _sigma_weights(n, scaling)
+    scale, w_mean, w_cov = _sigma_weights(n)
     root = _cholesky_with_jitter(scale * cov)
 
     points = np.empty((2 * n + 1, n))
@@ -219,10 +193,9 @@ def _weighted_moments(points: np.ndarray, w_mean: np.ndarray,
 
 
 def predict(fs: FilterState, model: NonlinearModel, u: np.ndarray | None,
-            noise: NoiseSpec,
-            scaling: UnscentedScaling = UnscentedScaling()) -> FilterState:
+            noise: NoiseSpec) -> FilterState:
     """Time update: propagate sigma points through f and add (phi*A)Q."""
-    ss = sigma_points(fs.mean, fs.cov, scaling)
+    ss = sigma_points(fs.mean, fs.cov)
     propagated = np.asarray(model.f(ss.points, u), dtype=float)
     mean, cov = _weighted_moments(propagated, ss.w_mean, ss.w_cov)
     cov = cov + (fs.phi * fs.a_diag)[:, None] * noise.q
@@ -232,20 +205,19 @@ def predict(fs: FilterState, model: NonlinearModel, u: np.ndarray | None,
 
 
 def update(fs: FilterState, model: NonlinearModel, y: np.ndarray,
-           noise: NoiseSpec,
-           scaling: UnscentedScaling = UnscentedScaling(),
-           residual_window: int = AdaptationConfig.window) -> FilterState:
+           noise: NoiseSpec) -> FilterState:
     """Measurement update from the predicted belief.
 
     Sigma points are redrawn from (mean, cov) of the prediction; the
-    innovation y - y_hat is pushed into the residual ring buffer.  Raises
-    SingularInnovationCov when the innovation covariance is not finite,
-    cannot be inverted or has a condition number above 1e14.
+    innovation y - y_hat is pushed into the residual ring buffer, which
+    keeps the last ADAPT_WINDOW innovations.  Raises SingularInnovationCov
+    when the innovation covariance is not finite, cannot be inverted or
+    has a condition number above 1e14.
     """
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
     y = np.asarray(y, dtype=float)
-    ss = sigma_points(fs.mean, fs.cov, scaling)
+    ss = sigma_points(fs.mean, fs.cov)
     outputs = np.asarray(model.h(ss.points), dtype=float)
 
     w_col = ss.w_cov[:, None]
@@ -272,14 +244,13 @@ def update(fs: FilterState, model: NonlinearModel, y: np.ndarray,
     mean = fs.mean + gain @ innovation
     cov = _symmetrize(fs.cov - gain @ s_cov @ gain.T)
 
-    residuals = (fs.residuals + (innovation,))[-residual_window:]
+    residuals = (fs.residuals + (innovation,))[-ADAPT_WINDOW:]
     return FilterState(mean=mean, cov=cov, a_diag=fs.a_diag, phi=fs.phi,
                        residuals=residuals, gain=gain, innov_cov=s_cov,
                        predicted=False)
 
 
-def adapt_q(fs: FilterState,
-            cfg: AdaptationConfig = AdaptationConfig()) -> np.ndarray:
+def adapt_q(fs: FilterState) -> np.ndarray:
     """Diagonal adaptation entries from innovation matching.
 
     The sample output covariance over the window and the covariance the
@@ -287,29 +258,27 @@ def adapt_q(fs: FilterState,
     space through the last Kalman gain; each diagonal adaptation entry
     relaxes toward their ratio.  Innovations larger than modelled
     (process noise understated) grow A, smaller ones shrink it; a
-    statistically consistent filter holds A at its fixed point.  Raises
-    InsufficientSamples until the window is full (caller keeps the
-    previous adaptation).
+    statistically consistent filter holds A at its fixed point.  Until
+    ``update`` has buffered ADAPT_WINDOW innovations, returns ``fs.a_diag``
+    itself (the previous adaptation is kept).
     """
-    if len(fs.residuals) < cfg.window:
-        raise InsufficientSamples(
-            f"{len(fs.residuals)} residuals buffered, {cfg.window} required")
-    if fs.gain is None or fs.innov_cov is None:
-        raise InsufficientSamples("no update has run yet")
+    if len(fs.residuals) < ADAPT_WINDOW:
+        return fs.a_diag
 
     # One row per innovation; np.concatenate skips np.asarray's inspection
     # of each item.
-    res = np.concatenate(fs.residuals[-cfg.window:]).reshape(cfg.window, -1)
-    s_bar = res.T @ res / (cfg.window - 1)
+    res = np.concatenate(fs.residuals[-ADAPT_WINDOW:]).reshape(
+        ADAPT_WINDOW, -1)
+    s_bar = res.T @ res / (ADAPT_WINDOW - 1)
     actual = (fs.gain @ s_bar @ fs.gain.T).diagonal()
     expected = (fs.gain @ fs.innov_cov @ fs.gain.T).diagonal()
 
     a_new = fs.a_diag.copy()
     usable = expected > 1e-300
     ratio = actual[usable] / expected[usable]
-    a_new[usable] = (fs.a_diag[usable] ** (1.0 - cfg.leak)
-                     * (1.0 - cfg.gain + cfg.gain * ratio))
-    return np.clip(a_new, cfg.a_min, cfg.a_max)
+    a_new[usable] = (fs.a_diag[usable] ** (1.0 - ADAPT_LEAK)
+                     * (1.0 - ADAPT_GAIN + ADAPT_GAIN * ratio))
+    return np.clip(a_new, A_MIN, A_MAX)
 
 
 def fuzzy_factor(dynamics_signal: float) -> float:

@@ -569,10 +569,11 @@ def observability_check(params: VehicleParams, x0: np.ndarray,
 # The filter step before one-derivative RK4, direct FilterState
 # construction and cached sigma weights, kept verbatim.  The edits:
 # ``ReferenceTractionEstimator`` calls the reference functions below instead
-# of the ``ukf`` and ``estimator`` ones, and it reads the sample period, the
-# sigma-point scaling, the Q adaptation and the fuzzy rule base from the
-# module constants and defaults that replaced those ``EstimatorConfig``
-# fields.
+# of the ``ukf`` and ``estimator`` ones; it and the reference functions read
+# the sample period, the sigma-point spread, the Q adaptation and the fuzzy
+# rule base from the module constants that replaced those settings; and
+# ``reference_adapt_q`` returns its input until the innovation window is
+# full, as ``ukf.adapt_q`` does.
 
 def _reference_symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
@@ -595,16 +596,12 @@ def _reference_cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
         "covariance not PSD within jitter tolerance (filter divergence?)")
 
 
-def reference_sigma_points(mean: np.ndarray, cov: np.ndarray,
-                           scaling: ukf.UnscentedScaling = ukf.UnscentedScaling()
-                           ) -> ukf.SigmaSet:
+def reference_sigma_points(mean: np.ndarray, cov: np.ndarray) -> ukf.SigmaSet:
     mean = np.asarray(mean, dtype=float)
     cov = _reference_symmetrize(np.asarray(cov, dtype=float))
     n = mean.shape[0]
-    lam = scaling.alpha ** 2 * (n + scaling.kappa) - n
+    lam = ukf.ALPHA ** 2 * (n + ukf.KAPPA) - n
     scale = n + lam
-    if scale <= 0.0:
-        raise ValueError("alpha^2 (n + kappa) must be positive")
     root = _reference_cholesky_with_jitter(scale * cov)
 
     points = np.empty((2 * n + 1, n))
@@ -615,7 +612,7 @@ def reference_sigma_points(mean: np.ndarray, cov: np.ndarray,
     w_mean = np.full(2 * n + 1, 0.5 / scale)
     w_cov = w_mean.copy()
     w_mean[0] = lam / scale
-    w_cov[0] = lam / scale + (1.0 - scaling.alpha ** 2 + scaling.beta)
+    w_cov[0] = lam / scale + (1.0 - ukf.ALPHA ** 2 + ukf.BETA)
     return ukf.SigmaSet(points=points, w_mean=w_mean, w_cov=w_cov)
 
 
@@ -628,10 +625,8 @@ def _reference_weighted_moments(points: np.ndarray, w_mean: np.ndarray,
 
 
 def reference_predict(fs: ukf.FilterState, model: ukf.NonlinearModel, u,
-                      noise: ukf.NoiseSpec,
-                      scaling: ukf.UnscentedScaling = ukf.UnscentedScaling()
-                      ) -> ukf.FilterState:
-    ss = reference_sigma_points(fs.mean, fs.cov, scaling)
+                      noise: ukf.NoiseSpec) -> ukf.FilterState:
+    ss = reference_sigma_points(fs.mean, fs.cov)
     propagated = np.asarray(model.f(ss.points, u), dtype=float)
     mean, cov = _reference_weighted_moments(propagated, ss.w_mean, ss.w_cov)
     cov = cov + (fs.phi * fs.a_diag)[:, None] * noise.q
@@ -640,14 +635,11 @@ def reference_predict(fs: ukf.FilterState, model: ukf.NonlinearModel, u,
 
 
 def reference_update(fs: ukf.FilterState, model: ukf.NonlinearModel,
-                     y: np.ndarray, noise: ukf.NoiseSpec,
-                     scaling: ukf.UnscentedScaling = ukf.UnscentedScaling(),
-                     residual_window: int = ukf.AdaptationConfig.window
-                     ) -> ukf.FilterState:
+                     y: np.ndarray, noise: ukf.NoiseSpec) -> ukf.FilterState:
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
     y = np.asarray(y, dtype=float)
-    ss = reference_sigma_points(fs.mean, fs.cov, scaling)
+    ss = reference_sigma_points(fs.mean, fs.cov)
     outputs = np.asarray(model.h(ss.points), dtype=float)
 
     y_hat = ss.w_mean @ outputs
@@ -670,32 +662,27 @@ def reference_update(fs: ukf.FilterState, model: ukf.NonlinearModel,
     mean = fs.mean + gain @ innovation
     cov = _reference_symmetrize(fs.cov - gain @ s_cov @ gain.T)
 
-    residuals = (fs.residuals + (innovation,))[-residual_window:]
+    residuals = (fs.residuals + (innovation,))[-ukf.ADAPT_WINDOW:]
     return replace(fs, mean=mean, cov=cov, residuals=residuals,
                    gain=gain, innov_cov=s_cov,
                    predicted=False)
 
 
-def reference_adapt_q(fs: ukf.FilterState,
-                      cfg: ukf.AdaptationConfig = ukf.AdaptationConfig()
-                      ) -> np.ndarray:
-    if len(fs.residuals) < cfg.window:
-        raise ukf.InsufficientSamples(
-            f"{len(fs.residuals)} residuals buffered, {cfg.window} required")
-    if fs.gain is None or fs.innov_cov is None:
-        raise ukf.InsufficientSamples("no update has run yet")
+def reference_adapt_q(fs: ukf.FilterState) -> np.ndarray:
+    if len(fs.residuals) < ukf.ADAPT_WINDOW:
+        return fs.a_diag
 
-    res = np.asarray(fs.residuals[-cfg.window:])
-    s_bar = res.T @ res / (cfg.window - 1)
+    res = np.asarray(fs.residuals[-ukf.ADAPT_WINDOW:])
+    s_bar = res.T @ res / (ukf.ADAPT_WINDOW - 1)
     actual = np.diag(fs.gain @ s_bar @ fs.gain.T)
     expected = np.diag(fs.gain @ fs.innov_cov @ fs.gain.T)
 
     a_new = fs.a_diag.copy()
     usable = expected > 1e-300
     ratio = actual[usable] / expected[usable]
-    a_new[usable] = (fs.a_diag[usable] ** (1.0 - cfg.leak)
-                     * (1.0 - cfg.gain + cfg.gain * ratio))
-    return np.clip(a_new, cfg.a_min, cfg.a_max)
+    a_new[usable] = (fs.a_diag[usable] ** (1.0 - ukf.ADAPT_LEAK)
+                     * (1.0 - ukf.ADAPT_GAIN + ukf.ADAPT_GAIN * ratio))
+    return np.clip(a_new, ukf.A_MIN, ukf.A_MAX)
 
 
 def reference_process_model(x: np.ndarray, u: TractionInput, dt: float,
@@ -771,10 +758,7 @@ class ReferenceTractionEstimator(TractionEstimator):
                                                   self._measurements)
             fs = replace(fs, phi=ukf.fuzzy_factor(signal))
         if cfg.adapt_enabled:
-            try:
-                fs = replace(fs, a_diag=reference_adapt_q(fs))
-            except ukf.InsufficientSamples:
-                pass
+            fs = replace(fs, a_diag=reference_adapt_q(fs))
 
         fs = reference_predict(fs, self.model, u, self.noise)
         fs = reference_update(fs, self.model, y.as_vector(), self.noise)

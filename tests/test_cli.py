@@ -253,6 +253,13 @@ def test_run_with_interpolation_disabled(scenario_file, tmp_path):
     ({"path": [[2.0, 10.0], [130.0, 10.0]]}, []),
     ({"path": [[2.0, 10.0], [60.0, 10.0], [60.0, -1.0]]}, []),
     ({"path": [[2.0, 10.0], [2.0, 10.0]]}, []),
+    ({"noise": {"sigma_omega": 0.01, "sigma_v": 0.02,
+                "sigma_pos": float("inf")}}, []),
+    ({"field": {**SMALL_SCENARIO["field"],
+                "regions": [{**SMALL_SCENARIO["field"]["regions"][0],
+                             "rect": [30.0, 0.0, 0.0, 20.0]},
+                            SMALL_SCENARIO["field"]["regions"][1]]}}, []),
+    ({"duration": 0.05}, []),
 ], ids=["missing", "zero_sin_period", "negative_sigma", "nan_resolution",
         "inf_resolution", "nan_duration", "inf_duration", "nan_target_speed",
         "fractional_seed", "negative_seed_override", "negative_power_cap",
@@ -261,7 +268,8 @@ def test_run_with_interpolation_disabled(scenario_file, tmp_path):
         "nan_extent", "negative_extent", "nan_wheel_inertia",
         "wheels_heavier_than_vehicle", "wheel_count_field", "nan_waypoint",
         "inf_waypoint", "waypoint_beyond_length", "waypoint_below_width",
-        "zero_length_path"])
+        "zero_length_path", "inf_sigma", "inverted_region",
+        "duration_below_sample_period"])
 def test_main_bad_scenario_no_partial_outputs(settings, options, tmp_path,
                                               capsys):
     path = tmp_path / "scenario.yaml"

@@ -75,6 +75,11 @@ def test_field_spec_validates_regions():
         FieldSpec(extent=(10.0, 10.0),
                   regions=((Rect(0, 0, math.nan, 5), FIRM),),
                   default_soil=MEDIUM)
+    # Rect.contains never matches an inverted rectangle
+    for rect in (Rect(8, 0, 2, 5), Rect(0, 5, 10, 1)):
+        with pytest.raises(ValueError, match="x0 <= x1 and y0 <= y1"):
+            FieldSpec(extent=(10.0, 10.0), regions=((rect, FIRM),),
+                      default_soil=MEDIUM)
 
 
 @pytest.mark.parametrize("extent", [
@@ -85,7 +90,7 @@ def test_field_spec_rejects_bad_extent(extent):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("duration", math.nan), ("duration", math.inf),
+    ("duration", math.nan), ("duration", math.inf), ("duration", 0.05),
     ("target_speed", math.nan), ("target_speed", math.inf),
     ("power_cap", -1.0), ("power_cap", math.nan), ("power_cap", 0.0),
     ("max_wheel_torque", -5.0), ("max_wheel_torque", math.inf),
@@ -100,6 +105,18 @@ def test_scenario_spec_rejects_bad_numbers(name, value):
 def test_scenario_spec_accepts_zero_gains_and_numpy_seed():
     base = cruise_scenario(MEDIUM)
     dataclasses.replace(base, kp=0.0, ki=0.0, seed=np.int64(3))
+
+
+def test_shortest_duration_gives_two_samples():
+    samples, truth = simulate(cruise_scenario(MEDIUM, duration=sim.SAMPLE_DT))
+    assert [s.t for s in samples] == [t.t for t in truth] == [0.0, 0.1]
+
+
+@pytest.mark.parametrize("name", ["sigma_omega", "sigma_v", "sigma_pos"])
+@pytest.mark.parametrize("value", [-0.01, math.nan, math.inf])
+def test_sensor_noise_rejects_negative_or_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        SensorNoise(**{name: value})
 
 
 # --- drawbar profile -------------------------------------------------------------

@@ -24,11 +24,12 @@ def random_psd(rng, n, scale=1.0):
 # --- sigma points -----------------------------------------------------------
 
 def test_sigma_points_scalar_reference():
-    ss = ukf.sigma_points(np.zeros(1), np.eye(1),
-                          ukf.UnscentedScaling(alpha=1.0, beta=0.0, kappa=0.0))
-    assert ss.points[:, 0] == pytest.approx([0.0, 1.0, -1.0], abs=1e-14)
-    assert ss.w_mean == pytest.approx([0.0, 0.5, 0.5], abs=1e-14)
-    assert ss.w_cov == pytest.approx([0.0, 0.5, 0.5], abs=1e-14)
+    # n = 1: lambda = alpha^2 (1 + kappa) - 1 = -0.99, n + lambda = 0.01
+    assert (ukf.ALPHA, ukf.BETA, ukf.KAPPA) == (0.1, 2.0, 0.0)
+    ss = ukf.sigma_points(np.zeros(1), np.eye(1))
+    assert ss.points[:, 0] == pytest.approx([0.0, 0.1, -0.1], abs=1e-14)
+    assert ss.w_mean == pytest.approx([-99.0, 50.0, 50.0], abs=1e-12)
+    assert ss.w_cov == pytest.approx([-96.01, 50.0, 50.0], abs=1e-12)
 
 
 def test_sigma_points_weights_sum_to_one():
@@ -61,12 +62,6 @@ def test_sigma_points_weights_are_shared_and_read_only():
         a.w_mean[0] = 1.0
     with pytest.raises(ValueError):
         a.w_cov[1] = 1.0
-
-
-def test_sigma_points_rejects_non_positive_spread():
-    with pytest.raises(ValueError):
-        ukf.sigma_points(np.zeros(2), np.eye(2),
-                         ukf.UnscentedScaling(alpha=0.0))
 
 
 def test_sigma_points_failure_on_non_psd():
@@ -198,11 +193,10 @@ def test_update_pushes_residual_into_buffer():
     model = linear_model(np.eye(2), np.eye(2))
     noise = ukf.NoiseSpec(q=0.01 * np.eye(2), r=0.1 * np.eye(2))
     fs = ukf.FilterState.initial(np.zeros(2), np.eye(2))
-    for k in range(40):
+    for k in range(ukf.ADAPT_WINDOW + 10):
         fs = ukf.predict(fs, model, None, noise)
-        fs = ukf.update(fs, model, np.array([1.0, -1.0]), noise,
-                        residual_window=30)
-    assert len(fs.residuals) == 30
+        fs = ukf.update(fs, model, np.array([1.0, -1.0]), noise)
+    assert len(fs.residuals) == ukf.ADAPT_WINDOW
 
 
 # --- 100-step linear equivalence and covariance health ----------------------
@@ -254,10 +248,7 @@ def _mc_adaptation(q_true_scale, seed, steps=600):
     for k in range(steps):
         x = x + rng.multivariate_normal(np.zeros(2), q_true)
         y = x + rng.multivariate_normal(np.zeros(2), r)
-        try:
-            fs = replace(fs, a_diag=ukf.adapt_q(fs))
-        except ukf.InsufficientSamples:
-            pass
+        fs = replace(fs, a_diag=ukf.adapt_q(fs))
         fs = ukf.predict(fs, model, None, noise)
         fs = ukf.update(fs, model, y, noise)
         if k > 200:
@@ -280,28 +271,22 @@ def test_adapt_q_grows_under_process_noise_mismatch():
 
 def test_adapt_q_insufficient_samples():
     fs = ukf.FilterState.initial(np.zeros(2), np.eye(2))
-    with pytest.raises(ukf.InsufficientSamples):
-        ukf.adapt_q(fs)
+    assert ukf.adapt_q(fs) is fs.a_diag
 
 
-@pytest.mark.parametrize("settings", [
-    {"window": 0}, {"window": 1},
-    {"a_min": 0.0}, {"a_min": -1.0}, {"a_min": 2.0, "a_max": 1.0},
-    {"a_min": float("nan")},
-    {"gain": 0.0}, {"gain": 1.5},
-    {"leak": -0.1}, {"leak": 1.0},
-], ids=["window_0", "window_1", "a_min_0", "a_min_negative",
-        "a_min_above_a_max", "a_min_nan", "gain_0", "gain_above_1",
-        "leak_negative", "leak_1"])
-def test_adaptation_config_rejects_values_that_break_adapt_q(settings):
-    with pytest.raises(ValueError):
-        ukf.AdaptationConfig(**settings)
-
-
-def test_adaptation_config_accepts_boundaries():
-    cfg = ukf.AdaptationConfig(window=2, a_min=1.0, a_max=1.0, gain=1.0,
-                               leak=0.0)
-    assert cfg.window == 2
+def test_adapt_q_runs_once_update_fills_the_window():
+    # update's ring buffer and adapt_q read the one window length
+    model = linear_model(np.eye(2), np.eye(2))
+    noise = ukf.NoiseSpec(q=0.01 * np.eye(2), r=0.1 * np.eye(2))
+    fs = ukf.FilterState.initial(np.zeros(2), np.eye(2))
+    ys = np.random.default_rng(2).normal(size=(ukf.ADAPT_WINDOW, 2))
+    for y in ys[:-1]:
+        fs = ukf.update(ukf.predict(fs, model, None, noise), model, y, noise)
+    assert ukf.adapt_q(fs) is fs.a_diag
+    fs = ukf.update(ukf.predict(fs, model, None, noise), model, ys[-1], noise)
+    a_new = ukf.adapt_q(fs)
+    assert a_new is not fs.a_diag
+    assert not np.array_equal(a_new, fs.a_diag)
 
 
 def test_adapt_q_respects_clamp():
@@ -309,17 +294,15 @@ def test_adapt_q_respects_clamp():
     model = linear_model(np.eye(1), np.eye(1))
     noise = ukf.NoiseSpec(q=np.eye(1) * 1e-8, r=np.eye(1) * 1e-4)
     fs = ukf.FilterState.initial(np.zeros(1), np.eye(1))
-    cfg = ukf.AdaptationConfig(window=10)
-    for _ in range(60):
+    reached_max = False
+    for _ in range(ukf.ADAPT_WINDOW + 60):
         fs = ukf.predict(fs, model, None, noise)
-        fs = ukf.update(fs, model, rng.normal(size=1) * 10, noise,
-                        residual_window=cfg.window)
-        try:
-            fs = replace(fs, a_diag=ukf.adapt_q(fs, cfg))
-        except ukf.InsufficientSamples:
-            continue
-        assert np.all(fs.a_diag >= cfg.a_min)
-        assert np.all(fs.a_diag <= cfg.a_max)
+        fs = ukf.update(fs, model, rng.normal(size=1) * 10, noise)
+        fs = replace(fs, a_diag=ukf.adapt_q(fs))
+        assert np.all(fs.a_diag >= ukf.A_MIN)
+        assert np.all(fs.a_diag <= ukf.A_MAX)
+        reached_max |= bool(np.any(fs.a_diag == ukf.A_MAX))
+    assert reached_max
 
 
 # --- fuzzy supervisor -------------------------------------------------------
