@@ -2,12 +2,11 @@
 
 from .dynamics import SoilParams, VehicleParams
 from .estimator import TractionEstimator, TractionInput, TractionMeasurement
-from .mapping import GroundMap, InterpolationConfig
+from .mapping import GroundMap
 from .sim import ScenarioSpec, simulate
 
 __all__ = [
     "GroundMap",
-    "InterpolationConfig",
     "ScenarioSpec",
     "SoilParams",
     "TractionEstimator",

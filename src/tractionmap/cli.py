@@ -30,7 +30,7 @@ from .estimator import (
     TractionInput,
     TractionMeasurement,
 )
-from .mapping import GroundMap, InterpolationConfig
+from .mapping import GroundMap
 from .sim import STUBBLE_FAMILY, TelemetrySample, TruthRecord
 
 BURN_IN_S = 2.0            # discard this much after the start
@@ -44,12 +44,11 @@ class DegenerateVariance(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One pipeline run's arguments; ``interpolation=None`` skips the sweep."""
+    """One pipeline run's arguments."""
 
     scenario_path: str
     out_dir: str = "out"
     seed: int | None = None
-    interpolation: InterpolationConfig | None = InterpolationConfig()
     resolution: float = 1.0
 
     def __post_init__(self) -> None:
@@ -62,7 +61,7 @@ class SoilMetrics:
     true_a: float
     true_rho_s: float
     identified_a: float | None
-    mu_error_pct: float
+    mu_error_pct: float | None
     r_squared: float | None
     samples: int
 
@@ -70,7 +69,7 @@ class SoilMetrics:
 @dataclass(frozen=True)
 class MetricsReport:
     per_soil: tuple[SoilMetrics, ...]
-    rho_s_error_pct: float
+    rho_s_error_pct: float | None
     coverage: float
     coverage_interpolated: float | None
     runtime_s: float
@@ -170,6 +169,7 @@ def compute_metrics(records: list[EstimateRecord],
     Estimation records start one sample after the truth log (the first
     sample only initializes the filter), so truth[i+1] pairs with
     records[i]; raises ValueError when the logs do not align that way.
+    A percentage error whose truth sum is zero is None.
     """
     _aligned_truth(records, truth)
     # burn-in always drops truth[0], the sample without a record
@@ -200,7 +200,7 @@ def compute_metrics(records: list[EstimateRecord],
                 scales.append(est.curve_scale)
             rho_err_sum += abs(est.rho_s - soil.rho_s)
             rho_true_sum += soil.rho_s
-        mu_error_pct = 100.0 * err_sum / true_sum if true_sum > 0 else float("nan")
+        mu_error_pct = 100.0 * err_sum / true_sum if true_sum > 0 else None
 
         identified_a = float(np.mean(scales)) if scales else None
         if identified_a is not None:
@@ -216,7 +216,7 @@ def compute_metrics(records: list[EstimateRecord],
             mu_error_pct=mu_error_pct, r_squared=r2, samples=len(idx)))
 
     rho_s_error_pct = (100.0 * rho_err_sum / rho_true_sum
-                       if rho_true_sum > 0 else float("nan"))
+                       if rho_true_sum > 0 else None)
     return MetricsReport(
         per_soil=tuple(per_soil),
         rho_s_error_pct=rho_s_error_pct,
@@ -366,16 +366,21 @@ def _write_map_layers(gmap: GroundMap, out: Path, prefix: str) -> list[Path]:
     return paths
 
 
+def _fmt(x: float | None, template: str) -> str:
+    """``template.format(x)``, or ``n/a`` for a metric that is None."""
+    return "n/a" if x is None else template.format(x)
+
+
 def format_metrics(report: MetricsReport) -> str:
     lines = ["traction parameter identification metrics",
              "-" * 44]
     for s in report.per_soil:
-        ident = "n/a" if s.identified_a is None else f"{s.identified_a:.4f}"
-        r2 = "n/a" if s.r_squared is None else f"{s.r_squared:.4f}"
         lines.append(
-            f"{s.label}: true a={s.true_a:.3f} identified a={ident} "
-            f"mu error={s.mu_error_pct:.2f}% R^2={r2} ({s.samples} samples)")
-    lines.append(f"rho_s error: {report.rho_s_error_pct:.2f}%")
+            f"{s.label}: true a={s.true_a:.3f} "
+            f"identified a={_fmt(s.identified_a, '{:.4f}')} "
+            f"mu error={_fmt(s.mu_error_pct, '{:.2f}%')} "
+            f"R^2={_fmt(s.r_squared, '{:.4f}')} ({s.samples} samples)")
+    lines.append(f"rho_s error: {_fmt(report.rho_s_error_pct, '{:.2f}%')}")
     lines.append(f"map coverage: {report.coverage:.4f}")
     if report.coverage_interpolated is not None:
         lines.append(f"map coverage (interpolated): "
@@ -387,21 +392,17 @@ def format_metrics(report: MetricsReport) -> str:
 
 def _estimate_map_score(samples: list[TelemetrySample],
                         truth: list[TruthRecord] | None, vehicle,
-                        out_dir, t0: float, resolution: float,
-                        interpolation: InterpolationConfig | None
+                        out_dir, t0: float, resolution: float
                         ) -> MetricsReport | None:
-    """The stages ``run`` and ``replay`` share: estimate, map, interpolate
-    (unless ``interpolation`` is None), write, then score against
-    ``truth`` when it is given.
+    """The stages ``run`` and ``replay`` share: estimate, map, interpolate,
+    write, then score against ``truth`` when it is given.
 
     The output directory is created only once every result is in hand, so
     a failed stage leaves none behind.  ``runtime_s`` counts from ``t0``.
     """
     records, est = run_estimation(samples, vehicle)
     raw_map = build_map(records, resolution=resolution)
-    interp_map = None
-    if raw_map is not None and interpolation is not None:
-        interp_map = mapping.interpolate(raw_map, interpolation)
+    interp_map = None if raw_map is None else mapping.interpolate(raw_map)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -420,7 +421,7 @@ def _estimate_map_score(samples: list[TelemetrySample],
                              runtime_s=time.perf_counter() - t0,
                              clamp_violations=est.clamp_violations)
     with open(out / "metrics.json", "w") as fh:
-        json.dump(asdict(report), fh, indent=1)
+        json.dump(asdict(report), fh, indent=1, allow_nan=False)
     with open(out / "metrics.txt", "w") as fh:
         fh.write(format_metrics(report))
     return report
@@ -441,7 +442,7 @@ def _run_scenario(scenario: sim.ScenarioSpec, config: RunConfig,
     samples, truth = sim.simulate(scenario)
     report = _estimate_map_score(
         samples, truth, scenario.vehicle, config.out_dir, t0,
-        config.resolution, config.interpolation)
+        config.resolution)
     out = Path(config.out_dir)
     sim.write_telemetry_csv(samples, out / "telemetry.csv")
     sim.write_truth_csv(truth, out / "truth.csv")
@@ -483,16 +484,15 @@ def _load_replay_inputs(telemetry_path, truth_path, resolution: float
 
 
 def replay(telemetry_path, out_dir, truth_path=None,
-           interpolation: InterpolationConfig | None = InterpolationConfig(),
            resolution: float = 1.0) -> MetricsReport | None:
-    """Re-run estimation on a recorded telemetry CSV, interpolating unless
-    ``interpolation`` is None; score it only when the truth CSV is given.
-    Every input is read and checked before the first stage runs."""
+    """Re-run estimation on a recorded telemetry CSV; score it only when
+    the truth CSV is given.  Every input is read and checked before the
+    first stage runs."""
     t0 = time.perf_counter()
     samples, truth = _load_replay_inputs(telemetry_path, truth_path,
                                          resolution)
     return _estimate_map_score(samples, truth, VehicleParams(), out_dir, t0,
-                               resolution, interpolation)
+                               resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -517,21 +517,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="scenario YAML file")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--eps-low", type=float, default=None)
-    p_run.add_argument("--eps-mid", type=float, default=None)
-    p_run.add_argument("--eps-high", type=float, default=None)
-    p_run.add_argument("--w-low", type=float, default=None)
-    p_run.add_argument("--w-mid", type=float, default=None)
-    p_run.add_argument("--w-high", type=float, default=None)
     p_run.add_argument("--resolution", type=float, default=1.0)
-    p_run.add_argument("--no-interpolate", action="store_true")
 
     p_rep = sub.add_parser("replay", help="re-run estimation on telemetry")
     p_rep.add_argument("telemetry", help="telemetry CSV file")
     p_rep.add_argument("--truth", default=None, help="aligned truth CSV")
     p_rep.add_argument("--out", default="out", help="output directory")
     p_rep.add_argument("--resolution", type=float, default=1.0)
-    p_rep.add_argument("--no-interpolate", action="store_true")
 
     p_exp = sub.add_parser("export-map", help="export one layer of a saved map")
     p_exp.add_argument("state", help="map state JSON from a previous run")
@@ -541,24 +533,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _interpolation_from_args(args) -> InterpolationConfig:
-    overrides = {name: getattr(args, name)
-                 for name in ("eps_low", "eps_mid", "eps_high",
-                              "w_low", "w_mid", "w_high")
-                 if getattr(args, name) is not None}
-    return replace(InterpolationConfig(), **overrides)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "run":
         t0 = time.perf_counter()
         try:
-            interp = _interpolation_from_args(args)
             config = RunConfig(
                 scenario_path=args.scenario, out_dir=args.out, seed=args.seed,
-                interpolation=None if args.no_interpolate else interp,
                 resolution=args.resolution)
             # validated, with the seed override, before touching outputs
             scenario = _load_run_scenario(config)
@@ -583,9 +565,8 @@ def main(argv=None) -> int:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 1
         try:
-            interp = None if args.no_interpolate else InterpolationConfig()
             report = _estimate_map_score(samples, truth, VehicleParams(),
-                                         args.out, t0, args.resolution, interp)
+                                         args.out, t0, args.resolution)
         except Exception as exc:
             print(f"pipeline error: {exc}", file=sys.stderr)
             return 2

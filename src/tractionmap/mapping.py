@@ -27,28 +27,13 @@ def check_resolution(resolution: float) -> None:
         raise ValueError("resolution must be positive and finite")
 
 
-@dataclass(frozen=True)
-class InterpolationConfig:
-    """Three search thresholds (meters) with their band weights.
-
-    Bands, in cells after dividing by the map resolution:
-      high:  d <= eps_high
-      mid:   eps_high < d <= eps_mid
-      low:   eps_mid  < d <= eps_low
-    """
-
-    eps_low: float = 10.0
-    eps_mid: float = 5.0
-    eps_high: float = 1.5
-    w_low: float = 0.1
-    w_mid: float = 0.5
-    w_high: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not self.eps_low > self.eps_mid > self.eps_high > 0.0:
-            raise ValueError("thresholds must satisfy eps_low > eps_mid > eps_high > 0")
-        if not 0.0 < self.w_low < self.w_mid < self.w_high:
-            raise ValueError("weights must satisfy 0 < w_low < w_mid < w_high")
+# Interpolation search thresholds (meters) and their band weights.  In
+# cells, after dividing by the map resolution, the bands are
+#   high:  d <= EPS_HIGH
+#   mid:   EPS_HIGH < d <= EPS_MID
+#   low:   EPS_MID  < d <= EPS_LOW
+EPS_LOW, EPS_MID, EPS_HIGH = 10.0, 5.0, 1.5
+W_LOW, W_MID, W_HIGH = 0.1, 0.5, 4.0
 
 
 @dataclass
@@ -190,15 +175,14 @@ def _band_offsets(d_min_excl: float, d_max_incl: float) -> list[tuple[int, int]]
 TILE_CELLS = 8192
 
 
-def interpolate(gmap: GroundMap,
-                cfg: InterpolationConfig = InterpolationConfig()) -> GroundMap:
+def interpolate(gmap: GroundMap) -> GroundMap:
     """Banded-distance interpolation/extrapolation over the whole grid.
 
     Returns a new map; the input is read only.  For each cell, each band's
     mean of non-empty source cells is weighted and the result normalized
     by the total weight of contributing bands (a weighted average, so a
     constant field is reproduced exactly and outputs stay within the
-    per-layer source range).  Cells with no source within eps_low stay
+    per-layer source range).  Cells with no source within EPS_LOW stay
     empty.  The high band includes d = 0, so a filled cell contributes to
     itself.
 
@@ -215,13 +199,13 @@ def interpolate(gmap: GroundMap,
         raise ValueError("map has no recorded cells")
     res = gmap.resolution
     bands = [
-        (_band_offsets(-1.0, cfg.eps_high / res), cfg.w_high),
-        (_band_offsets(cfg.eps_high / res, cfg.eps_mid / res), cfg.w_mid),
-        (_band_offsets(cfg.eps_mid / res, cfg.eps_low / res), cfg.w_low),
+        (_band_offsets(-1.0, EPS_HIGH / res), W_HIGH),
+        (_band_offsets(EPS_HIGH / res, EPS_MID / res), W_MID),
+        (_band_offsets(EPS_MID / res, EPS_LOW / res), W_LOW),
     ]
 
     w, l = gmap.shape
-    reach = int(np.floor(cfg.eps_low / res))
+    reach = int(np.floor(EPS_LOW / res))
     rows = np.flatnonzero(filled.any(axis=1))
     cols = np.flatnonzero(filled.any(axis=0))
     i0, i1 = max(rows[0] - reach, 0), min(rows[-1] + 1 + reach, w)

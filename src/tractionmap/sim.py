@@ -99,7 +99,8 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class DrawbarProfile:
-    """Drawbar pull F_dx(t): ramped constant plus optional sinusoid."""
+    """Drawbar pull F_dx(t): ramped constant plus optional sinusoid, never
+    below 0; the constant and the sinusoid's amplitude are non-negative."""
 
     constant: float = 15000.0
     ramp_time: float = 2.0
@@ -110,6 +111,9 @@ class DrawbarProfile:
         for name in ("constant", "ramp_time", "sin_amplitude", "sin_period"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"drawbar {name} must be finite")
+        for name in ("constant", "sin_amplitude"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"drawbar {name} must not be negative")
         if self.sin_amplitude > 0.0 and not self.sin_period > 0.0:
             raise ValueError("sin_period must be positive when sin_amplitude > 0")
 
@@ -455,16 +459,24 @@ def load_scenario(path) -> ScenarioSpec:
     """Build a ScenarioSpec from a YAML scenario file.
 
     Every section is optional except ``field`` (extent, default_soil) and
-    ``path``; omitted keys fall back to the defaults above.
+    ``path``; omitted keys fall back to the defaults above.  Raises
+    ValueError on a file that is not YAML or whose top level or ``field``
+    is not a mapping.
     """
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"scenario file {path} is not valid YAML: "
+                             f"{exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"scenario file {path} is not a mapping")
 
     veh = VehicleParams(**raw.get("vehicle", {}))
 
     fld = raw["field"]
+    if not isinstance(fld, dict):
+        raise ValueError("scenario field is not a mapping")
     regions = tuple(
         (Rect(*map(float, reg["rect"])), _soil_from_mapping(reg["soil"]))
         for reg in fld.get("regions", []))

@@ -77,10 +77,15 @@ from tractionmap.estimator import (
     process_model,
 )
 from tractionmap.mapping import (
+    EPS_HIGH,
+    EPS_LOW,
+    EPS_MID,
     LAYER_NAMES,
     NUM_LAYERS,
+    W_HIGH,
+    W_LOW,
+    W_MID,
     GroundMap,
-    InterpolationConfig,
     _band_offsets,
     grow_to_include,
 )
@@ -315,15 +320,14 @@ def reference_simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], l
 # --- map layer: full-grid sweep and per-cell file I/O -------------------------
 
 
-def reference_interpolate(gmap: GroundMap,
-                          cfg: InterpolationConfig = InterpolationConfig()) -> GroundMap:
+def reference_interpolate(gmap: GroundMap) -> GroundMap:
     """Banded-distance interpolation/extrapolation over the whole grid.
 
     Returns a new map; the input is read only.  For each cell, each band's
     mean of non-empty source cells is weighted and the result normalized
     by the total weight of contributing bands (a weighted average, so a
     constant field is reproduced exactly and outputs stay within the
-    per-layer source range).  Cells with no source within eps_low stay
+    per-layer source range).  Cells with no source within EPS_LOW stay
     empty.  The high band includes d = 0, so a filled cell contributes to
     itself.
     """
@@ -331,13 +335,13 @@ def reference_interpolate(gmap: GroundMap,
         raise ValueError("map has no recorded cells")
     res = gmap.resolution
     bands = [
-        (_band_offsets(-1.0, cfg.eps_high / res), cfg.w_high),
-        (_band_offsets(cfg.eps_high / res, cfg.eps_mid / res), cfg.w_mid),
-        (_band_offsets(cfg.eps_mid / res, cfg.eps_low / res), cfg.w_low),
+        (_band_offsets(-1.0, EPS_HIGH / res), W_HIGH),
+        (_band_offsets(EPS_HIGH / res, EPS_MID / res), W_MID),
+        (_band_offsets(EPS_MID / res, EPS_LOW / res), W_LOW),
     ]
 
     w, l = gmap.shape
-    reach = int(np.floor(cfg.eps_low / res))
+    reach = int(np.floor(EPS_LOW / res))
     filled = gmap.counts > 0
     src = np.where(filled[..., None], gmap.values, 0.0)
     pad_vals = np.pad(src, ((reach, reach), (reach, reach), (0, 0)))

@@ -221,7 +221,6 @@ def test_criterion_5_inversion_round_trip():
 # --- criterion 6: interpolation oracle ---------------------------------------------
 
 def test_criterion_6_interpolation_oracle():
-    cfg = mapping.InterpolationConfig()
     worst = 0.0
     hull_ok = True
     idem_ok = True
@@ -232,11 +231,11 @@ def test_criterion_6_interpolation_oracle():
             i, j = rng.integers(0, 40, 2)
             gmap.counts[i, j] += 1
             gmap.values[i, j] = rng.uniform(0.0, 1.0, mapping.NUM_LAYERS)
-        out = mapping.interpolate(gmap, cfg)
+        out = mapping.interpolate(gmap)
         ref_vals, ref_counts = brute_force_interpolate(
             gmap.values, gmap.counts, gmap.resolution,
-            (cfg.eps_low, cfg.eps_mid, cfg.eps_high),
-            (cfg.w_low, cfg.w_mid, cfg.w_high))
+            (mapping.EPS_LOW, mapping.EPS_MID, mapping.EPS_HIGH),
+            (mapping.W_LOW, mapping.W_MID, mapping.W_HIGH))
         assert np.array_equal(out.counts > 0, ref_counts > 0)
         worst = max(worst, float(np.abs(out.values - ref_vals).max()))
 
@@ -253,7 +252,7 @@ def test_criterion_6_interpolation_oracle():
         const = mapping.GroundMap.empty((0.0, 0.0), 1.0, 40, 40)
         const.counts[filled] = 1
         const.values[filled] = 0.42
-        once = mapping.interpolate(const, cfg)
+        once = mapping.interpolate(const)
         idem_ok &= bool(np.allclose(once.values[once.counts > 0], 0.42,
                                     atol=1e-12))
 

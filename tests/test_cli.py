@@ -1,3 +1,4 @@
+import copy
 import csv
 import importlib.util
 import json
@@ -209,13 +210,26 @@ def test_timeseries_pairs_truth_with_estimates(scenario_file, tmp_path):
         assert abs(float(row["mu1_true"]) - float(row["mu1_est"])) < 0.02
 
 
-def test_run_with_interpolation_disabled(scenario_file, tmp_path):
+def test_zero_rho_s_metrics_are_strict_json(tmp_path):
+    # every soil has rho_s = 0, so the rho_s percentage error has no truth
+    # to divide by: it is null in metrics.json and n/a in metrics.txt
+    scenario = copy.deepcopy(SMALL_SCENARIO)
+    scenario["field"]["default_soil"]["rho_s"] = 0.0
+    for region in scenario["field"]["regions"]:
+        region["soil"]["rho_s"] = 0.0
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(scenario))
     out = tmp_path / "out"
-    report = cli.run(RunConfig(scenario_path=str(scenario_file),
-                               out_dir=str(out), interpolation=None))
-    assert report.coverage_interpolated is None
-    assert not (out / "map_a.csv").exists()
-    assert (out / "map_raw_a.csv").is_file()
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    metrics = json.loads((out / "metrics.json").read_text(),
+                         parse_constant=refuse)
+    assert metrics["rho_s_error_pct"] is None
+    assert all(s["mu_error_pct"] is not None for s in metrics["per_soil"])
+    assert "rho_s error: n/a\n" in (out / "metrics.txt").read_text()
 
 
 # --- command line -----------------------------------------------------------------
@@ -260,6 +274,10 @@ def test_run_with_interpolation_disabled(scenario_file, tmp_path):
                              "rect": [30.0, 0.0, 0.0, 20.0]},
                             SMALL_SCENARIO["field"]["regions"][1]]}}, []),
     ({"duration": 0.05}, []),
+    ("field: {extent: [120.0, 20.0]\n", []),
+    ({"field": 5}, []),
+    ({"drawbar": {"constant": -15000.0}}, []),
+    ({"drawbar": {"constant": 15000.0, "sin_amplitude": -3000.0}}, []),
 ], ids=["missing", "zero_sin_period", "negative_sigma", "nan_resolution",
         "inf_resolution", "nan_duration", "inf_duration", "nan_target_speed",
         "fractional_seed", "negative_seed_override", "negative_power_cap",
@@ -269,11 +287,17 @@ def test_run_with_interpolation_disabled(scenario_file, tmp_path):
         "wheels_heavier_than_vehicle", "wheel_count_field", "nan_waypoint",
         "inf_waypoint", "waypoint_beyond_length", "waypoint_below_width",
         "zero_length_path", "inf_sigma", "inverted_region",
-        "duration_below_sample_period"])
+        "duration_below_sample_period", "unclosed_brace_yaml",
+        "field_not_a_mapping", "negative_drawbar_constant",
+        "negative_drawbar_sin_amplitude"])
 def test_main_bad_scenario_no_partial_outputs(settings, options, tmp_path,
                                               capsys):
+    # ``settings`` replaces top-level keys of SMALL_SCENARIO, or is the
+    # whole file's text; None leaves the file missing
     path = tmp_path / "scenario.yaml"
-    if settings is not None:
+    if isinstance(settings, str):
+        path.write_text(settings)
+    elif settings is not None:
         path.write_text(yaml.safe_dump({**SMALL_SCENARIO, **settings}))
     out = tmp_path / "never"
     code = cli.main(["run", str(path), "--out", str(out), *options])
@@ -285,7 +309,10 @@ def test_main_bad_scenario_no_partial_outputs(settings, options, tmp_path,
 @pytest.mark.parametrize("argv", [
     ["export-map", "s.json", "--layer", "p"],
     ["run", str(THREE_SOIL), "--seed", "abc"],
-], ids=["unknown_layer", "text_seed"])
+    ["run", str(THREE_SOIL), "--eps-low", "0.5"],
+    ["replay", "t.csv", "--no-interpolate"],
+], ids=["unknown_layer", "text_seed", "band_flag",
+        "no_interpolate_flag"])
 def test_main_usage_error_is_configuration_error(argv, tmp_path, capsys):
     # argparse exits 2 on a usage error; 2 is the pipeline-error code here
     with pytest.raises(SystemExit) as exc:
@@ -301,14 +328,6 @@ def test_main_help_exits_zero(capsys):
         cli.main(["run", "--help"])
     assert exc.value.code == 0
     assert "usage: tractionmap run" in capsys.readouterr().out
-
-
-def test_main_rejects_bad_interpolation_override(scenario_file, tmp_path,
-                                                 capsys):
-    code = cli.main(["run", str(scenario_file), "--out",
-                     str(tmp_path / "o"), "--eps-low", "0.5"])
-    assert code == 1
-    assert not (tmp_path / "o").exists()
 
 
 def test_main_run_and_export_map(scenario_file, tmp_path, capsys):

@@ -21,7 +21,6 @@ from tractionmap.mapping import (
     LAYER_NAMES,
     NUM_LAYERS,
     GroundMap,
-    InterpolationConfig,
     grow_to_include,
     insert_auto,
     interpolate,
@@ -141,13 +140,6 @@ def test_insert_auto_grows():
 
 
 # --- interpolation ---------------------------------------------------------------
-
-def test_interpolation_config_validation():
-    with pytest.raises(ValueError):
-        InterpolationConfig(eps_low=1.0, eps_mid=5.0, eps_high=10.0)
-    with pytest.raises(ValueError):
-        InterpolationConfig(w_low=4.0, w_mid=0.5, w_high=0.1)
-
 
 def test_interpolate_requires_data():
     with pytest.raises(ValueError):
@@ -271,17 +263,17 @@ def _survey_track():
                               float(y + rng.normal(0.0, 0.05))))
             rows.append(VALS + rng.normal(0.0, 0.02, NUM_LAYERS))
     gmap = GroundMap.empty(origin=positions[0], resolution=0.5)
-    return insert_auto(gmap, positions, rows), InterpolationConfig()
+    return insert_auto(gmap, positions, rows)
 
 
-def _all_edges():
+def _all_edges(resolution=1.0):
     rng = np.random.default_rng(5)
-    gmap = make_map(width=30, length=20)
+    gmap = make_map(width=30, length=20, resolution=resolution)
     for i, j in [(0, 0), (0, 7), (0, 19), (13, 0), (29, 0), (29, 11),
                  (29, 19), (21, 19), (14, 9)]:
         gmap.counts[i, j] = 1 + rng.integers(0, 3)
         gmap.values[i, j] = rng.uniform(-1.0, 1.0, NUM_LAYERS)
-    return gmap, InterpolationConfig()
+    return gmap
 
 
 def _grown_negative():
@@ -289,25 +281,24 @@ def _grown_negative():
                        [(0.5, 0.5), (-7.3, -12.1), (3.2, -1.4), (-20.5, 4.9)],
                        np.outer([1.0, 1.3, 0.8, 1.1], VALS))
     assert gmap.origin[0] < 0.0 and gmap.origin[1] < 0.0
-    return gmap, InterpolationConfig()
+    return gmap
 
 
 def _one_cell():
     gmap = make_map(width=1, length=1)
     insert_auto(gmap, [(0.5, 0.5)], [VALS])
-    return gmap, InterpolationConfig()
+    return gmap
 
 
 def _high_band_only_self():
-    # eps_high below one cell: the high band is d = 0 alone
-    gmap, _ = _all_edges()
-    return gmap, InterpolationConfig(eps_low=6.0, eps_mid=2.5, eps_high=0.4)
+    # EPS_HIGH / 4 = 0.375 cells: the high band is d = 0 alone
+    return _all_edges(resolution=4.0)
 
 
 def _empty_mid_band():
-    # no integer distance lies in (1.2, 1.5]: the mid band has no offsets
-    gmap, _ = _all_edges()
-    return gmap, InterpolationConfig(eps_low=5.0, eps_mid=1.5, eps_high=1.2)
+    # no integer distance lies in (EPS_HIGH / 6, EPS_MID / 6] = (0.25, 0.83]:
+    # the mid band has no offsets
+    return _all_edges(resolution=6.0)
 
 
 MAP_CASES = [_survey_track, _all_edges, _grown_negative, _one_cell,
@@ -317,10 +308,10 @@ MAP_CASES = [_survey_track, _all_edges, _grown_negative, _one_cell,
 @pytest.mark.parametrize("case", MAP_CASES, ids=lambda f: f.__name__[1:])
 @pytest.mark.parametrize("tile_cells", [mapping.TILE_CELLS, 1, 50])
 def test_interpolate_bit_equal_to_reference(case, tile_cells, monkeypatch):
-    gmap, cfg = case()
+    gmap = case()
     monkeypatch.setattr(mapping, "TILE_CELLS", tile_cells)
-    out = interpolate(gmap, cfg)
-    ref = reference_interpolate(gmap, cfg)
+    out = interpolate(gmap)
+    ref = reference_interpolate(gmap)
     assert out.values.tobytes() == ref.values.tobytes()
     assert out.counts.dtype == ref.counts.dtype
     assert np.array_equal(out.counts, ref.counts)
@@ -328,14 +319,15 @@ def test_interpolate_bit_equal_to_reference(case, tile_cells, monkeypatch):
 
 
 def test_empty_mid_band_case_has_no_offsets():
-    _, cfg = _empty_mid_band()
-    assert mapping._band_offsets(cfg.eps_high, cfg.eps_mid) == []
+    res = _empty_mid_band().resolution
+    assert mapping._band_offsets(mapping.EPS_HIGH / res,
+                                 mapping.EPS_MID / res) == []
 
 
 @pytest.mark.parametrize("case", MAP_CASES, ids=lambda f: f.__name__[1:])
 def test_map_files_byte_equal_to_reference(case, tmp_path):
-    gmap, cfg = case()
-    for name, m in (("raw", gmap), ("interp", interpolate(gmap, cfg))):
+    gmap = case()
+    for name, m in (("raw", gmap), ("interp", interpolate(gmap))):
         for layer in LAYER_NAMES:
             new, ref = tmp_path / f"{name}_{layer}.csv", tmp_path / "ref.csv"
             mapping.export_layer_csv(m, layer, new)
