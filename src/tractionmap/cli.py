@@ -5,7 +5,9 @@ Subcommands:
   replay <telemetry.csv> re-run estimation on recorded telemetry
   export-map <state.json> --layer <name>  write one layer CSV from a saved map
 
-Exit codes: 0 success, 1 configuration error, 2 pipeline error.
+Exit codes: 0 success, 1 configuration error, 2 pipeline error.  ``run``
+and ``replay`` raise ConfigurationError for an input they refuse, before
+any stage runs; ``main`` maps that to exit 1 and any other error to exit 2.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -42,6 +45,21 @@ class DegenerateVariance(ValueError):
     """R-squared undefined: the reference curve is constant."""
 
 
+class ConfigurationError(ValueError):
+    """An input refused before any stage runs or anything is written."""
+
+
+@contextmanager
+def _refused_input():
+    """Raise what reading or checking an input raises as ConfigurationError:
+    a missing file, a malformed or out-of-range value, a missing key, a
+    wrong type or a malformed CSV."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
+        raise ConfigurationError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One pipeline run's arguments."""
@@ -52,7 +70,8 @@ class RunConfig:
     resolution: float = 1.0
 
     def __post_init__(self) -> None:
-        mapping.check_resolution(self.resolution)
+        with _refused_input():
+            mapping.check_resolution(self.resolution)
 
 
 @dataclass(frozen=True)
@@ -427,70 +446,54 @@ def _estimate_map_score(samples: list[TelemetrySample],
     return report
 
 
-def _load_run_scenario(config: RunConfig) -> sim.ScenarioSpec:
-    """The scenario file of ``config`` with its seed override applied."""
-    scenario = sim.load_scenario(config.scenario_path)
-    if config.seed is not None:
-        scenario = replace(scenario, seed=config.seed)
-    return scenario
+def run(config: RunConfig) -> MetricsReport:
+    """Load the scenario of ``config`` and run the whole pipeline on it:
+    simulate, the shared stages, then the telemetry and truth logs.
 
-
-def _run_scenario(scenario: sim.ScenarioSpec, config: RunConfig,
-                  t0: float) -> MetricsReport:
-    """Simulate the scenario, run the shared stages on its telemetry and
-    truth, and write those two logs next to the other outputs."""
+    Raises ConfigurationError, before any stage runs, when the scenario
+    file or the seed override is refused.
+    """
+    t0 = time.perf_counter()
+    with _refused_input():
+        scenario = sim.load_scenario(config.scenario_path)
+        if config.seed is not None:
+            scenario = replace(scenario, seed=config.seed)
     samples, truth = sim.simulate(scenario)
-    report = _estimate_map_score(
-        samples, truth, scenario.vehicle, config.out_dir, t0,
-        config.resolution)
+    report = _estimate_map_score(samples, truth, scenario.vehicle,
+                                 config.out_dir, t0, config.resolution)
     out = Path(config.out_dir)
     sim.write_telemetry_csv(samples, out / "telemetry.csv")
     sim.write_truth_csv(truth, out / "truth.csv")
     return report
 
 
-def run(config: RunConfig) -> MetricsReport:
-    """Load the scenario of ``config`` and run the whole pipeline on it."""
-    t0 = time.perf_counter()
-    return _run_scenario(_load_run_scenario(config), config, t0)
-
-
-def _load_replay_inputs(telemetry_path, truth_path, resolution: float
-                        ) -> tuple[list[TelemetrySample],
-                                   list[TruthRecord] | None]:
-    """The telemetry and truth (None without a path) a replay runs on.
-
-    Raises ValueError unless the resolution is valid, the telemetry holds
-    at least two samples whose ``t`` steps all lie within 1e-9 s of
-    ``SAMPLE_DT``, and the truth's ``t`` column equals the telemetry's;
-    the readers raise OSError or ValueError on a missing or malformed
-    file.
-    """
-    mapping.check_resolution(resolution)
-    samples = sim.read_telemetry_csv(telemetry_path)
-    if len(samples) < 2:
-        raise ValueError("telemetry must contain at least two samples")
-    for prev, cur in zip(samples, samples[1:]):
-        if not abs(cur.t - prev.t - SAMPLE_DT) <= 1e-9:  # NaN fails too
-            raise ValueError(
-                f"telemetry t steps from {prev.t!r} to {cur.t!r}; replay "
-                f"needs one sample every {SAMPLE_DT} s")
-    if truth_path is None:
-        return samples, None
-    truth = sim.read_truth_csv(truth_path)
-    if [tr.t for tr in truth] != [s.t for s in samples]:
-        raise ValueError("the truth log's t column is not the telemetry's")
-    return samples, truth
-
-
 def replay(telemetry_path, out_dir, truth_path=None,
            resolution: float = 1.0) -> MetricsReport | None:
     """Re-run estimation on a recorded telemetry CSV; score it only when
-    the truth CSV is given.  Every input is read and checked before the
-    first stage runs."""
+    the truth CSV is given.
+
+    Raises ConfigurationError, before any stage runs, unless the
+    resolution is valid, both files read, the telemetry holds at least two
+    samples whose ``t`` steps all lie within 1e-9 s of ``SAMPLE_DT``, and
+    the truth's ``t`` column equals the telemetry's.
+    """
     t0 = time.perf_counter()
-    samples, truth = _load_replay_inputs(telemetry_path, truth_path,
-                                         resolution)
+    with _refused_input():
+        mapping.check_resolution(resolution)
+        samples = sim.read_telemetry_csv(telemetry_path)
+        if len(samples) < 2:
+            raise ValueError("telemetry must contain at least two samples")
+        for prev, cur in zip(samples, samples[1:]):
+            if not abs(cur.t - prev.t - SAMPLE_DT) <= 1e-9:  # NaN fails too
+                raise ValueError(
+                    f"telemetry t steps from {prev.t!r} to {cur.t!r}; replay "
+                    f"needs one sample every {SAMPLE_DT} s")
+        truth = None
+        if truth_path is not None:
+            truth = sim.read_truth_csv(truth_path)
+            if [tr.t for tr in truth] != [s.t for s in samples]:
+                raise ValueError(
+                    "the truth log's t column is not the telemetry's")
     return _estimate_map_score(samples, truth, VehicleParams(), out_dir, t0,
                                resolution)
 
@@ -535,61 +538,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-
-    if args.command == "run":
-        t0 = time.perf_counter()
-        try:
-            config = RunConfig(
+    try:
+        if args.command == "run":
+            report = run(RunConfig(
                 scenario_path=args.scenario, out_dir=args.out, seed=args.seed,
-                resolution=args.resolution)
-            # validated, with the seed override, before touching outputs
-            scenario = _load_run_scenario(config)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            report = _run_scenario(scenario, config, t0)
-        except Exception as exc:  # pipeline errors surface verbatim
-            print(f"pipeline error: {exc}", file=sys.stderr)
-            return 2
-        print(format_metrics(report), end="")
-        return 0
-
-    if args.command == "replay":
-        t0 = time.perf_counter()
-        try:
-            # read and checked before any stage runs or output is written
-            samples, truth = _load_replay_inputs(args.telemetry, args.truth,
-                                                 args.resolution)
-        except (OSError, ValueError, csv.Error) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            report = _estimate_map_score(samples, truth, VehicleParams(),
-                                         args.out, t0, args.resolution)
-        except Exception as exc:
-            print(f"pipeline error: {exc}", file=sys.stderr)
-            return 2
-        if report is not None:
-            print(format_metrics(report), end="")
-        return 0
-
-    if args.command == "export-map":
-        try:
-            gmap = load_map_state(args.state)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 1
-        out = args.out or f"map_{args.layer}.csv"
-        try:
+                resolution=args.resolution))
+        elif args.command == "replay":
+            report = replay(args.telemetry, args.out, args.truth,
+                            args.resolution)
+        else:  # export-map
+            with _refused_input():
+                gmap = load_map_state(args.state)
+            report = None
+            out = args.out or f"map_{args.layer}.csv"
             mapping.export_layer_csv(gmap, args.layer, out)
-        except Exception as exc:
-            print(f"pipeline error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {out}")
-        return 0
-
-    return 1
+            print(f"wrote {out}")
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # pipeline errors surface verbatim
+        print(f"pipeline error: {exc}", file=sys.stderr)
+        return 2
+    if report is not None:
+        print(format_metrics(report), end="")
+    return 0
 
 
 if __name__ == "__main__":

@@ -70,23 +70,25 @@ class GroundMap:
 
 
 def grow_to_include(gmap: GroundMap, pos: tuple[float, float]) -> GroundMap:
-    """Reallocate (doubling per axis as needed) so ``pos`` falls inside.
+    """Reallocate so ``pos`` falls inside.
 
-    Growth keeps every recorded cell at its world position.  Positive
-    growth preserves the origin; indices below zero shift the origin down
-    by whole cells instead.
+    Per axis, a cell index at or past the far side doubles the span until
+    it fits; an index below zero extends the near side by the smallest
+    whole multiple of the current size that reaches it, in one step.
+    Growth keeps every recorded cell at its world position: growth on the
+    far side preserves the origin, growth below zero shifts it down by
+    whole cells.
     """
     i = int(np.floor((pos[0] - gmap.origin[0]) / gmap.resolution))
     j = int(np.floor((pos[1] - gmap.origin[1]) / gmap.resolution))
     w, l = gmap.shape
 
-    lo_i, hi_i, lo_j, hi_j = 0, w, 0, l
-    while i < lo_i:
-        lo_i -= max(w, 1)
+    # the largest multiple of the size at or below the index, capped at 0
+    lo_i = min(0, i // max(w, 1) * max(w, 1))
+    lo_j = min(0, j // max(l, 1) * max(l, 1))
+    hi_i, hi_j = w, l
     while i >= hi_i:
         hi_i += max(hi_i - lo_i, 1)
-    while j < lo_j:
-        lo_j -= max(l, 1)
     while j >= hi_j:
         hi_j += max(hi_j - lo_j, 1)
 

@@ -100,7 +100,8 @@ class FieldSpec:
 @dataclass(frozen=True)
 class DrawbarProfile:
     """Drawbar pull F_dx(t): ramped constant plus optional sinusoid, never
-    below 0; the constant and the sinusoid's amplitude are non-negative."""
+    below 0; the constant, the ramp time and the sinusoid's amplitude are
+    non-negative."""
 
     constant: float = 15000.0
     ramp_time: float = 2.0
@@ -111,7 +112,7 @@ class DrawbarProfile:
         for name in ("constant", "ramp_time", "sin_amplitude", "sin_period"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"drawbar {name} must be finite")
-        for name in ("constant", "sin_amplitude"):
+        for name in ("constant", "ramp_time", "sin_amplitude"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"drawbar {name} must not be negative")
         if self.sin_amplitude > 0.0 and not self.sin_period > 0.0:

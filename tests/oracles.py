@@ -19,6 +19,10 @@ arrays and file bytes exactly.  ``reference_build_map`` with
 ``OutOfBounds`` is the map build as it was before it became one bulk
 ``insert_auto`` call, one scalar insert per record, kept verbatim; the
 bulk build must reproduce its origin, values and counts exactly.
+``reference_grow_to_include`` is the growth as it was before the near
+side grew in one step instead of one map size per loop step, kept
+verbatim; the shipped growth must reproduce its origin, shape, values and
+counts exactly.
 ``reference_process_model``,
 ``reference_sigma_points``, ``reference_predict``, ``reference_update``,
 ``reference_adapt_q``, ``reference_dynamics_intensity`` and
@@ -455,6 +459,34 @@ def reference_insert_auto(gmap: GroundMap, pos: tuple[float, float], values) -> 
     except OutOfBounds:
         gmap = grow_to_include(gmap, pos)
         return insert(gmap, pos, values)
+
+
+def reference_grow_to_include(gmap: GroundMap,
+                              pos: tuple[float, float]) -> GroundMap:
+    """Reallocate so ``pos`` falls inside, growing below zero by one size
+    per loop step (|index| / size steps)."""
+    i = int(np.floor((pos[0] - gmap.origin[0]) / gmap.resolution))
+    j = int(np.floor((pos[1] - gmap.origin[1]) / gmap.resolution))
+    w, l = gmap.shape
+
+    lo_i, hi_i, lo_j, hi_j = 0, w, 0, l
+    while i < lo_i:
+        lo_i -= max(w, 1)
+    while i >= hi_i:
+        hi_i += max(hi_i - lo_i, 1)
+    while j < lo_j:
+        lo_j -= max(l, 1)
+    while j >= hi_j:
+        hi_j += max(hi_j - lo_j, 1)
+
+    new = GroundMap.empty(
+        origin=(gmap.origin[0] + lo_i * gmap.resolution,
+                gmap.origin[1] + lo_j * gmap.resolution),
+        resolution=gmap.resolution,
+        width=hi_i - lo_i, length=hi_j - lo_j)
+    new.values[-lo_i:-lo_i + w, -lo_j:-lo_j + l] = gmap.values
+    new.counts[-lo_i:-lo_i + w, -lo_j:-lo_j + l] = gmap.counts
+    return new
 
 
 def reference_build_map(records: list[EstimateRecord],

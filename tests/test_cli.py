@@ -16,6 +16,7 @@ import yaml
 from oracles import THREE_SOIL, import_layer_csv, three_soils
 from tractionmap import cli, mapping, sim
 from tractionmap.cli import (
+    ConfigurationError,
     DegenerateVariance,
     MetricsReport,
     RunConfig,
@@ -278,6 +279,8 @@ def test_zero_rho_s_metrics_are_strict_json(tmp_path):
     ({"field": 5}, []),
     ({"drawbar": {"constant": -15000.0}}, []),
     ({"drawbar": {"constant": 15000.0, "sin_amplitude": -3000.0}}, []),
+    ({"drawbar": {"constant": 15000.0, "ramp_time": -5.0,
+                  "sin_amplitude": 1000.0, "sin_period": 10.0}}, []),
 ], ids=["missing", "zero_sin_period", "negative_sigma", "nan_resolution",
         "inf_resolution", "nan_duration", "inf_duration", "nan_target_speed",
         "fractional_seed", "negative_seed_override", "negative_power_cap",
@@ -289,7 +292,7 @@ def test_zero_rho_s_metrics_are_strict_json(tmp_path):
         "zero_length_path", "inf_sigma", "inverted_region",
         "duration_below_sample_period", "unclosed_brace_yaml",
         "field_not_a_mapping", "negative_drawbar_constant",
-        "negative_drawbar_sin_amplitude"])
+        "negative_drawbar_sin_amplitude", "negative_drawbar_ramp_time"])
 def test_main_bad_scenario_no_partial_outputs(settings, options, tmp_path,
                                               capsys):
     # ``settings`` replaces top-level keys of SMALL_SCENARIO, or is the
@@ -560,6 +563,101 @@ def test_main_pipeline_error_exit_code(tmp_path, capsys):
     code = cli.main(["run", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "pipeline error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _far_growth_argv(case, short_logs, tmp_path) -> list[str]:
+    """Arguments of a command whose map must grow about 1e300 cells below
+    its origin."""
+    if case == "replay_resolution_1e-300":
+        telemetry = tmp_path / "telemetry.csv"
+        sim.write_telemetry_csv(short_logs[0], telemetry)
+        return ["replay", str(telemetry), "--resolution", "1e-300"]
+    raw = yaml.safe_load(THREE_SOIL.read_text())
+    raw["duration"] = 5.0
+    raw["noise"] = {**raw.get("noise", {}), "sigma_pos": 1e300}
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return ["run", str(path)]
+
+
+@pytest.mark.parametrize("case", ["replay_resolution_1e-300",
+                                  "run_sigma_pos_1e300"])
+def test_far_map_growth_ends_as_pipeline_error(case, short_logs, tmp_path):
+    # the grid such a growth asks for cannot be allocated; growing below
+    # the origin one map size per loop step used to run for |index| / size
+    # steps, so both commands hung instead
+    out = tmp_path / "never"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tractionmap.cli",
+         *_far_growth_argv(case, short_logs, tmp_path), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "pipeline error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+# --- library boundary ---------------------------------------------------------------
+
+@pytest.mark.parametrize("settings, seed, resolution", [
+    (None, None, 1.0),
+    ({"drawbar": {"constant": 15000.0, "ramp_time": -5.0}}, None, 1.0),
+    ({"vehicle": {"wheel_count": 2}}, None, 1.0),
+    ("field: {extent: [120.0, 20.0]\n", None, 1.0),
+    ({}, -1, 1.0),
+    ({}, None, float("nan")),
+    ({}, None, 0.0),
+], ids=["missing", "negative_ramp_time", "unknown_vehicle_field",
+        "unclosed_brace_yaml", "negative_seed", "nan_resolution",
+        "zero_resolution"])
+def test_run_refuses_input_with_configuration_error(settings, seed,
+                                                    resolution, tmp_path):
+    path = tmp_path / "scenario.yaml"
+    if isinstance(settings, str):
+        path.write_text(settings)
+    elif settings is not None:
+        path.write_text(yaml.safe_dump({**SMALL_SCENARIO, **settings}))
+    out = tmp_path / "never"
+    with pytest.raises(ConfigurationError):
+        cli.run(RunConfig(scenario_path=str(path), out_dir=str(out),
+                          seed=seed, resolution=resolution))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda tel, tr: tel.unlink(),
+    lambda tel, tr: tel.write_text("t,x\n0.0,1.0\n"),
+    lambda tel, tr: _edit_line(tel, 5, lambda l: "abc" + l[l.index(","):]),
+    lambda tel, tr: tr.unlink(),
+    lambda tel, tr: _edit_line(tr, 3, lambda l: l.replace(",", ";")),
+    lambda tel, tr: tr.write_text('"unclosed\n'),
+], ids=["telemetry_missing", "telemetry_header", "telemetry_text_cell",
+        "truth_missing", "truth_malformed_row", "truth_unclosed_quote"])
+def test_replay_refuses_input_with_configuration_error(spoil, short_logs,
+                                                       tmp_path):
+    telemetry, truth = tmp_path / "telemetry.csv", tmp_path / "truth.csv"
+    sim.write_telemetry_csv(short_logs[0], telemetry)
+    sim.write_truth_csv(short_logs[1], truth)
+    spoil(telemetry, truth)
+    out = tmp_path / "never"
+    with pytest.raises(ConfigurationError):
+        cli.replay(telemetry, out, truth)
+    assert not out.exists()
+
+
+def test_stage_failure_is_not_a_configuration_error(tmp_path):
+    # the infeasible drawbar of test_main_pipeline_error_exit_code: the
+    # scenario loads, the plant cannot pull it
+    bad = {**SMALL_SCENARIO, "drawbar": {"constant": 60000.0,
+                                         "ramp_time": 0.0}}
+    path = tmp_path / "infeasible.yaml"
+    path.write_text(yaml.safe_dump(bad))
+    with pytest.raises(Exception) as exc:
+        cli.run(RunConfig(scenario_path=str(path),
+                          out_dir=str(tmp_path / "o")))
+    assert not isinstance(exc.value, ConfigurationError)
     assert not (tmp_path / "o").exists()
 
 

@@ -1,0 +1,31 @@
+"""Every output of the three-soil case study matches its golden digest.
+
+``tests/golden/three_soil.json`` holds the sha256 of the 26 files that
+``tractionmap run scenarios/three_soil.yaml``, ``replay --truth`` and
+``replay --resolution 0.25`` write, runtime lines left out.  A change
+that moves outputs on purpose regenerates it with
+``python scripts/golden_digests.py`` and lists the moved files.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "golden_digests", ROOT / "scripts" / "golden_digests.py")
+golden_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_digests)
+
+
+def test_three_soil_outputs_match_golden_digests(tmp_path):
+    golden = json.loads(golden_digests.GOLDEN.read_text())
+    got = golden_digests.digests(tmp_path)
+    assert len(golden["sha256"]) == 26
+    moved = sorted(name for name in golden["sha256"].keys() | got.keys()
+                   if golden["sha256"].get(name) != got.get(name))
+    made = f"Python {golden['python']}, numpy {golden['numpy']}"
+    now = golden_digests.versions()
+    assert not moved, (
+        f"outputs moved: {', '.join(moved)}; digests made with {made}, "
+        f"this run has Python {now['python']}, numpy {now['numpy']}")

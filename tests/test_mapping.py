@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -129,6 +129,27 @@ def test_grow_handles_negative_indices():
     i, j = world_to_grid((0.5, 0.5), grown)
     assert np.allclose(grown.values[i, j], VALS)
     assert world_to_grid((-3.0, -1.0), grown)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 6), length=st.integers(1, 6),
+       resolution=st.sampled_from([0.25, 1.0, 3.0]),
+       x=st.floats(-40.0, 40.0), y=st.floats(-40.0, 40.0))
+# cell indices an exact multiple of the grid size below the origin
+@example(width=4, length=1, resolution=1.0, x=-2.5, y=-3.0)
+@example(width=4, length=3, resolution=1.0, x=-6.5, y=-5.0)
+def test_grow_matches_reference_loop(width, length, resolution, x, y):
+    # positions below, inside and past the grid on either axis
+    gmap = make_map(width, length, origin=(1.5, -2.0), resolution=resolution)
+    rng = np.random.default_rng(7 * width + length)
+    gmap.counts[...] = rng.integers(0, 3, gmap.shape)
+    gmap.values[...] = rng.random(gmap.values.shape)
+    got = grow_to_include(gmap, (x, y))
+    want = oracles.reference_grow_to_include(gmap, (x, y))
+    assert got.origin == want.origin
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.values, want.values)
+    np.testing.assert_array_equal(got.counts, want.counts)
 
 
 def test_insert_auto_grows():
