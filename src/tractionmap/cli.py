@@ -339,13 +339,9 @@ def load_map_state(path) -> GroundMap:
         raise ValueError("map origin must be two finite numbers")
     if state["layers"] != list(mapping.LAYER_NAMES):
         raise ValueError(f"map layers must be {list(mapping.LAYER_NAMES)}")
-    try:
-        gmap = GroundMap.empty(origin=tuple(origin),
-                               resolution=state["resolution"],
-                               width=state["width"], length=state["length"])
-    except MemoryError as exc:
-        raise ValueError(f"map grid of {state['width']} x {state['length']} "
-                         f"cells cannot be allocated: {exc}") from exc
+    gmap = GroundMap.empty(origin=tuple(origin),
+                           resolution=state["resolution"],
+                           width=state["width"], length=state["length"])
     row_len = 3 + mapping.NUM_LAYERS
     try:
         table = np.array(state["cells"], dtype=float)

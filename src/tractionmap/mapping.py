@@ -57,9 +57,17 @@ class GroundMap:
     @classmethod
     def empty(cls, origin: tuple[float, float], resolution: float = 1.0,
               width: int = 1, length: int = 1) -> "GroundMap":
-        return cls(origin=origin, resolution=resolution,
-                   values=np.zeros((width, length, NUM_LAYERS)),
-                   counts=np.zeros((width, length), dtype=int))
+        """An all-empty map; raises ValueError when numpy cannot allocate
+        the grid."""
+        try:
+            values = np.zeros((width, length, NUM_LAYERS))
+            counts = np.zeros((width, length), dtype=int)
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"map grid of {width} x {length} cells at "
+                             f"resolution {resolution} m cannot be "
+                             f"allocated: {exc}") from exc
+        return cls(origin=origin, resolution=resolution, values=values,
+                   counts=counts)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -451,18 +451,24 @@ STUBBLE_FAMILY = (0.6, -20.0, -3.0)
 # Scenario files and CSV logs
 
 def _soil_from_mapping(d: dict) -> SoilParams:
-    return SoilParams(a=float(d["a"]), p=float(d["p"]),
-                      alpha1=float(d["alpha1"]), alpha2=float(d["alpha2"]),
-                      rho_s=float(d["rho_s"]))
+    if not isinstance(d, dict):
+        raise ValueError(f"soil {d!r} is not a mapping")
+    return SoilParams(**{k: float(v) for k, v in d.items()})
+
+
+def _region(rect, soil) -> tuple[Rect, SoilParams]:
+    return Rect(*map(float, rect)), _soil_from_mapping(soil)
 
 
 def load_scenario(path) -> ScenarioSpec:
     """Build a ScenarioSpec from a YAML scenario file.
 
     Every section is optional except ``field`` (extent, default_soil) and
-    ``path``; omitted keys fall back to the defaults above.  Raises
-    ValueError on a file that is not YAML or whose top level or ``field``
-    is not a mapping.
+    ``path``; omitted keys fall back to the defaults above.  Each mapping
+    goes whole to the dataclass that owns its names, so a key that names
+    no setting raises that constructor's TypeError.  Raises ValueError on
+    a file that is not YAML or whose top level, ``field`` or a soil is not
+    a mapping.
     """
     with open(path) as fh:
         try:
@@ -473,30 +479,18 @@ def load_scenario(path) -> ScenarioSpec:
     if not isinstance(raw, dict):
         raise ValueError(f"scenario file {path} is not a mapping")
 
-    veh = VehicleParams(**raw.get("vehicle", {}))
-
-    fld = raw["field"]
+    fld = raw.pop("field")
     if not isinstance(fld, dict):
         raise ValueError("scenario field is not a mapping")
-    regions = tuple(
-        (Rect(*map(float, reg["rect"])), _soil_from_mapping(reg["soil"]))
-        for reg in fld.get("regions", []))
-    terrain = FieldSpec(extent=tuple(map(float, fld["extent"])),
-                        regions=regions,
-                        default_soil=_soil_from_mapping(fld["default_soil"]))
-
-    drawbar = DrawbarProfile(**raw.get("drawbar", {}))
-    noise = SensorNoise(**raw.get("noise", {}))
-
-    kwargs = {}
-    for key in ("target_speed", "duration", "seed", "power_cap",
-                "max_wheel_torque", "kp", "ki"):
-        if key in raw:
-            kwargs[key] = raw[key]
+    fld["extent"] = tuple(map(float, fld["extent"]))
+    fld["regions"] = tuple(_region(**reg) for reg in fld.get("regions", []))
+    fld["default_soil"] = _soil_from_mapping(fld["default_soil"])
+    raw["path"] = tuple(tuple(map(float, p)) for p in raw["path"])
     return ScenarioSpec(
-        vehicle=veh, terrain=terrain,
-        path=tuple(tuple(map(float, p)) for p in raw["path"]),
-        drawbar=drawbar, noise=noise, **kwargs)
+        vehicle=VehicleParams(**raw.pop("vehicle", {})),
+        terrain=FieldSpec(**fld),
+        drawbar=DrawbarProfile(**raw.pop("drawbar", {})),
+        noise=SensorNoise(**raw.pop("noise", {})), **raw)
 
 
 TELEMETRY_COLUMNS = ("t", "x", "y", "w1", "w2", "w3", "w4", "v",

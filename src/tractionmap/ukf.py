@@ -27,10 +27,9 @@ class SingularInnovationCov(np.linalg.LinAlgError):
     """Predicted output covariance cannot be inverted."""
 
 
-# Fuzzy supervisor: centers of the steady/moderate/intense triangular
-# memberships over the dynamics-intensity signal in [0, 1], and the
-# singleton rule output of each, combined by centroid defuzzification.
-FUZZY_CENTERS = (0.0, 0.5, 1.0)
+# Fuzzy supervisor: the singleton rule outputs of the steady/moderate/
+# intense triangular memberships over the dynamics-intensity signal in
+# [0, 1], centered at 0, 0.5 and 1, combined by centroid defuzzification.
 FUZZY_OUTPUTS = (0.2, 1.0, 5.0)
 
 # Sigma-point spread of the standard scaled unscented transform.
@@ -292,20 +291,10 @@ def fuzzy_factor(dynamics_signal: float) -> float:
     """
     if dynamics_signal < 0.0:
         raise ValueError("dynamics_signal must be non-negative")
-    c = FUZZY_CENTERS
-    x = min(dynamics_signal, c[2])
-
-    def triangle(left: float, center: float, right: float) -> float:
-        if x <= left or x >= right:
-            return 1.0 if x == center else 0.0
-        if x <= center:
-            return (x - left) / (center - left) if center > left else 1.0
-        return (right - x) / (right - center)
-
-    memberships = (
-        triangle(c[0] - (c[1] - c[0]), c[0], c[1]),
-        triangle(c[0], c[1], c[2]),
-        triangle(c[1], c[2], c[2] + (c[2] - c[1])),
-    )
+    x = min(dynamics_signal, 1.0)
+    if x < 0.5:
+        memberships = ((0.5 - x) / 0.5, x / 0.5, 0.0)
+    else:
+        memberships = (0.0, (1.0 - x) / 0.5, (x - 0.5) / 0.5)
     total = sum(memberships)
     return sum(m * out for m, out in zip(memberships, FUZZY_OUTPUTS)) / total

@@ -29,8 +29,10 @@ counts exactly.
 ``ReferenceTractionEstimator`` are the filter step as it was before it
 evaluated one RK4 derivative, built each FilterState directly and cached
 the sigma weights; the estimator must reproduce their records and final
-belief exactly.  ``import_layer_csv`` reads a layer CSV back for the
-round-trip tests.
+belief exactly.  ``reference_fuzzy_factor`` is the fuzzy rule as it was
+before it evaluated its two fixed segments directly; ``ukf.fuzzy_factor``
+must return the same float bit for bit.  ``import_layer_csv`` reads a
+layer CSV back for the round-trip tests.
 
 ``WheelState``, ``wheel_accel`` and ``vehicle_accel`` are the per-wheel
 scalar force balances that check ``estimator.process_model``, and
@@ -773,6 +775,31 @@ def reference_dynamics_intensity(recent_inputs, recent_measurements) -> float:
     return min(1.0, max(0.0, raw))
 
 
+# The fuzzy rule as a generic triangle evaluator, before ``ukf.fuzzy_factor``
+# evaluated the two segments its fixed centers give, kept verbatim; the one
+# edit is that the centers, then ``ukf.FUZZY_CENTERS``, are a local tuple.
+def reference_fuzzy_factor(dynamics_signal: float) -> float:
+    if dynamics_signal < 0.0:
+        raise ValueError("dynamics_signal must be non-negative")
+    c = (0.0, 0.5, 1.0)
+    x = min(dynamics_signal, c[2])
+
+    def triangle(left: float, center: float, right: float) -> float:
+        if x <= left or x >= right:
+            return 1.0 if x == center else 0.0
+        if x <= center:
+            return (x - left) / (center - left) if center > left else 1.0
+        return (right - x) / (right - center)
+
+    memberships = (
+        triangle(c[0] - (c[1] - c[0]), c[0], c[1]),
+        triangle(c[0], c[1], c[2]),
+        triangle(c[1], c[2], c[2] + (c[2] - c[1])),
+    )
+    total = sum(memberships)
+    return sum(m * out for m, out in zip(memberships, ukf.FUZZY_OUTPUTS)) / total
+
+
 class ReferenceTractionEstimator(TractionEstimator):
     """``TractionEstimator`` stepping with the reference filter above."""
 
@@ -792,7 +819,7 @@ class ReferenceTractionEstimator(TractionEstimator):
         if cfg.fuzzy_enabled:
             signal = reference_dynamics_intensity(self._inputs,
                                                   self._measurements)
-            fs = replace(fs, phi=ukf.fuzzy_factor(signal))
+            fs = replace(fs, phi=reference_fuzzy_factor(signal))
         if cfg.adapt_enabled:
             fs = replace(fs, a_diag=reference_adapt_q(fs))
 

@@ -281,6 +281,18 @@ def test_zero_rho_s_metrics_are_strict_json(tmp_path):
     ({"drawbar": {"constant": 15000.0, "sin_amplitude": -3000.0}}, []),
     ({"drawbar": {"constant": 15000.0, "ramp_time": -5.0,
                   "sin_amplitude": 1000.0, "sin_period": 10.0}}, []),
+    ({"duraton": 3.0}, []),
+    ({"field": {"extent": SMALL_SCENARIO["field"]["extent"],
+                "default_soil": SMALL_SCENARIO["field"]["default_soil"],
+                "region": SMALL_SCENARIO["field"]["regions"]}}, []),
+    ({"field": {**SMALL_SCENARIO["field"],
+                "regions": [{**SMALL_SCENARIO["field"]["regions"][0],
+                             "label": 1.0},
+                            SMALL_SCENARIO["field"]["regions"][1]]}}, []),
+    ({"field": {**SMALL_SCENARIO["field"],
+                "default_soil": {**SMALL_SCENARIO["field"]["default_soil"],
+                                 "rho_t": 0.015}}}, []),
+    ({"field": {**SMALL_SCENARIO["field"], "default_soil": 0.7}}, []),
 ], ids=["missing", "zero_sin_period", "negative_sigma", "nan_resolution",
         "inf_resolution", "nan_duration", "inf_duration", "nan_target_speed",
         "fractional_seed", "negative_seed_override", "negative_power_cap",
@@ -292,7 +304,9 @@ def test_zero_rho_s_metrics_are_strict_json(tmp_path):
         "zero_length_path", "inf_sigma", "inverted_region",
         "duration_below_sample_period", "unclosed_brace_yaml",
         "field_not_a_mapping", "negative_drawbar_constant",
-        "negative_drawbar_sin_amplitude", "negative_drawbar_ramp_time"])
+        "negative_drawbar_sin_amplitude", "negative_drawbar_ramp_time",
+        "misspelt_top_level_key", "misspelt_field_key", "region_extra_key",
+        "soil_extra_key", "soil_not_a_mapping"])
 def test_main_bad_scenario_no_partial_outputs(settings, options, tmp_path,
                                               capsys):
     # ``settings`` replaces top-level keys of SMALL_SCENARIO, or is the
@@ -599,6 +613,20 @@ def test_far_map_growth_ends_as_pipeline_error(case, short_logs, tmp_path):
     assert not out.exists()
 
 
+def test_unallocatable_map_growth_names_the_grid(short_logs, tmp_path,
+                                                 capsys):
+    telemetry = tmp_path / "telemetry.csv"
+    sim.write_telemetry_csv(short_logs[0], telemetry)
+    out = tmp_path / "never"
+    code = cli.main(["replay", str(telemetry), "--resolution", "1e-300",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "pipeline error: map grid of " in err
+    assert "cells at resolution 1e-300 m cannot be allocated" in err
+    assert not out.exists()
+
+
 # --- library boundary ---------------------------------------------------------------
 
 @pytest.mark.parametrize("settings, seed, resolution", [
@@ -609,9 +637,10 @@ def test_far_map_growth_ends_as_pipeline_error(case, short_logs, tmp_path):
     ({}, -1, 1.0),
     ({}, None, float("nan")),
     ({}, None, 0.0),
+    ({"duraton": 3.0}, None, 1.0),
 ], ids=["missing", "negative_ramp_time", "unknown_vehicle_field",
         "unclosed_brace_yaml", "negative_seed", "nan_resolution",
-        "zero_resolution"])
+        "zero_resolution", "misspelt_top_level_key"])
 def test_run_refuses_input_with_configuration_error(settings, seed,
                                                     resolution, tmp_path):
     path = tmp_path / "scenario.yaml"

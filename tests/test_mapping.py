@@ -131,6 +131,15 @@ def test_grow_handles_negative_indices():
     assert world_to_grid((-3.0, -1.0), grown)
 
 
+def test_grow_names_a_grid_that_cannot_be_allocated():
+    # (50 m, 10 m) lies about 5e301 x 1e301 cells from the origin; numpy
+    # refuses such a shape before allocating anything
+    gmap = make_map(width=2, length=2, resolution=1e-300)
+    with pytest.raises(ValueError, match=r"^map grid of \d+ x \d+ cells at "
+                       r"resolution 1e-300 m cannot be allocated: "):
+        grow_to_include(gmap, (50.0, 10.0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(width=st.integers(1, 6), length=st.integers(1, 6),
        resolution=st.sampled_from([0.25, 1.0, 3.0]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import LinearKalmanFilter
+from oracles import LinearKalmanFilter, reference_fuzzy_factor
 from tractionmap import ukf
 
 
@@ -330,3 +330,23 @@ def test_fuzzy_factor_within_bounds(signal):
 def test_fuzzy_factor_monotone_on_grid():
     values = [ukf.fuzzy_factor(x) for x in np.linspace(0.0, 1.2, 121)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _same_bits(signal):
+    return ukf.fuzzy_factor(signal).hex() == reference_fuzzy_factor(signal).hex()
+
+
+def test_fuzzy_factor_bit_equal_to_reference_on_grid():
+    rng = np.random.default_rng(13)
+    # the centers and their float neighbours, the signal being non-negative
+    centers = [0.0, np.nextafter(0.0, 1.0), np.nextafter(0.5, 0.0), 0.5,
+               np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 1.0,
+               np.nextafter(1.0, 2.0)]
+    signals = [*rng.uniform(0.0, 1.2, 50_000), *np.linspace(0.0, 1.0, 1001),
+               *centers]
+    assert all(_same_bits(float(x)) for x in signals)
+
+
+@given(st.floats(0.0, 2.0))
+def test_fuzzy_factor_bit_equal_to_reference(signal):
+    assert _same_bits(signal)
