@@ -77,6 +77,20 @@ class GroundMap:
         return float(np.count_nonzero(self.counts)) / self.counts.size
 
 
+def _cells(gmap: GroundMap, positions: np.ndarray) -> np.ndarray:
+    """``floor((positions - origin) / resolution)`` of (n, 2) positions;
+    raises ValueError, before numpy warns of an overflow, when a cell index
+    is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell = np.floor((positions - gmap.origin) / gmap.resolution)
+    if not np.isfinite(cell).all():
+        row = np.argmin(np.isfinite(cell).all(axis=1))
+        pos = tuple(positions[row].tolist())
+        raise ValueError(f"map cell index of position {pos} at resolution "
+                         f"{gmap.resolution} m is not finite")
+    return cell
+
+
 def grow_to_include(gmap: GroundMap, pos: tuple[float, float]) -> GroundMap:
     """Reallocate so ``pos`` falls inside.
 
@@ -87,8 +101,7 @@ def grow_to_include(gmap: GroundMap, pos: tuple[float, float]) -> GroundMap:
     far side preserves the origin, growth below zero shifts it down by
     whole cells.
     """
-    i = int(np.floor((pos[0] - gmap.origin[0]) / gmap.resolution))
-    j = int(np.floor((pos[1] - gmap.origin[1]) / gmap.resolution))
+    i, j = map(int, _cells(gmap, np.array([pos], dtype=float))[0])
     w, l = gmap.shape
 
     # the largest multiple of the size at or below the index, capped at 0
@@ -119,6 +132,8 @@ def insert_auto(gmap: GroundMap, positions, values) -> GroundMap:
     the rows from there on are placed against the grown map's origin; a
     row that rounding at the shifted origin still leaves outside grows it
     again.  Returns the map holding every row (a new one if it grew).
+    Raises ValueError when a row's cell index is not finite (a NaN
+    position, or one that overflows at a subnormal resolution).
 
     Each cell takes its rows in stream order: rows are applied in rounds
     by their rank within the cell, each round updating distinct cells
@@ -135,9 +150,7 @@ def insert_auto(gmap: GroundMap, positions, values) -> GroundMap:
         raise ValueError("values must be finite")
     start = 0
     while start < len(positions):
-        cell = np.floor((positions[start:] - gmap.origin) / gmap.resolution)
-        # NaN compares false, so a NaN position counts as outside and
-        # grow_to_include raises on it
+        cell = _cells(gmap, positions[start:])
         inside = ((cell >= 0) & (cell < gmap.shape)).all(axis=1)
         stop = len(cell) if inside.all() else int(np.argmin(inside))
         if stop:

@@ -17,6 +17,14 @@ value of the scalar four-wheel plant it replaced, which
 ``repr``-equal telemetry and truth (no tolerance).  The 10 Hz truth path
 still calls ``slip`` and ``mu_curve`` per wheel.
 
+The 1 ms step reads its inputs only when they can change.  The drawbar
+profile is called until the time from which its pull is constant (the end
+of the ramp; never with a sinusoid).  The position is looked up at the
+10 Hz samples and wherever the soil is looked up.  The soil is looked up
+only inside a guard band around an arc length where the path can cross a
+region or field edge (see ``_soil_bands``), and once after each band;
+between bands it cannot change, so the last soil stands.
+
 Telemetry CSV column order:
     t, x, y, w1, w2, w3, w4, v, md1, md2, md3, md4, fzf, fdx
 Truth CSV column order:
@@ -26,6 +34,7 @@ Truth CSV column order:
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -51,6 +60,11 @@ INTERNAL_DT = 1e-3   # s, plant integration step; telemetry every SAMPLE_DT
 # a standing vehicle from being pushed backwards by a constant resistance
 # term while matching the nominal equations exactly above ~0.5 m/s.
 _SIGN_SPEED = 0.05
+
+# Half-width of the guard band around a possible soil change, relative to
+# the field and path size: about 4500 float ulps, far above the rounding of
+# _Path.point_at's running arc length and of a position coordinate.
+_GUARD = 1e-12
 
 
 class OutOfField(ValueError):
@@ -125,6 +139,12 @@ class DrawbarProfile:
             f += self.sin_amplitude * math.sin(
                 2.0 * math.pi * (t - self.ramp_time) / self.sin_period)
         return max(f, 0.0)
+
+    def constant_from(self) -> float:
+        """Time from which the pull is exactly ``constant`` (inf with a
+        sinusoid): from ``ramp_time`` on, ``min(t / ramp_time, 1.0)`` is
+        1.0."""
+        return math.inf if self.sin_amplitude > 0.0 else self.ramp_time
 
 
 @dataclass(frozen=True)
@@ -248,6 +268,53 @@ class _Path:
         return self.points[-1]
 
 
+def _soil_bands(path: _Path, terrain: FieldSpec) -> list[float]:
+    """Arc-length guard bands around every place the path can cross a
+    field or region edge, merged, as ``[lo0, hi0, lo1, hi1, ..., inf]``.
+
+    Along a segment each position coordinate is a monotone function of the
+    arc length, so every comparison ``soil_lookup`` makes flips at most
+    once, at the exact crossing of that edge.  The band around a crossing
+    is sized in the crossing coordinate and divided by the coordinate's
+    slope ``|d coord / ds|``: on a shallow segment a coordinate ulp spans a
+    long arc.  An edge within the band's reach of a segment's coordinate
+    range counts as a crossing, clamped to the segment.  A segment whose
+    coordinate does not change (``a + f * 0.0 == a``) crosses nothing on
+    that axis.  Outside the bands ``soil_lookup(point_at(s))`` returns one
+    soil per gap; ``OutOfField``, which only rounding next to a field edge
+    can cause (the waypoints lie in the field), falls inside a band.
+    """
+    w, l = terrain.extent
+    edges = ((0.0, w, *(e for rect, _ in terrain.regions
+                        for e in (rect.x0, rect.x1))),
+             (0.0, l, *(e for rect, _ in terrain.regions
+                        for e in (rect.y0, rect.y1))))
+    arc_err = _GUARD * len(path.lengths) * path.total
+    coord_err = _GUARD * (w + l)
+    bands = []
+    start = 0.0
+    for (a, b), seg in zip(zip(path.points, path.points[1:]), path.lengths):
+        for k in (0, 1):
+            d = b[k] - a[k]
+            if d == 0.0:
+                continue
+            half = arc_err + coord_err * (seg / abs(d))
+            reach = abs(d) / seg * arc_err + coord_err
+            lo_k, hi_k = min(a[k], b[k]) - reach, max(a[k], b[k]) + reach
+            for e in edges[k]:
+                if lo_k <= e <= hi_k:
+                    s = start + min(max((e - a[k]) / d, 0.0), 1.0) * seg
+                    bands.append((s - half, s + half))
+        start += seg
+    merged = []
+    for lo, hi in sorted(bands):
+        if merged and lo <= merged[-1]:
+            merged[-1] = max(merged[-1], hi)
+        else:
+            merged += (lo, hi)
+    return merged + [math.inf]
+
+
 def _plant_mu(s: float, soil: SoilParams) -> float:
     # Odd extension for braking slip; the fitted curve is a driving-branch
     # model and its raw form diverges for s < 0.
@@ -308,6 +375,11 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
     rrf = r * r * fz
     exp = math.exp
     tanh = math.tanh
+    point_at = path.point_at
+    terrain = scenario.terrain
+    bands = _soil_bands(path, terrain)
+    drawbar = scenario.drawbar
+    drawbar_constant_from = drawbar.constant_from()
 
     w = 0.0
     v = 0.0
@@ -317,7 +389,9 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
     drawbar_work = 0.0
     v_peak = 0.0
     feasibility_checked = False
-    soil_prev = None
+    # The held soil stands while s_path (which never decreases) < soil_until.
+    soil_until = -math.inf
+    drawbar_live = True
 
     samples: list[TelemetrySample] = []
     truth: list[TruthRecord] = []
@@ -357,12 +431,16 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
                 raise ScenarioInfeasible(
                     f"peak speed {v_peak:.3f} m/s after 30 s; drawbar likely "
                     f"exceeds traction capability")
-        pos = path.point_at(s_path)
-        soil = soil_lookup(scenario.terrain, pos)
-        if soil is not soil_prev:
-            soil_prev = soil
+        if not s_path < soil_until:
+            soil = soil_lookup(terrain, point_at(s_path))
             a, pa, ap, al1, al2, slope_cap, rho_s_mg = _soil_constants(soil, m)
-        f_dx = scenario.drawbar(t)
+            # In a band (odd j) look up again next step; in a gap hold the
+            # soil up to the next band.
+            j = bisect.bisect_right(bands, s_path)
+            soil_until = s_path if j % 2 else bands[j]
+        if drawbar_live:
+            f_dx = drawbar(t)
+            drawbar_live = t < drawbar_constant_from
 
         # PI speed controller with anti-windup, equal torque split, per-wheel
         # power and torque limits.
@@ -385,6 +463,7 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
         if k % emit_every == 0:
             # Truth evaluates each wheel through slip and _plant_mu (the
             # benchmark's tracer counts these calls per wheel).
+            pos = point_at(s_path)
             omega = (w, w, w, w)
             slips = tuple(slip(v, w, r_i) for r_i in r_d)
             mus = tuple(_plant_mu(s, soil) for s in slips)

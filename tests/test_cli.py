@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -624,6 +625,24 @@ def test_unallocatable_map_growth_names_the_grid(short_logs, tmp_path,
     err = capsys.readouterr().err
     assert "pipeline error: map grid of " in err
     assert "cells at resolution 1e-300 m cannot be allocated" in err
+    assert not out.exists()
+
+
+def test_non_finite_map_cell_names_position_and_resolution(short_logs,
+                                                           tmp_path, capsys):
+    # 1e-310 passes check_resolution, but a position over it overflows
+    telemetry = tmp_path / "telemetry.csv"
+    sim.write_telemetry_csv(short_logs[0], telemetry)
+    out = tmp_path / "never"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["replay", str(telemetry), "--resolution", "1e-310",
+                         "--out", str(out)])
+    assert code == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "pipeline error: map cell index of position (" in err
+    assert "at resolution 1e-310 m is not finite" in err
     assert not out.exists()
 
 

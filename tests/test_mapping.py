@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -138,6 +141,25 @@ def test_grow_names_a_grid_that_cannot_be_allocated():
     with pytest.raises(ValueError, match=r"^map grid of \d+ x \d+ cells at "
                        r"resolution 1e-300 m cannot be allocated: "):
         grow_to_include(gmap, (50.0, 10.0))
+
+
+@pytest.mark.parametrize("place", [
+    lambda gmap, pos: insert_auto(gmap, [pos], [VALS]),
+    grow_to_include,
+], ids=["insert_auto", "grow_to_include"])
+@pytest.mark.parametrize("pos, resolution", [
+    ((50.0, 10.0), 1e-310),   # 5e311 cells: overflows to inf
+    ((math.nan, 10.0), 1.0),
+], ids=["subnormal_resolution", "nan_position"])
+def test_non_finite_cell_index_names_position_and_resolution(place, pos,
+                                                             resolution):
+    gmap = make_map(width=2, length=2, resolution=resolution)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # raised before numpy warns
+        with pytest.raises(ValueError, match=(
+                rf"^map cell index of position \({pos[0]}, {pos[1]}\) at "
+                rf"resolution {resolution} m is not finite$")):
+            place(gmap, pos)
 
 
 @settings(max_examples=150, deadline=None)
@@ -561,9 +583,12 @@ def test_build_map_non_finite_position_raises_like_reference(bad, at):
     k = kept[at]
     records[k] = EstimateRecord(**{**records[k].__dict__,
                                    "position": (records[k].position[0], bad)})
-    with pytest.raises(Exception) as ref:
+    with pytest.raises(Exception):
         reference_build_map(records, resolution=resolution)
-    with pytest.raises(type(ref.value)):
+    # the reference's int(inf) raises OverflowError for an inf position;
+    # the map names the cell in a ValueError for every non-finite one
+    with pytest.raises(ValueError, match=r"^map cell index of position "
+                       r"\(.*\) at resolution 0.25 m is not finite$"):
         cli.build_map(records, resolution=resolution)
 
 

@@ -182,14 +182,60 @@ def _other_vehicle():
         tire_rr_coeff=0.0, tire_pressure=1.1, wheel_inertia=20.0))
 
 
+def _field_run(extent, regions, default_soil, path, duration,
+               drawbar=DrawbarProfile()):
+    return ScenarioSpec(
+        vehicle=PARAMS, terrain=FieldSpec(extent, regions, default_soil),
+        path=path, target_speed=2.0, drawbar=drawbar, noise=SensorNoise(),
+        duration=duration, seed=5)
+
+
+def _diagonal_through_corners():
+    # A turn on the corner shared by four regions, then through the corner
+    # of a fifth, about 34 and 51 m along the path.
+    regions = ((Rect(45.0, 30.0, 80.0, 40.0), FIRM),
+               (Rect(0.0, 0.0, 30.0, 20.0), FIRM),
+               (Rect(30.0, 0.0, 60.0, 20.0), LOOSE),
+               (Rect(0.0, 20.0, 30.0, 40.0), LOOSE),
+               (Rect(30.0, 20.0, 60.0, 40.0), MEDIUM))
+    return _field_run((80.0, 40.0), regions, MEDIUM,
+                      ((2.0, 38.0), (30.0, 20.0), (60.0, 40.0)), 32.0)
+
+
+def _along_region_y0_edge():
+    # y == y0 lies inside the region (edges inclusive): the soil changes
+    # at its x0 and x1 only
+    return _field_run((100.0, 20.0), ((Rect(20.0, 10.0, 60.0, 20.0), LOOSE),),
+                      FIRM, ((2.0, 10.0), (98.0, 10.0)), 40.0)
+
+
+def _shallow_segment_crosses_y0():
+    # a 1e-9 slope crosses the region's y0 about 40 m along the path
+    return _field_run(
+        (100.0, 20.0), ((Rect(30.0, 10.0 + 4e-8, 100.0, 20.0), LOOSE),), FIRM,
+        ((2.0, 10.0), (98.0, 10.0 + 96e-9)), 30.0)
+
+
+def _zero_ramp_from_field_edge():
+    # the first waypoint is on the field's x = 0 edge
+    return _field_run((100.0, 20.0), ((Rect(0.0, 0.0, 20.0, 20.0), FIRM),),
+                      MEDIUM, ((0.0, 10.0), (80.0, 20.0)), 30.0,
+                      DrawbarProfile(constant=10000.0, ramp_time=0.0))
+
+
 @pytest.mark.parametrize("make_scenario", [
     # crosses the first soil boundary at about 42 s
     lambda: dataclasses.replace(sim.load_scenario(THREE_SOIL), duration=50.0),
     lambda: _divergence_prone_scenario(1),
     _standstill_start,
     _other_vehicle,
+    _diagonal_through_corners,
+    _along_region_y0_edge,
+    _shallow_segment_crosses_y0,
+    _zero_ramp_from_field_edge,
 ], ids=["three_soil_50s", "divergence_prone_sin_drawbar", "standstill_start",
-        "other_vehicle"])
+        "other_vehicle", "diagonal_through_corners", "along_region_y0_edge",
+        "shallow_segment_crosses_y0", "zero_ramp_from_field_edge"])
 def test_simulate_equals_reference_plant(make_scenario):
     # repr, not ==: dataclass equality lets a -0.0 / 0.0 difference through.
     scenario = make_scenario()
@@ -197,6 +243,40 @@ def test_simulate_equals_reference_plant(make_scenario):
     ref_samples, ref_truth = reference_simulate(scenario)
     assert repr(samples) == repr(ref_samples)
     assert repr(truth) == repr(ref_truth)
+
+
+def _count_calls(monkeypatch, owner, name) -> list[int]:
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_plant_inputs_are_read_only_when_they_can_change(monkeypatch):
+    # 50 s of the case study cross one soil boundary
+    scenario = dataclasses.replace(sim.load_scenario(THREE_SOIL), duration=50.0)
+    point_at = _count_calls(monkeypatch, sim._Path, "point_at")
+    lookups = _count_calls(monkeypatch, sim, "soil_lookup")
+    drawbar = _count_calls(monkeypatch, DrawbarProfile, "__call__")
+    samples, truth = simulate(scenario)
+    steps = round(scenario.duration / sim.INTERNAL_DT)
+    assert len(samples) == 501
+    assert len({tr.soil for tr in truth}) == 2
+    assert len(samples) <= point_at[0] < 2 * len(samples)
+    assert 2 <= lookups[0] < steps // 1000
+    ramp_steps = round(scenario.drawbar.ramp_time / sim.INTERNAL_DT)
+    assert ramp_steps <= drawbar[0] <= ramp_steps + 2
+
+    # a sinusoid never settles: the drawbar is read on every step
+    drawbar[0] = 0
+    simulate(dataclasses.replace(scenario, duration=5.0, drawbar=DrawbarProfile(
+        constant=12000.0, ramp_time=2.0, sin_amplitude=6000.0)))
+    assert drawbar[0] == round(5.0 / sim.INTERNAL_DT) + 1
 
 
 def test_simulate_ends_at_the_first_sample_past_the_path_end():
