@@ -407,15 +407,15 @@ def format_metrics(report: MetricsReport) -> str:
 
 def _estimate_map_score(samples: list[TelemetrySample],
                         truth: list[TruthRecord] | None, vehicle,
-                        out_dir, t0: float, resolution: float
-                        ) -> MetricsReport | None:
-    """The stages ``run`` and ``replay`` share: estimate, map, interpolate,
-    write, then score against ``truth`` when it is given.
+                        config: EstimatorConfig, out_dir, t0: float,
+                        resolution: float) -> MetricsReport | None:
+    """The stages ``run`` and ``replay`` share: estimate with ``config``,
+    map, interpolate, write, then score against ``truth`` when it is given.
 
     The output directory is created only once every result is in hand, so
     a failed stage leaves none behind.  ``runtime_s`` counts from ``t0``.
     """
-    records, est = run_estimation(samples, vehicle)
+    records, est = run_estimation(samples, vehicle, config=config)
     raw_map = build_map(records, resolution=resolution)
     interp_map = None if raw_map is None else mapping.interpolate(raw_map)
 
@@ -444,7 +444,8 @@ def _estimate_map_score(samples: list[TelemetrySample],
 
 def run(config: RunConfig) -> MetricsReport:
     """Load the scenario of ``config`` and run the whole pipeline on it:
-    simulate, the shared stages, then the telemetry and truth logs.
+    simulate, the shared stages, then the telemetry and truth logs.  The
+    filter's measurement noise R is the scenario's speed-sensor noise.
 
     Raises ConfigurationError, before any stage runs, when the scenario
     file or the seed override is refused.
@@ -455,7 +456,9 @@ def run(config: RunConfig) -> MetricsReport:
         if config.seed is not None:
             scenario = replace(scenario, seed=config.seed)
     samples, truth = sim.simulate(scenario)
-    report = _estimate_map_score(samples, truth, scenario.vehicle,
+    est_config = EstimatorConfig(sigma_omega=scenario.noise.sigma_omega,
+                                 sigma_v=scenario.noise.sigma_v)
+    report = _estimate_map_score(samples, truth, scenario.vehicle, est_config,
                                  config.out_dir, t0, config.resolution)
     out = Path(config.out_dir)
     sim.write_telemetry_csv(samples, out / "telemetry.csv")
@@ -490,8 +493,8 @@ def replay(telemetry_path, out_dir, truth_path=None,
             if [tr.t for tr in truth] != [s.t for s in samples]:
                 raise ValueError(
                     "the truth log's t column is not the telemetry's")
-    return _estimate_map_score(samples, truth, VehicleParams(), out_dir, t0,
-                               resolution)
+    return _estimate_map_score(samples, truth, VehicleParams(),
+                               EstimatorConfig(), out_dir, t0, resolution)
 
 
 # ---------------------------------------------------------------------------

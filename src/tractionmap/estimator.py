@@ -8,6 +8,12 @@ parameters are modelled as constant over a step.  Wheel speeds and ground
 speed are measured; drive torques, front axle load and drawbar pull are
 known inputs.
 
+The step is affine in the state and the measurement selects its first
+five entries, so the unscented transform of the AUKF is exact here: the
+filter steps through ``ukf``'s closed form for an ``AffineModel``, the
+mean through ``process_model`` and the covariance through
+``process_jacobian``.
+
 Per sample the estimator also extracts the adhesion-curve scale parameter
 from the estimated (mu, slip) pairs, given a fixed curve family
 (p, alpha1, alpha2).
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +40,8 @@ from .dynamics import (
 )
 
 STATE_DIM = 10
+# Measured outputs: the leading [omega_1..4, v] entries of the state.
+MEAS_DIM = 5
 # State-vector layout.
 IDX_OMEGA = slice(0, 4)
 IDX_V = 4
@@ -148,9 +157,32 @@ def process_model(x: np.ndarray, u: TractionInput, dt: float,
     return x + dt / 6.0 * (k + 2.0 * k + 2.0 * k + k)
 
 
+@lru_cache(maxsize=16)
+def process_jacobian(f_zf: float, dt: float,
+                     params: VehicleParams) -> np.ndarray:
+    """The state Jacobian F = I + dt * B of ``process_model``.
+
+    ``process_model`` is affine in the state, so F is exact for every
+    state; it depends only on the front-axle load.  B holds
+    ``-r_d * f_z / J`` at (i, 5 + i), ``f_z / m`` at (4, 5 + i) and ``-g``
+    at (4, 9).  Cached on ``(f_zf, dt, params)`` and read-only, as every
+    caller with the same load shares it.
+    """
+    loads, radii = wheel_geometry(f_zf, params)
+    m = params.vehicle_mass
+    jac = np.eye(STATE_DIM)
+    for i in range(4):
+        jac[i, IDX_MU.start + i] = -dt * radii[i] * loads[i] \
+            / params.wheel_inertia
+        jac[IDX_V, IDX_MU.start + i] = dt * loads[i] / m
+    jac[IDX_V, IDX_RHO_S] = -dt * GRAVITY
+    jac.flags.writeable = False
+    return jac
+
+
 def measurement_model(x: np.ndarray) -> np.ndarray:
     """Output projection: the five measured speeds [omega_1..4, v]."""
-    return np.asarray(x, dtype=float)[..., :5]
+    return np.asarray(x, dtype=float)[..., :MEAS_DIM]
 
 
 def dynamics_intensity(recent_inputs, recent_measurements) -> float:
@@ -188,7 +220,8 @@ class EstimatorConfig:
     """Tuning of the traction AUKF-FS.
 
     The filter steps at ``SAMPLE_DT`` with the ``ukf`` module's fixed
-    sigma-point spread, Q adaptation and fuzzy rule base.
+    Q adaptation and fuzzy rule base.  R is diagonal, each variance
+    floored at 1e-8.
     """
 
     q_diag: tuple = (1e-2,) * 5 + (1e-4,) * 4 + (1e-5,)
@@ -219,9 +252,10 @@ class TractionEstimator:
         self.curve_family = curve_family
         self.config = config
         self.noise = config.noise_spec()
-        self.model = ukf.NonlinearModel(
+        self.model = ukf.AffineModel(
             f=lambda x, u: process_model(x, u, SAMPLE_DT, vehicle),
-            h=measurement_model)
+            jacobian=lambda u: process_jacobian(u.f_zf, SAMPLE_DT, vehicle),
+            measured=MEAS_DIM)
         self.state: ukf.FilterState | None = None
         self.clamp_violations = 0
         self._inputs: deque = deque(maxlen=INTENSITY_WINDOW)

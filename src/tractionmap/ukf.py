@@ -6,6 +6,18 @@ is a diagonal adaptation matrix driven by innovation statistics and
 ``phi`` a scalar tracking-strength factor from a small fuzzy rule base
 (steady dynamics -> smooth estimates, intense dynamics -> fast tracking).
 
+``predict`` and ``update`` take either model kind.  A ``NonlinearModel``
+goes through the scaled unscented transform: 2n+1 sigma points from a
+Cholesky factor of the covariance, propagated and re-weighted.  An
+``AffineModel`` (f affine in the state, h the first m state entries) gets
+the transform in closed form.  For such a model the unscented transform
+returns exactly the mean f(mean), the covariance ``F P F^T`` and the
+cross-covariance ``P H^T`` (Julier & Uhlmann 2004), so the closed form is
+the same filter without the two Cholesky factorizations and the sigma-point
+sums per step.  Those sums also cost accuracy: with ALPHA = 0.1 the centre
+weight is 1 - n/ALPHA^2 (-99 for n = 10), so they cancel terms about 100
+times larger than their result.
+
 A FilterState is treated as a value: ``predict`` and ``update`` return new
 states instead of mutating.
 """
@@ -66,6 +78,22 @@ class NonlinearModel:
 
     f: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
     h: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class AffineModel:
+    """Discrete-time model x' = f(x, u) + q, y = x[:measured] + r, with f
+    affine in x.
+
+    ``f`` maps the mean (n,) once per prediction; ``jacobian(u)`` is the
+    (n, n) matrix F with f(x + d, u) = f(x, u) + F d for every d.  The
+    filter propagates the covariance as ``F P F^T`` and measures the first
+    ``measured`` state entries.
+    """
+
+    f: Callable[[np.ndarray, object], np.ndarray]
+    jacobian: Callable[[object], np.ndarray]
+    measured: int
 
 
 @dataclass(frozen=True)
@@ -191,43 +219,59 @@ def _weighted_moments(points: np.ndarray, w_mean: np.ndarray,
     return mean, _symmetrize(cov)
 
 
-def predict(fs: FilterState, model: NonlinearModel, u: np.ndarray | None,
-            noise: NoiseSpec) -> FilterState:
-    """Time update: propagate sigma points through f and add (phi*A)Q."""
-    ss = sigma_points(fs.mean, fs.cov)
-    propagated = np.asarray(model.f(ss.points, u), dtype=float)
-    mean, cov = _weighted_moments(propagated, ss.w_mean, ss.w_cov)
+def predict(fs: FilterState, model: NonlinearModel | AffineModel,
+            u: np.ndarray | None, noise: NoiseSpec) -> FilterState:
+    """Time update: propagate the belief through f and add (phi*A)Q.
+
+    An ``AffineModel`` maps the mean through f and the covariance through
+    its Jacobian; a ``NonlinearModel`` propagates sigma points.
+    """
+    if isinstance(model, AffineModel):
+        mean = np.asarray(model.f(fs.mean, u), dtype=float)
+        f_mat = model.jacobian(u)
+        cov = f_mat @ fs.cov @ f_mat.T
+    else:
+        ss = sigma_points(fs.mean, fs.cov)
+        propagated = np.asarray(model.f(ss.points, u), dtype=float)
+        mean, cov = _weighted_moments(propagated, ss.w_mean, ss.w_cov)
     cov = cov + (fs.phi * fs.a_diag)[:, None] * noise.q
     return FilterState(mean=mean, cov=_symmetrize(cov), a_diag=fs.a_diag,
                        phi=fs.phi, residuals=fs.residuals, gain=fs.gain,
                        innov_cov=fs.innov_cov, predicted=True)
 
 
-def update(fs: FilterState, model: NonlinearModel, y: np.ndarray,
-           noise: NoiseSpec) -> FilterState:
+def update(fs: FilterState, model: NonlinearModel | AffineModel,
+           y: np.ndarray, noise: NoiseSpec) -> FilterState:
     """Measurement update from the predicted belief.
 
-    Sigma points are redrawn from (mean, cov) of the prediction; the
-    innovation y - y_hat is pushed into the residual ring buffer, which
-    keeps the last ADAPT_WINDOW innovations.  Raises SingularInnovationCov
-    when the innovation covariance is not finite, cannot be inverted or
-    has a condition number above 1e14.
+    An ``AffineModel`` reads the predicted output, its covariance and the
+    cross-covariance off the predicted mean and covariance; a
+    ``NonlinearModel`` redraws sigma points from them.  The innovation
+    y - y_hat is pushed into the residual ring buffer, which keeps the last
+    ADAPT_WINDOW innovations.  Raises SingularInnovationCov when the
+    innovation covariance is not finite, cannot be inverted or has a
+    condition number above 1e14.
     """
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
     y = np.asarray(y, dtype=float)
-    ss = sigma_points(fs.mean, fs.cov)
-    outputs = np.asarray(model.h(ss.points), dtype=float)
-
-    w_col = ss.w_cov[:, None]
-    y_hat = ss.w_mean @ outputs
-    dev_y = outputs - y_hat
-    s_cov = (dev_y * w_col).T @ dev_y + noise.r
-    s_cov = _symmetrize(s_cov)
+    if isinstance(model, AffineModel):
+        m = model.measured
+        y_hat = fs.mean[:m]
+        # The predicted covariance is symmetric, and so is S.
+        s_cov = fs.cov[:m, :m] + noise.r
+        cross = fs.cov[:, :m]
+    else:
+        ss = sigma_points(fs.mean, fs.cov)
+        outputs = np.asarray(model.h(ss.points), dtype=float)
+        w_col = ss.w_cov[:, None]
+        y_hat = ss.w_mean @ outputs
+        dev_y = outputs - y_hat
+        s_cov = _symmetrize((dev_y * w_col).T @ dev_y + noise.r)
+        dev_x = ss.points - fs.mean
+        cross = (dev_x * w_col).T @ dev_y
     if not np.isfinite(s_cov).all():
         raise SingularInnovationCov("innovation covariance is not finite")
-    dev_x = ss.points - fs.mean
-    cross = (dev_x * w_col).T @ dev_y
 
     try:
         gain = np.linalg.solve(s_cov, cross.T).T

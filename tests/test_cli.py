@@ -200,6 +200,30 @@ def test_run_seed_override_changes_noise_draws(scenario_file, tmp_path):
             != (out_b / "telemetry.csv").read_text())
 
 
+def test_run_takes_the_filter_noise_from_the_scenario(tmp_path, monkeypatch):
+    # run builds the filter's R from the scenario's speed-sensor sigmas;
+    # replay, which has no scenario, keeps EstimatorConfig's defaults
+    scenario = copy.deepcopy(SMALL_SCENARIO)
+    scenario["noise"]["sigma_omega"] = 0.05
+    scenario["duration"] = 10.0
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    seen = []
+    original = cli.run_estimation
+
+    def spy(*args, **kwargs):
+        records, est = original(*args, **kwargs)
+        seen.append(est.noise.r.diagonal().tolist())
+        return records, est
+
+    monkeypatch.setattr(cli, "run_estimation", spy)
+    out = tmp_path / "out"
+    cli.run(RunConfig(scenario_path=str(path), out_dir=str(out)))
+    cli.replay(out / "telemetry.csv", tmp_path / "replay")
+    assert seen[0] == pytest.approx([0.0025] * 4 + [0.0004], rel=1e-12)
+    assert seen[1] == pytest.approx([0.0001] * 4 + [0.0004], rel=1e-12)
+
+
 def test_timeseries_pairs_truth_with_estimates(scenario_file, tmp_path):
     out = tmp_path / "out"
     cli.run(RunConfig(scenario_path=str(scenario_file), out_dir=str(out)))

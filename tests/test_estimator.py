@@ -35,6 +35,7 @@ from tractionmap.estimator import (
     TractionMeasurement,
     dynamics_intensity,
     measurement_model,
+    process_jacobian,
     process_model,
 )
 
@@ -145,7 +146,7 @@ def test_process_model_signed_zeros_equal_reference(tire_rr_coeff, mu, torque):
 
 
 def test_process_model_batch_rows_equal_single_rows_and_reference():
-    # the (21, 10) sigma-point batch the filter propagates
+    # a (21, 10) batch, the size of a 10-state sigma-point set
     rng = np.random.default_rng(21)
     u = nominal_input(m_d=(900.0, 850.0, -0.0, 750.0), f_dx=9000.0)
     batch = np.stack([nominal_state(v=v, mu=m, rho_s=r)
@@ -158,6 +159,21 @@ def test_process_model_batch_rows_equal_single_rows_and_reference():
     assert _bits(out) == _bits(reference_process_model(batch, u, 0.1, PARAMS))
     for row_in, row_out in zip(batch, out):
         assert _bits(process_model(row_in, u, 0.1, PARAMS)) == _bits(row_out)
+
+
+def test_process_jacobian_is_exact_for_the_affine_step():
+    # process_model(x + d) = process_model(x) + F d for any d, up to rounding
+    rng = np.random.default_rng(8)
+    u = nominal_input(m_d=(900.0, 850.0, 800.0, 750.0), f_dx=9000.0)
+    jac = process_jacobian(u.f_zf, 0.1, PARAMS)
+    x = nominal_state(v=1.7, mu=0.41, rho_s=0.07)
+    base = process_model(x, u, 0.1, PARAMS)
+    for _ in range(20):
+        d = rng.normal(size=10) * np.array([1.0] * 5 + [0.1] * 5)
+        assert np.abs(process_model(x + d, u, 0.1, PARAMS) - base
+                      - jac @ d).max() < 1e-12
+    assert jac is process_jacobian(u.f_zf, 0.1, PARAMS)
+    assert not jac.flags.writeable
 
 
 def test_process_model_zero_torque_decelerates_wheel():
@@ -459,11 +475,17 @@ def test_observability_invariant_under_state_scaling():
     assert observability_check(PARAMS, x0) == observability_check(PARAMS, 2.0 * x0)
 
 
-# --- bit equality with the reference filter ----------------------------------
+# --- agreement with the reference filter -------------------------------------
 #
-# The filter step must reproduce oracles.ReferenceTractionEstimator (the step
-# before one-derivative RK4, direct FilterState construction and cached
-# sigma weights) bit for bit: every record field and the final belief.
+# The filter step must reproduce oracles.ReferenceTractionEstimator, the
+# sigma-point AUKF as it was before the closed-form step, within a stated
+# tolerance.  For the affine traction model the unscented transform is
+# exact, so the two differ only in rounding: the sigma-point sums carry a
+# centre weight of -99 and cancel terms about 100 times their result.
+# Every record's t and position are bit-equal; mu, rho_s and slip agree to
+# MEAN_TOL, curve_scale to SCALE_TOL and cov_diag to COV_RTOL relative;
+# curve_scale is None on the same records and the clamp counts are equal.
+# The final belief agrees within the same bounds.
 
 THREE_SOIL = Path(__file__).resolve().parent.parent / "scenarios" / "three_soil.yaml"
 ABLATIONS = {
@@ -472,6 +494,9 @@ ABLATIONS = {
     "no_adapt": EstimatorConfig(adapt_enabled=False),
     "neither": EstimatorConfig(fuzzy_enabled=False, adapt_enabled=False),
 }
+MEAN_TOL = 1e-12
+SCALE_TOL = 1e-9
+COV_RTOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -484,14 +509,46 @@ def _three_soil_30s(noise_mult):
     return sim.simulate(replace(scenario, noise=noise))[0]
 
 
-def _record_bits(rec):
-    numbers = (rec.t, *rec.position, *rec.mu, rec.rho_s, *rec.slip,
-               *rec.cov_diag,
-               np.nan if rec.curve_scale is None else rec.curve_scale)
-    return rec.curve_scale is None, _bits(numbers)
+def _assert_close(value, ref, tol, name):
+    value, ref = np.asarray(value, dtype=float), np.asarray(ref, dtype=float)
+    assert value.shape == ref.shape, name
+    assert np.abs(value - ref).max() <= tol, name
 
 
-def _assert_steps_equal_reference(samples, config, vehicle=PARAMS):
+def _assert_record_close(rec, ref_rec, mean_tol, cov_rtol):
+    assert _bits((rec.t, *rec.position)) == _bits((ref_rec.t,
+                                                   *ref_rec.position))
+    _assert_close(rec.mu, ref_rec.mu, mean_tol, "mu")
+    _assert_close(rec.rho_s, ref_rec.rho_s, mean_tol, "rho_s")
+    _assert_close(rec.slip, ref_rec.slip, mean_tol, "slip")
+    assert (rec.curve_scale is None) == (ref_rec.curve_scale is None)
+    if rec.curve_scale is not None:
+        _assert_close(rec.curve_scale, ref_rec.curve_scale, SCALE_TOL,
+                      "curve_scale")
+    ref_diag = np.array(ref_rec.cov_diag)
+    _assert_close(np.array(rec.cov_diag) / ref_diag, np.ones_like(ref_diag),
+                  cov_rtol, "cov_diag")
+
+
+def _assert_belief_close(fs, ref_fs, mean_tol, cov_rtol):
+    _assert_close(fs.mean, ref_fs.mean, mean_tol, "mean")
+    # each covariance entry relative to sqrt(P_ii P_jj)
+    diag = ref_fs.cov.diagonal()
+    _assert_close(fs.cov / np.sqrt(np.outer(diag, diag)),
+                  ref_fs.cov / np.sqrt(np.outer(diag, diag)), cov_rtol, "cov")
+    _assert_close(fs.a_diag / ref_fs.a_diag, np.ones_like(ref_fs.a_diag),
+                  cov_rtol, "a_diag")
+    for name in ("gain", "innov_cov"):
+        ref = getattr(ref_fs, name)
+        _assert_close(getattr(fs, name) / np.abs(ref).max(),
+                      ref / np.abs(ref).max(), cov_rtol, name)
+    _assert_close(fs.residuals, ref_fs.residuals, mean_tol, "residuals")
+    assert _bits(fs.phi) == _bits(ref_fs.phi)
+    assert fs.predicted == ref_fs.predicted
+
+
+def _assert_steps_equal_reference(samples, config, vehicle=PARAMS,
+                                  mean_tol=MEAN_TOL, cov_rtol=COV_RTOL):
     est = TractionEstimator(vehicle, sim.STUBBLE_FAMILY, config)
     ref = ReferenceTractionEstimator(vehicle, sim.STUBBLE_FAMILY, config)
     first = TractionMeasurement(omega_w=samples[0].omega_w, v=samples[0].v)
@@ -502,15 +559,9 @@ def _assert_steps_equal_reference(samples, config, vehicle=PARAMS):
         y = TractionMeasurement(omega_w=sample.omega_w, v=sample.v)
         rec = est.step(u, y, t=sample.t, position=sample.pos)
         ref_rec = ref.step(u, y, t=sample.t, position=sample.pos)
-        assert rec == ref_rec
-        assert _record_bits(rec) == _record_bits(ref_rec)
+        _assert_record_close(rec, ref_rec, mean_tol, cov_rtol)
     assert est.clamp_violations == ref.clamp_violations
-    fs, ref_fs = est.state, ref.state
-    for name in ("mean", "cov", "a_diag", "gain", "innov_cov"):
-        assert _bits(getattr(fs, name)) == _bits(getattr(ref_fs, name)), name
-    assert _bits(fs.phi) == _bits(ref_fs.phi)
-    assert _bits(fs.residuals) == _bits(ref_fs.residuals)
-    assert fs.predicted == ref_fs.predicted
+    _assert_belief_close(est.state, ref.state, mean_tol, cov_rtol)
     return est
 
 
@@ -560,9 +611,13 @@ def test_clamp_parameters_equals_reference(index, value):
 
 def test_step_equals_reference_with_jittered_cholesky():
     # a zero prior variance makes the first covariance singular, so the
-    # first sigma points need the jittered Cholesky factor
+    # reference's first sigma points need the jittered Cholesky factor; the
+    # closed form needs no jitter, so the two part by the jitter the
+    # reference adds: a wider bound of 1e-10 on mu, rho_s and slip and 1e-5
+    # relative on the covariance
     p_diag = EstimatorConfig().init_p_diag[:-1] + (0.0,)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(np.diag(p_diag))
     _assert_steps_equal_reference(_three_soil_30s(1.0)[:60],
-                                  EstimatorConfig(init_p_diag=p_diag))
+                                  EstimatorConfig(init_p_diag=p_diag),
+                                  mean_tol=1e-10, cov_rtol=1e-5)

@@ -232,6 +232,91 @@ def test_linear_kf_equivalence_over_100_steps():
         assert np.trace(fs.cov) <= np.trace(pred_cov) + 1e-12
 
 
+# --- closed form for affine models -------------------------------------------
+
+def affine_pair(f_mat, offset, measured):
+    """One affine model, as an AffineModel and as a generic NonlinearModel."""
+    def f(x, u):
+        return x @ f_mat.T + offset
+    return (ukf.AffineModel(f=f, jacobian=lambda u: f_mat, measured=measured),
+            ukf.NonlinearModel(f=f, h=lambda x: x[..., :measured]))
+
+
+def _random_affine_case(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    m = int(rng.integers(1, n + 1))
+    f_mat = np.eye(n) + 0.1 * rng.normal(size=(n, n))
+    affine, generic = affine_pair(f_mat, rng.normal(size=n), m)
+    noise = ukf.NoiseSpec(q=random_psd(rng, n, 0.01),
+                          r=random_psd(rng, m, 0.1))
+    fs = replace(ukf.FilterState.initial(rng.normal(size=n),
+                                         random_psd(rng, n)),
+                 a_diag=rng.uniform(0.5, 2.0, n), phi=float(rng.uniform(0.2, 5)))
+    return rng, affine, generic, noise, fs
+
+
+def _assert_close_to_sigma_points(out, ref):
+    assert np.abs(out.mean - ref.mean).max() <= 1e-12
+    assert np.abs(out.cov - ref.cov).max() <= 1e-9 * np.abs(ref.cov).max()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_affine_predict_equals_sigma_point_predict(seed):
+    _, affine, generic, noise, fs = _random_affine_case(seed)
+    out = ukf.predict(fs, affine, None, noise)
+    ref = ukf.predict(fs, generic, None, noise)
+    _assert_close_to_sigma_points(out, ref)
+    assert np.array_equal(out.cov, out.cov.T)
+    assert out.predicted and out.phi == fs.phi and out.a_diag is fs.a_diag
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_affine_update_equals_sigma_point_update(seed):
+    rng, affine, generic, noise, fs = _random_affine_case(seed)
+    fs = ukf.predict(fs, affine, None, noise)
+    y = rng.normal(size=affine.measured)
+    out = ukf.update(fs, affine, y, noise)
+    ref = ukf.update(fs, generic, y, noise)
+    _assert_close_to_sigma_points(out, ref)
+    for name in ("gain", "innov_cov"):
+        got, want = getattr(out, name), getattr(ref, name)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
+    assert len(out.residuals) == 1
+    assert np.abs(out.residuals[0] - ref.residuals[0]).max() <= 1e-12
+    assert not out.predicted
+
+
+def _predicted(cov, r):
+    n = len(cov)
+    model = ukf.AffineModel(f=lambda x, u: x, jacobian=lambda u: np.eye(n),
+                            measured=len(r))
+    fs = replace(ukf.FilterState.initial(np.zeros(n), cov), predicted=True)
+    return fs, model, ukf.NoiseSpec(q=np.zeros((n, n)), r=r)
+
+
+def test_affine_update_rejects_non_finite_innovation_covariance():
+    fs, model, noise = _predicted(np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                                  0.1 * np.eye(2))
+    with pytest.raises(ukf.SingularInnovationCov, match="not finite"):
+        ukf.update(fs, model, np.zeros(2), noise)
+
+
+def test_affine_update_rejects_singular_innovation_covariance():
+    # S = P + R = [[1, 1], [1, 1]] exactly: the solve itself fails
+    fs, model, noise = _predicted(np.array([[0.5, 1.0], [1.0, 0.5]]),
+                                  0.5 * np.eye(2))
+    with pytest.raises(ukf.SingularInnovationCov, match="Singular matrix"):
+        ukf.update(fs, model, np.zeros(2), noise)
+
+
+def test_affine_update_rejects_ill_conditioned_innovation_covariance():
+    # S = [[1, 1], [1, 1]] + 1e-14 I: solvable, condition about 2e14
+    fs, model, noise = _predicted(np.ones((2, 2)), 1e-14 * np.eye(2))
+    with pytest.raises(ukf.SingularInnovationCov, match="condition"):
+        ukf.update(fs, model, np.zeros(2), noise)
+
+
 # --- adaptation -------------------------------------------------------------
 
 def _mc_adaptation(q_true_scale, seed, steps=600):
