@@ -8,11 +8,11 @@ parameters are modelled as constant over a step.  Wheel speeds and ground
 speed are measured; drive torques, front axle load and drawbar pull are
 known inputs.
 
-The step is affine in the state and the measurement selects its first
-five entries, so the unscented transform of the AUKF is exact here: the
-filter steps through ``ukf``'s closed form for an ``AffineModel``, the
-mean through ``process_model`` and the covariance through
-``process_jacobian``.
+The step is affine in the state and the measured outputs are the first
+``MEAS_DIM`` = 5 state entries, so the unscented transform of the AUKF is
+exact here and the filter is a ``ukf.AffineModel``: the mean goes through
+``process_model``, the covariance through ``process_jacobian``, and the
+update reads the predicted outputs off the leading block of the belief.
 
 Per sample the estimator also extracts the adhesion-curve scale parameter
 from the estimated (mu, slip) pairs, given a fixed curve family
@@ -180,11 +180,6 @@ def process_jacobian(f_zf: float, dt: float,
     return jac
 
 
-def measurement_model(x: np.ndarray) -> np.ndarray:
-    """Output projection: the five measured speeds [omega_1..4, v]."""
-    return np.asarray(x, dtype=float)[..., :MEAS_DIM]
-
-
 def dynamics_intensity(recent_inputs, recent_measurements) -> float:
     """Normalized maneuver-intensity signal in [0, 1].
 
@@ -221,7 +216,9 @@ class EstimatorConfig:
 
     The filter steps at ``SAMPLE_DT`` with the ``ukf`` module's fixed
     Q adaptation and fuzzy rule base.  R is diagonal, each variance
-    floored at 1e-8.
+    floored at 1e-8.  ``q_diag`` and ``init_p_diag`` hold one finite,
+    non-negative entry per state, and the sigmas are finite and
+    non-negative; anything else is refused here.
     """
 
     q_diag: tuple = (1e-2,) * 5 + (1e-4,) * 4 + (1e-5,)
@@ -230,6 +227,19 @@ class EstimatorConfig:
     init_p_diag: tuple = (0.1 ** 2,) * 5 + (0.2 ** 2,) * 4 + (0.05 ** 2,)
     adapt_enabled: bool = True
     fuzzy_enabled: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("q_diag", "init_p_diag"):
+            values = getattr(self, name)
+            if len(values) != STATE_DIM or not all(
+                    math.isfinite(v) and v >= 0.0 for v in values):
+                raise ValueError(f"{name} must be {STATE_DIM} finite, "
+                                 f"non-negative entries, got {values!r}")
+        for name in ("sigma_omega", "sigma_v"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}")
 
     def noise_spec(self) -> ukf.NoiseSpec:
         r = np.diag([max(self.sigma_omega ** 2, 1e-8)] * 4

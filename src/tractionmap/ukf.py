@@ -1,22 +1,21 @@
 """Unscented Kalman filter with adaptive process noise and fuzzy supervision.
 
-Generic over user-supplied process/measurement models.  The effective
-process-noise covariance each prediction is ``(phi * A) @ Q`` where ``A``
-is a diagonal adaptation matrix driven by innovation statistics and
-``phi`` a scalar tracking-strength factor from a small fuzzy rule base
-(steady dynamics -> smooth estimates, intense dynamics -> fast tracking).
+The filter steps an ``AffineModel``: f is affine in the state and the
+output is the first m state entries.  The effective process-noise
+covariance each prediction is ``(phi * A) @ Q`` where ``A`` is a diagonal
+adaptation matrix driven by innovation statistics and ``phi`` a scalar
+tracking-strength factor from a small fuzzy rule base (steady dynamics ->
+smooth estimates, intense dynamics -> fast tracking).
 
-``predict`` and ``update`` take either model kind.  A ``NonlinearModel``
-goes through the scaled unscented transform: 2n+1 sigma points from a
-Cholesky factor of the covariance, propagated and re-weighted.  An
-``AffineModel`` (f affine in the state, h the first m state entries) gets
-the transform in closed form.  For such a model the unscented transform
-returns exactly the mean f(mean), the covariance ``F P F^T`` and the
-cross-covariance ``P H^T`` (Julier & Uhlmann 2004), so the closed form is
-the same filter without the two Cholesky factorizations and the sigma-point
-sums per step.  Those sums also cost accuracy: with ALPHA = 0.1 the centre
-weight is 1 - n/ALPHA^2 (-99 for n = 10), so they cancel terms about 100
-times larger than their result.
+For such a model the scaled unscented transform is exact: its sigma points
+return the mean f(mean), the covariance ``F P F^T`` and the
+cross-covariance ``P H^T`` (Julier & Uhlmann 2004).  So ``predict`` and
+``update`` compute these moments in closed form; this is the unscented
+filter without the two Cholesky factorizations and the 2n+1 sigma-point
+propagations per step.  The closed form is also the more accurate one:
+with the standard spread alpha = 0.1 the centre weight is 1 - n/alpha^2
+(-99 for n = 10), so the sigma-point sums cancel terms about 100 times
+larger than their result.
 
 A FilterState is treated as a value: ``predict`` and ``update`` return new
 states instead of mutating.
@@ -25,14 +24,9 @@ states instead of mutating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-
-
-class DecompositionFailure(np.linalg.LinAlgError):
-    """Covariance not positive semi-definite within jitter tolerance."""
 
 
 class SingularInnovationCov(np.linalg.LinAlgError):
@@ -43,11 +37,6 @@ class SingularInnovationCov(np.linalg.LinAlgError):
 # intense triangular memberships over the dynamics-intensity signal in
 # [0, 1], centered at 0, 0.5 and 1, combined by centroid defuzzification.
 FUZZY_OUTPUTS = (0.2, 1.0, 5.0)
-
-# Sigma-point spread of the standard scaled unscented transform.
-ALPHA = 0.1
-BETA = 2.0
-KAPPA = 0.0
 
 # Innovation-matching adaptation of the process-noise scale.
 #
@@ -68,19 +57,6 @@ ADAPT_LEAK = 0.05
 
 
 @dataclass(frozen=True)
-class NonlinearModel:
-    """Discrete-time model x' = f(x, u) + q, y = h(x) + r.
-
-    ``f`` and ``h`` must accept state arrays of shape (n,) or (N, n) and
-    map them row-wise (the filter propagates all sigma points in one call);
-    the state and output sizes are read from the arrays.
-    """
-
-    f: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
-    h: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class AffineModel:
     """Discrete-time model x' = f(x, u) + q, y = x[:measured] + r, with f
     affine in x.
@@ -98,7 +74,8 @@ class AffineModel:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Process (Q) and measurement (R) noise covariances."""
+    """Process (Q) and measurement (R) noise covariances: finite and
+    symmetric, Q positive semi-definite and R positive definite."""
 
     q: np.ndarray
     r: np.ndarray
@@ -108,6 +85,10 @@ class NoiseSpec:
         r = np.asarray(self.r, dtype=float)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
+        if not np.isfinite(q).all():
+            raise ValueError("Q must be finite")
+        if not np.isfinite(r).all():
+            raise ValueError("R must be finite")
         if not np.allclose(q, q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
         if not np.allclose(r, r.T, atol=1e-12):
@@ -116,15 +97,6 @@ class NoiseSpec:
             raise ValueError("Q must be positive semi-definite")
         if np.any(np.linalg.eigvalsh(r) <= 0.0):
             raise ValueError("R must be positive definite")
-
-
-@dataclass(frozen=True)
-class SigmaSet:
-    """2n+1 sigma points with their mean and covariance weights."""
-
-    points: np.ndarray   # (2n+1, n)
-    w_mean: np.ndarray   # (2n+1,)
-    w_cov: np.ndarray    # (2n+1,)
 
 
 @dataclass(frozen=True)
@@ -157,124 +129,41 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, escalating diagonal jitter 1e-12 -> 1e-6."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    n = cov.shape[0]
-    jitter = 1e-12
-    while jitter <= 1e-6:
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(n))
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise DecompositionFailure(
-        "covariance not PSD within jitter tolerance (filter divergence?)")
-
-
-@lru_cache(maxsize=16)
-def _sigma_weights(n: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """(n + lambda, w_mean, w_cov) for n states; the arrays are read-only
-    because every SigmaSet of that size shares them."""
-    lam = ALPHA ** 2 * (n + KAPPA) - n
-    scale = n + lam
-    w_mean = np.full(2 * n + 1, 0.5 / scale)
-    w_cov = w_mean.copy()
-    w_mean[0] = lam / scale
-    w_cov[0] = lam / scale + (1.0 - ALPHA ** 2 + BETA)
-    w_mean.flags.writeable = False
-    w_cov.flags.writeable = False
-    return scale, w_mean, w_cov
-
-
-def sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaSet:
-    """Scaled-unscented sigma points for N(mean, cov).
-
-    lambda = alpha^2 (n + kappa) - n; points are mean +/- the columns of
-    the Cholesky factor of (n + lambda) cov.  Weighted mean reproduces
-    ``mean`` exactly and the weighted covariance reproduces ``cov`` up to
-    floating-point error.  The weight vectors are cached per n and
-    read-only.
-    """
-    mean = np.asarray(mean, dtype=float)
-    cov = _symmetrize(np.asarray(cov, dtype=float))
-    n = mean.shape[0]
-    scale, w_mean, w_cov = _sigma_weights(n)
-    root = _cholesky_with_jitter(scale * cov)
-
-    points = np.empty((2 * n + 1, n))
-    points[0] = mean
-    points[1:n + 1] = mean + root.T
-    points[n + 1:] = mean - root.T
-    return SigmaSet(points=points, w_mean=w_mean, w_cov=w_cov)
-
-
-def _weighted_moments(points: np.ndarray, w_mean: np.ndarray,
-                      w_cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = w_mean @ points
-    dev = points - mean
-    cov = (dev * w_cov[:, None]).T @ dev
-    return mean, _symmetrize(cov)
-
-
-def predict(fs: FilterState, model: NonlinearModel | AffineModel,
-            u: np.ndarray | None, noise: NoiseSpec) -> FilterState:
-    """Time update: propagate the belief through f and add (phi*A)Q.
-
-    An ``AffineModel`` maps the mean through f and the covariance through
-    its Jacobian; a ``NonlinearModel`` propagates sigma points.
-    """
-    if isinstance(model, AffineModel):
-        mean = np.asarray(model.f(fs.mean, u), dtype=float)
-        f_mat = model.jacobian(u)
-        cov = f_mat @ fs.cov @ f_mat.T
-    else:
-        ss = sigma_points(fs.mean, fs.cov)
-        propagated = np.asarray(model.f(ss.points, u), dtype=float)
-        mean, cov = _weighted_moments(propagated, ss.w_mean, ss.w_cov)
-    cov = cov + (fs.phi * fs.a_diag)[:, None] * noise.q
+def predict(fs: FilterState, model: AffineModel, u: object,
+            noise: NoiseSpec) -> FilterState:
+    """Time update: the mean through f, the covariance through its
+    Jacobian as ``F P F^T``, plus (phi*A)Q."""
+    mean = np.asarray(model.f(fs.mean, u), dtype=float)
+    f_mat = model.jacobian(u)
+    cov = f_mat @ fs.cov @ f_mat.T + (fs.phi * fs.a_diag)[:, None] * noise.q
     return FilterState(mean=mean, cov=_symmetrize(cov), a_diag=fs.a_diag,
                        phi=fs.phi, residuals=fs.residuals, gain=fs.gain,
                        innov_cov=fs.innov_cov, predicted=True)
 
 
-def update(fs: FilterState, model: NonlinearModel | AffineModel,
-           y: np.ndarray, noise: NoiseSpec) -> FilterState:
+def update(fs: FilterState, model: AffineModel, y: np.ndarray,
+           noise: NoiseSpec) -> FilterState:
     """Measurement update from the predicted belief.
 
-    An ``AffineModel`` reads the predicted output, its covariance and the
-    cross-covariance off the predicted mean and covariance; a
-    ``NonlinearModel`` redraws sigma points from them.  The innovation
-    y - y_hat is pushed into the residual ring buffer, which keeps the last
-    ADAPT_WINDOW innovations.  Raises SingularInnovationCov when the
-    innovation covariance is not finite, cannot be inverted or has a
-    condition number above 1e14.
+    The predicted output is the first ``model.measured`` entries of the
+    mean; its covariance S and the cross-covariance are the matching
+    blocks of the predicted covariance.  The innovation y - y_hat is pushed
+    into the residual ring buffer, which keeps the last ADAPT_WINDOW
+    innovations.  Raises SingularInnovationCov when S is not finite, cannot
+    be inverted or has a condition number above 1e14.
     """
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
     y = np.asarray(y, dtype=float)
-    if isinstance(model, AffineModel):
-        m = model.measured
-        y_hat = fs.mean[:m]
-        # The predicted covariance is symmetric, and so is S.
-        s_cov = fs.cov[:m, :m] + noise.r
-        cross = fs.cov[:, :m]
-    else:
-        ss = sigma_points(fs.mean, fs.cov)
-        outputs = np.asarray(model.h(ss.points), dtype=float)
-        w_col = ss.w_cov[:, None]
-        y_hat = ss.w_mean @ outputs
-        dev_y = outputs - y_hat
-        s_cov = _symmetrize((dev_y * w_col).T @ dev_y + noise.r)
-        dev_x = ss.points - fs.mean
-        cross = (dev_x * w_col).T @ dev_y
+    m = model.measured
+    y_hat = fs.mean[:m]
+    # The predicted covariance is symmetric, and so is S.
+    s_cov = fs.cov[:m, :m] + noise.r
     if not np.isfinite(s_cov).all():
         raise SingularInnovationCov("innovation covariance is not finite")
 
     try:
-        gain = np.linalg.solve(s_cov, cross.T).T
+        gain = np.linalg.solve(s_cov, fs.cov[:, :m].T).T
     except np.linalg.LinAlgError as exc:
         raise SingularInnovationCov(str(exc)) from exc
     # The 2-norm condition number, as np.linalg.cond computes it.

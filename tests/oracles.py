@@ -27,11 +27,17 @@ counts exactly.
 ``reference_sigma_points``, ``reference_predict``, ``reference_update``,
 ``reference_adapt_q``, ``reference_dynamics_intensity`` and
 ``ReferenceTractionEstimator`` are the filter step as it was before it
-evaluated one RK4 derivative, built each FilterState directly and cached
-the sigma weights; the estimator must reproduce their records and final
-belief exactly.  ``reference_fuzzy_factor`` is the fuzzy rule as it was
-before it evaluated its two fixed segments directly; ``ukf.fuzzy_factor``
-must return the same float bit for bit.  ``import_layer_csv`` reads a
+evaluated one RK4 derivative, built each FilterState directly, cached the
+sigma weights and computed the unscented transform in closed form; the
+estimator must reproduce their records and final belief within the
+tolerances ``test_estimator.py`` states.  ``reference_sigma_points``,
+``reference_predict`` and ``reference_update`` on a ``NonlinearModel``
+are the only copy of the sigma-point transform: ``ukf`` keeps just the
+closed form, and the tests check it against them on affine models.
+``measurement_model`` is the reference filter's output function.
+``reference_fuzzy_factor`` is the fuzzy rule as it was before it evaluated
+its two fixed segments directly; ``ukf.fuzzy_factor`` must return the same
+float bit for bit.  ``import_layer_csv`` reads a
 layer CSV back for the round-trip tests.
 
 ``WheelState``, ``wheel_accel`` and ``vehicle_accel`` are the per-wheel
@@ -51,6 +57,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -71,6 +78,7 @@ from tractionmap.estimator import (
     IDX_OMEGA,
     IDX_RHO_S,
     IDX_V,
+    MEAS_DIM,
     MU_BOUNDS,
     RHO_S_BOUNDS,
     STATE_DIM,
@@ -79,7 +87,6 @@ from tractionmap.estimator import (
     EstimatorConfig,
     TractionEstimator,
     TractionInput,
-    measurement_model,
     process_model,
 )
 from tractionmap.mapping import (
@@ -605,13 +612,52 @@ def observability_check(params: VehicleParams, x0: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # The filter step before one-derivative RK4, direct FilterState
-# construction and cached sigma weights, kept verbatim.  The edits:
-# ``ReferenceTractionEstimator`` calls the reference functions below instead
-# of the ``ukf`` and ``estimator`` ones; it and the reference functions read
-# the sample period, the sigma-point spread, the Q adaptation and the fuzzy
-# rule base from the module constants that replaced those settings; and
-# ``reference_adapt_q`` returns its input until the innovation window is
-# full, as ``ukf.adapt_q`` does.
+# construction, cached sigma weights and the closed-form transform, kept
+# verbatim.  The edits: ``ReferenceTractionEstimator`` calls the reference
+# functions below instead of the ``ukf`` and ``estimator`` ones; they read
+# the sample period, the Q adaptation and the fuzzy rule base from the
+# module constants that replaced those settings; ``reference_adapt_q``
+# returns its input until the innovation window is full, as
+# ``ukf.adapt_q`` does; and the sigma-point spread, the model and sigma
+# types, the decomposition error and the measurement function, which left
+# the package with the sigma-point path, are defined here.
+
+# Sigma-point spread of the standard scaled unscented transform.
+ALPHA = 0.1
+BETA = 2.0
+KAPPA = 0.0
+
+
+class DecompositionFailure(np.linalg.LinAlgError):
+    """Covariance not positive semi-definite within jitter tolerance."""
+
+
+@dataclass(frozen=True)
+class NonlinearModel:
+    """Discrete-time model x' = f(x, u) + q, y = h(x) + r.
+
+    ``f`` and ``h`` must accept state arrays of shape (n,) or (N, n) and
+    map them row-wise (the filter propagates all sigma points in one call);
+    the state and output sizes are read from the arrays.
+    """
+
+    f: Callable[[np.ndarray, np.ndarray | None], np.ndarray]
+    h: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class SigmaSet:
+    """2n+1 sigma points with their mean and covariance weights."""
+
+    points: np.ndarray   # (2n+1, n)
+    w_mean: np.ndarray   # (2n+1,)
+    w_cov: np.ndarray    # (2n+1,)
+
+
+def measurement_model(x: np.ndarray) -> np.ndarray:
+    """Output projection: the five measured speeds [omega_1..4, v]."""
+    return np.asarray(x, dtype=float)[..., :MEAS_DIM]
+
 
 def _reference_symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
@@ -630,15 +676,15 @@ def _reference_cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
             return np.linalg.cholesky(cov + jitter * np.eye(n))
         except np.linalg.LinAlgError:
             jitter *= 10.0
-    raise ukf.DecompositionFailure(
+    raise DecompositionFailure(
         "covariance not PSD within jitter tolerance (filter divergence?)")
 
 
-def reference_sigma_points(mean: np.ndarray, cov: np.ndarray) -> ukf.SigmaSet:
+def reference_sigma_points(mean: np.ndarray, cov: np.ndarray) -> SigmaSet:
     mean = np.asarray(mean, dtype=float)
     cov = _reference_symmetrize(np.asarray(cov, dtype=float))
     n = mean.shape[0]
-    lam = ukf.ALPHA ** 2 * (n + ukf.KAPPA) - n
+    lam = ALPHA ** 2 * (n + KAPPA) - n
     scale = n + lam
     root = _reference_cholesky_with_jitter(scale * cov)
 
@@ -650,8 +696,8 @@ def reference_sigma_points(mean: np.ndarray, cov: np.ndarray) -> ukf.SigmaSet:
     w_mean = np.full(2 * n + 1, 0.5 / scale)
     w_cov = w_mean.copy()
     w_mean[0] = lam / scale
-    w_cov[0] = lam / scale + (1.0 - ukf.ALPHA ** 2 + ukf.BETA)
-    return ukf.SigmaSet(points=points, w_mean=w_mean, w_cov=w_cov)
+    w_cov[0] = lam / scale + (1.0 - ALPHA ** 2 + BETA)
+    return SigmaSet(points=points, w_mean=w_mean, w_cov=w_cov)
 
 
 def _reference_weighted_moments(points: np.ndarray, w_mean: np.ndarray,
@@ -662,7 +708,7 @@ def _reference_weighted_moments(points: np.ndarray, w_mean: np.ndarray,
     return mean, _reference_symmetrize(cov)
 
 
-def reference_predict(fs: ukf.FilterState, model: ukf.NonlinearModel, u,
+def reference_predict(fs: ukf.FilterState, model: NonlinearModel, u,
                       noise: ukf.NoiseSpec) -> ukf.FilterState:
     ss = reference_sigma_points(fs.mean, fs.cov)
     propagated = np.asarray(model.f(ss.points, u), dtype=float)
@@ -672,7 +718,7 @@ def reference_predict(fs: ukf.FilterState, model: ukf.NonlinearModel, u,
                    predicted=True)
 
 
-def reference_update(fs: ukf.FilterState, model: ukf.NonlinearModel,
+def reference_update(fs: ukf.FilterState, model: NonlinearModel,
                      y: np.ndarray, noise: ukf.NoiseSpec) -> ukf.FilterState:
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
@@ -805,7 +851,7 @@ class ReferenceTractionEstimator(TractionEstimator):
 
     def __init__(self, vehicle, curve_family, config=EstimatorConfig()):
         super().__init__(vehicle, curve_family, config)
-        self.model = ukf.NonlinearModel(
+        self.model = NonlinearModel(
             f=lambda x, u: reference_process_model(x, u, SAMPLE_DT, vehicle),
             h=measurement_model)
 

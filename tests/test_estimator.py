@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     ReferenceTractionEstimator,
     WheelState,
+    measurement_model,
     observability_check,
     reference_dynamics_intensity,
     reference_process_model,
@@ -34,7 +35,6 @@ from tractionmap.estimator import (
     TractionInput,
     TractionMeasurement,
     dynamics_intensity,
-    measurement_model,
     process_jacobian,
     process_model,
 )
@@ -334,11 +334,35 @@ def test_step_derives_wheel_geometry_once(monkeypatch):
 
 
 def test_estimator_config_holds_only_the_tuning_callers_set():
-    # the sample period, priors, intensity window, sigma-point scaling,
-    # Q adaptation and fuzzy rule base are fixed by the filter design
+    # the sample period, priors, intensity window, Q adaptation and fuzzy
+    # rule base are fixed by the filter design
     assert [f.name for f in fields(EstimatorConfig)] == [
         "q_diag", "sigma_omega", "sigma_v", "init_p_diag", "adapt_enabled",
         "fuzzy_enabled"]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("init_p_diag", (-1.0,) * 10),
+    ("init_p_diag", (0.01,) * 9),
+    ("init_p_diag", (0.01,) * 9 + (math.nan,)),
+    ("q_diag", (1e-2,) * 9),
+    ("q_diag", (1e-2,) * 9 + (-1e-5,)),
+    ("q_diag", (1e-2,) * 9 + (math.inf,)),
+    ("sigma_v", math.inf),
+    ("sigma_omega", math.nan),
+    ("sigma_omega", -0.01),
+])
+def test_estimator_config_refuses_bad_tuning(name, value):
+    # each of these used to run silently or fail mid-run under another name
+    with pytest.raises(ValueError, match=name):
+        EstimatorConfig(**{name: value})
+
+
+def test_estimator_config_accepts_zero_variances():
+    zeros = (0.0,) * 10
+    config = EstimatorConfig(q_diag=zeros, init_p_diag=zeros,
+                             sigma_omega=0.0, sigma_v=0.0)
+    assert np.array_equal(config.noise_spec().r, 1e-8 * np.eye(5))
 
 
 # --- closed-loop behaviour against the simulator ------------------------------
