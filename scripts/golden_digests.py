@@ -10,10 +10,11 @@ Runs three commands in a temporary directory:
 and writes the sha256 of every output (26 files) to
 tests/golden/three_soil.json, together with the Python and numpy versions
 that made them.  Each file is hashed as ``scripts/cmp_outputs.py``
-compares it, so the runtime lines of the metrics files are left out.
-``tests/test_golden.py`` re-runs the commands and names each file whose
-digest moved.  Regenerate the file only in a change that moves outputs on
-purpose.
+compares it, so the runtime lines of the metrics files are left out.  It
+prints each digest that changed, appeared or vanished against the file it
+replaces.  ``tests/test_golden.py`` re-runs the commands and names each
+file whose digest moved.  Regenerate the file only in a change that moves
+outputs on purpose.
 
 Usage: python scripts/golden_digests.py
 """
@@ -71,9 +72,26 @@ def digests(work: Path) -> dict[str, str]:
             for path in sorted((work / name).iterdir())}
 
 
+def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """``changed``, ``appeared`` or ``vanished``, then the name, for each
+    output whose digest differs from ``old`` to ``new``, by name."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            lines.append(f"appeared {name}")
+        elif name not in new:
+            lines.append(f"vanished {name}")
+        elif old[name] != new[name]:
+            lines.append(f"changed {name}")
+    return lines
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sha = digests(Path(tmp))
+    old = json.loads(GOLDEN.read_text())["sha256"] if GOLDEN.exists() else {}
+    for line in moved(old, sha):
+        print(line)
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     with open(GOLDEN, "w") as fh:
         json.dump({**versions(), "sha256": sha}, fh, indent=1)

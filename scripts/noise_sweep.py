@@ -4,7 +4,9 @@
 For each multiplier of the nominal wheel- and ground-speed noise, runs the
 three-soil case study (scenarios/three_soil.yaml) and prints per-soil mu
 error, curve R^2 and the rho_s error.  Useful for judging how much sensor
-quality the identification needs.
+quality the identification needs.  The estimator is set up as
+``tractionmap run`` sets it up: its measurement noise R is the scaled
+sensor noise, and it identifies the curve family of the scenario's soils.
 
 Usage: python scripts/noise_sweep.py [multiplier ...]
 """
@@ -27,9 +29,10 @@ def run_once(mult: float):
         nominal, sigma_omega=nominal.sigma_omega * mult,
         sigma_v=nominal.sigma_v * mult))
     samples, truth = sim.simulate(scenario)
-    records, est = cli.run_estimation(samples, scenario.vehicle)
+    family, config = cli.estimator_setup(scenario)
+    records, est = cli.run_estimation(samples, scenario.vehicle, family, config)
     # no map: only the mu, R^2 and rho_s errors are printed
-    return cli.compute_metrics(records, truth, None, None,
+    return cli.compute_metrics(records, truth, None, None, family,
                                clamp_violations=est.clamp_violations)
 
 

@@ -131,11 +131,13 @@ def run_estimation(samples: list[TelemetrySample],
 
 def build_map(records: list[EstimateRecord],
               resolution: float = 1.0) -> GroundMap | None:
-    """Raw ground map from the estimate stream; origin at the first insert.
+    """Raw ground map from the estimate stream, sized to its records.
 
     Only records with a successful curve-scale extraction are inserted,
-    in stream order, by one bulk ``insert_auto``; the stored layers are
-    (a, rho_s).
+    in stream order, by one bulk ``insert_auto`` into a 1 x 1 map at the
+    first kept position.  The grid is allocated once as the box of the
+    kept records' cells against that position, with its origin at the
+    box's lower corner; the stored layers are (a, rho_s).
     """
     kept = [rec for rec in records if rec.curve_scale is not None]
     if not kept:
@@ -407,15 +409,16 @@ def format_metrics(report: MetricsReport) -> str:
 
 def _estimate_map_score(samples: list[TelemetrySample],
                         truth: list[TruthRecord] | None, vehicle,
-                        config: EstimatorConfig, out_dir, t0: float,
-                        resolution: float) -> MetricsReport | None:
-    """The stages ``run`` and ``replay`` share: estimate with ``config``,
-    map, interpolate, write, then score against ``truth`` when it is given.
+                        curve_family, config: EstimatorConfig, out_dir,
+                        t0: float, resolution: float) -> MetricsReport | None:
+    """The stages ``run`` and ``replay`` share: estimate ``curve_family``'s
+    scale with ``config``, map, interpolate, write, then score against
+    ``truth`` when it is given.
 
     The output directory is created only once every result is in hand, so
     a failed stage leaves none behind.  ``runtime_s`` counts from ``t0``.
     """
-    records, est = run_estimation(samples, vehicle, config=config)
+    records, est = run_estimation(samples, vehicle, curve_family, config)
     raw_map = build_map(records, resolution=resolution)
     interp_map = None if raw_map is None else mapping.interpolate(raw_map)
 
@@ -433,7 +436,7 @@ def _estimate_map_score(samples: list[TelemetrySample],
         return None
 
     report = compute_metrics(records, truth, raw_map, interp_map,
-                             runtime_s=time.perf_counter() - t0,
+                             curve_family, runtime_s=time.perf_counter() - t0,
                              clamp_violations=est.clamp_violations)
     with open(out / "metrics.json", "w") as fh:
         json.dump(asdict(report), fh, indent=1, allow_nan=False)
@@ -442,24 +445,44 @@ def _estimate_map_score(samples: list[TelemetrySample],
     return report
 
 
+def estimator_setup(scenario: sim.ScenarioSpec
+                    ) -> tuple[tuple[float, float, float], EstimatorConfig]:
+    """The curve family and the filter config a scenario is estimated
+    with: the adhesion-curve shape (p, alpha1, alpha2) that the default
+    soil and every region's soil share, and R from the speed-sensor
+    noise.  Raises ValueError when the soils disagree on the shape."""
+    field = scenario.terrain
+    families = {(soil.p, soil.alpha1, soil.alpha2) for soil in
+                (field.default_soil, *(soil for _, soil in field.regions))}
+    if len(families) != 1:
+        raise ValueError(f"the field's soils disagree on (p, alpha1, "
+                         f"alpha2): {sorted(families)}; one curve family "
+                         f"is identified per run")
+    config = EstimatorConfig(sigma_omega=scenario.noise.sigma_omega,
+                             sigma_v=scenario.noise.sigma_v)
+    return families.pop(), config
+
+
 def run(config: RunConfig) -> MetricsReport:
     """Load the scenario of ``config`` and run the whole pipeline on it:
     simulate, the shared stages, then the telemetry and truth logs.  The
-    filter's measurement noise R is the scenario's speed-sensor noise.
+    filter's measurement noise R is the scenario's speed-sensor noise, and
+    it identifies the curve family of the scenario's soils.
 
     Raises ConfigurationError, before any stage runs, when the scenario
-    file or the seed override is refused.
+    file or the seed override is refused, or when the soils disagree on
+    the curve family.
     """
     t0 = time.perf_counter()
     with _refused_input():
         scenario = sim.load_scenario(config.scenario_path)
         if config.seed is not None:
             scenario = replace(scenario, seed=config.seed)
+        curve_family, est_config = estimator_setup(scenario)
     samples, truth = sim.simulate(scenario)
-    est_config = EstimatorConfig(sigma_omega=scenario.noise.sigma_omega,
-                                 sigma_v=scenario.noise.sigma_v)
-    report = _estimate_map_score(samples, truth, scenario.vehicle, est_config,
-                                 config.out_dir, t0, config.resolution)
+    report = _estimate_map_score(samples, truth, scenario.vehicle,
+                                 curve_family, est_config, config.out_dir, t0,
+                                 config.resolution)
     out = Path(config.out_dir)
     sim.write_telemetry_csv(samples, out / "telemetry.csv")
     sim.write_truth_csv(truth, out / "truth.csv")
@@ -469,7 +492,9 @@ def run(config: RunConfig) -> MetricsReport:
 def replay(telemetry_path, out_dir, truth_path=None,
            resolution: float = 1.0) -> MetricsReport | None:
     """Re-run estimation on a recorded telemetry CSV; score it only when
-    the truth CSV is given.
+    the truth CSV is given.  The telemetry does not record the vehicle,
+    the curve family or the sensor noise, so the default vehicle,
+    ``STUBBLE_FAMILY`` and ``EstimatorConfig()``'s noise are assumed.
 
     Raises ConfigurationError, before any stage runs, unless the
     resolution is valid, both files read, the telemetry holds at least two
@@ -494,7 +519,8 @@ def replay(telemetry_path, out_dir, truth_path=None,
                 raise ValueError(
                     "the truth log's t column is not the telemetry's")
     return _estimate_map_score(samples, truth, VehicleParams(),
-                               EstimatorConfig(), out_dir, t0, resolution)
+                               STUBBLE_FAMILY, EstimatorConfig(), out_dir, t0,
+                               resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 A GroundMap is a w x l grid of cells over planar world coordinates; each
 non-empty cell carries the running mean of every inserted parameter layer
-(the curve scale a and rho_s) plus a hit count.  Interpolation fills and
-smooths the map with a three-band Manhattan-distance rule: for each target
-cell, the mean of the non-empty source cells in each distance band is
-weighted by the band weight and the weighted means are averaged over the
-bands that contributed.  All reads come from the pre-interpolation
-snapshot, so the sweep order is irrelevant.
+(the curve scale a and rho_s) plus a hit count.  An insert reallocates
+the grid at most once, to the box of the grid and the cells its rows fall
+in.  Interpolation fills and smooths the map with a three-band
+Manhattan-distance rule: for each target cell, the mean of the non-empty
+source cells in each distance band is weighted by the band weight and the
+weighted means are averaged over the bands that contributed.  All reads
+come from the pre-interpolation snapshot, so the sweep order is
+irrelevant.
 """
 
 from __future__ import annotations
@@ -91,49 +93,39 @@ def _cells(gmap: GroundMap, positions: np.ndarray) -> np.ndarray:
     return cell
 
 
-def grow_to_include(gmap: GroundMap, pos: tuple[float, float]) -> GroundMap:
-    """Reallocate so ``pos`` falls inside.
+def grow_to_include(gmap: GroundMap, lo, hi) -> GroundMap:
+    """Reallocate to the cells ``[lo, hi)`` per axis of ``gmap``'s index
+    space, where ``lo <= 0`` and ``hi >= gmap.shape``.
 
-    Per axis, a cell index at or past the far side doubles the span until
-    it fits; an index below zero extends the near side by the smallest
-    whole multiple of the current size that reaches it, in one step.
-    Growth keeps every recorded cell at its world position: growth on the
-    far side preserves the origin, growth below zero shifts it down by
-    whole cells.
+    Every recorded cell keeps its world position: the origin moves down by
+    ``-lo`` whole cells (an axis with ``lo == 0`` keeps it exactly) and the
+    old grid is copied in at ``-lo``.
     """
-    i, j = map(int, _cells(gmap, np.array([pos], dtype=float))[0])
+    # whole cells the origin moves down, and the old grid's offset in the new
+    di, dj = -lo[0], -lo[1]
     w, l = gmap.shape
-
-    # the largest multiple of the size at or below the index, capped at 0
-    lo_i = min(0, i // max(w, 1) * max(w, 1))
-    lo_j = min(0, j // max(l, 1) * max(l, 1))
-    hi_i, hi_j = w, l
-    while i >= hi_i:
-        hi_i += max(hi_i - lo_i, 1)
-    while j >= hi_j:
-        hi_j += max(hi_j - lo_j, 1)
-
     new = GroundMap.empty(
-        origin=(gmap.origin[0] + lo_i * gmap.resolution,
-                gmap.origin[1] + lo_j * gmap.resolution),
+        origin=(gmap.origin[0] - di * gmap.resolution,
+                gmap.origin[1] - dj * gmap.resolution),
         resolution=gmap.resolution,
-        width=hi_i - lo_i, length=hi_j - lo_j)
-    new.values[-lo_i:-lo_i + w, -lo_j:-lo_j + l] = gmap.values
-    new.counts[-lo_i:-lo_i + w, -lo_j:-lo_j + l] = gmap.counts
+        width=hi[0] + di, length=hi[1] + dj)
+    new.values[di:di + w, dj:dj + l] = gmap.values
+    new.counts[di:di + w, dj:dj + l] = gmap.counts
     return new
 
 
 def insert_auto(gmap: GroundMap, positions, values) -> GroundMap:
     """Running-mean insert of parameter rows at world positions, in order.
 
-    ``positions`` is (n, 2) and ``values`` (n, NUM_LAYERS).  A row lands
-    in cell ``floor((pos - origin) / resolution)``.  At the first row that
-    falls outside, the map grows through one ``grow_to_include`` call and
-    the rows from there on are placed against the grown map's origin; a
-    row that rounding at the shifted origin still leaves outside grows it
-    again.  Returns the map holding every row (a new one if it grew).
-    Raises ValueError when a row's cell index is not finite (a NaN
-    position, or one that overflows at a subnormal resolution).
+    ``positions`` is (n, 2) and ``values`` (n, NUM_LAYERS).  Every row's
+    cell ``floor((pos - origin) / resolution)`` is computed once, against
+    the origin of ``gmap``.  When a cell falls outside, the map is
+    reallocated once, through ``grow_to_include``, to the box of the grid
+    and every row's cell; each row then lands at its cell less the box's
+    lower corner.  Returns the map holding every row (a new one if it
+    grew).  Raises ValueError when a row's cell index is not finite (a
+    NaN position, or one that overflows at a subnormal resolution) and
+    when the box cannot be allocated.
 
     Each cell takes its rows in stream order: rows are applied in rounds
     by their rank within the cell, each round updating distinct cells
@@ -148,17 +140,14 @@ def insert_auto(gmap: GroundMap, positions, values) -> GroundMap:
         raise ValueError(f"expected {NUM_LAYERS} layer values per position")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    start = 0
-    while start < len(positions):
-        cell = _cells(gmap, positions[start:])
-        inside = ((cell >= 0) & (cell < gmap.shape)).all(axis=1)
-        stop = len(cell) if inside.all() else int(np.argmin(inside))
-        if stop:
-            _insert_rows(gmap, cell[:stop].astype(np.int64),
-                         values[start:start + stop])
-        start += stop
-        if start < len(positions):
-            gmap = grow_to_include(gmap, tuple(positions[start].tolist()))
+    cell = _cells(gmap, positions)
+    # Python ints, so a box too large to allocate is named, not cast
+    lo = [int(c) for c in cell.min(axis=0, initial=0.0)]
+    hi = [max(int(c) + 1, n)
+          for c, n in zip(cell.max(axis=0, initial=0.0), gmap.shape)]
+    if lo != [0, 0] or hi != list(gmap.shape):
+        gmap = grow_to_include(gmap, lo, hi)
+    _insert_rows(gmap, (cell - lo).astype(np.int64), values)
     return gmap
 
 

@@ -14,15 +14,13 @@ and truth exactly (equal ``repr``, no tolerance).  Likewise ``reference_interpol
 ``reference_load_map_state`` are the map layer as it was before the
 interpolation swept only the occupied box in row tiles and the map files
 were written in bulk, kept verbatim; the map layer must reproduce their
-arrays and file bytes exactly.  ``reference_build_map`` with
-``reference_insert_auto``, ``insert``, ``world_to_grid`` and
-``OutOfBounds`` is the map build as it was before it became one bulk
-``insert_auto`` call, one scalar insert per record, kept verbatim; the
-bulk build must reproduce its origin, values and counts exactly.
-``reference_grow_to_include`` is the growth as it was before the near
-side grew in one step instead of one map size per loop step, kept
-verbatim; the shipped growth must reproduce its origin, shape, values and
-counts exactly.
+arrays and file bytes exactly.  ``reference_build_map`` with ``insert``
+is the map build written without ``mapping``: each kept record's cell
+against the first kept position, one allocation of those cells' box, then
+one scalar insert per record in stream order; the bulk build must
+reproduce its origin, shape, values and counts exactly.  ``world_to_grid``
+and ``OutOfBounds`` are the scalar world-to-cell transform the tests
+check positions with.
 ``reference_process_model``,
 ``reference_sigma_points``, ``reference_predict``, ``reference_update``,
 ``reference_adapt_q``, ``reference_dynamics_intensity`` and
@@ -100,7 +98,6 @@ from tractionmap.mapping import (
     W_MID,
     GroundMap,
     _band_offsets,
-    grow_to_include,
 )
 from tractionmap.sim import (
     _SIGN_SPEED,
@@ -447,72 +444,47 @@ def world_to_grid(pos: tuple[float, float], gmap: GroundMap) -> tuple[int, int]:
     return i, j
 
 
-def insert(gmap: GroundMap, pos: tuple[float, float], values) -> GroundMap:
-    """Running-mean insert of one parameter vector at a world position."""
+def insert(gmap: GroundMap, cell: tuple[int, int], values) -> GroundMap:
+    """Running-mean insert of one parameter vector at a cell index."""
     values = np.asarray(values, dtype=float)
     if values.shape != (NUM_LAYERS,):
         raise ValueError(f"expected {NUM_LAYERS} layer values")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    i, j = world_to_grid(pos, gmap)
+    i, j = cell
     count = gmap.counts[i, j]
     gmap.values[i, j] = (gmap.values[i, j] * count + values) / (count + 1)
     gmap.counts[i, j] = count + 1
     return gmap
 
 
-def reference_insert_auto(gmap: GroundMap, pos: tuple[float, float], values) -> GroundMap:
-    """Insert, growing the map when the position falls outside."""
-    try:
-        return insert(gmap, pos, values)
-    except OutOfBounds:
-        gmap = grow_to_include(gmap, pos)
-        return insert(gmap, pos, values)
-
-
-def reference_grow_to_include(gmap: GroundMap,
-                              pos: tuple[float, float]) -> GroundMap:
-    """Reallocate so ``pos`` falls inside, growing below zero by one size
-    per loop step (|index| / size steps)."""
-    i = int(np.floor((pos[0] - gmap.origin[0]) / gmap.resolution))
-    j = int(np.floor((pos[1] - gmap.origin[1]) / gmap.resolution))
-    w, l = gmap.shape
-
-    lo_i, hi_i, lo_j, hi_j = 0, w, 0, l
-    while i < lo_i:
-        lo_i -= max(w, 1)
-    while i >= hi_i:
-        hi_i += max(hi_i - lo_i, 1)
-    while j < lo_j:
-        lo_j -= max(l, 1)
-    while j >= hi_j:
-        hi_j += max(hi_j - lo_j, 1)
-
-    new = GroundMap.empty(
-        origin=(gmap.origin[0] + lo_i * gmap.resolution,
-                gmap.origin[1] + lo_j * gmap.resolution),
-        resolution=gmap.resolution,
-        width=hi_i - lo_i, length=hi_j - lo_j)
-    new.values[-lo_i:-lo_i + w, -lo_j:-lo_j + l] = gmap.values
-    new.counts[-lo_i:-lo_i + w, -lo_j:-lo_j + l] = gmap.counts
-    return new
-
-
 def reference_build_map(records: list[EstimateRecord],
                         resolution: float = 1.0) -> GroundMap | None:
-    """Raw ground map from the estimate stream; origin at the first insert.
+    """Raw ground map from the estimate stream, sized once.
 
     Only records with a successful curve-scale extraction are inserted;
-    the stored layers are (a, rho_s).
+    the stored layers are (a, rho_s).  Each kept record's cell is its
+    floored offset from the first kept position; the grid is the box of
+    those cells, its origin that box's lower corner, and the records are
+    inserted one by one in stream order.
     """
-    gmap: GroundMap | None = None
-    for rec in records:
-        if rec.curve_scale is None:
-            continue
-        values = (rec.curve_scale, rec.rho_s)
-        if gmap is None:
-            gmap = GroundMap.empty(origin=rec.position, resolution=resolution)
-        gmap = reference_insert_auto(gmap, rec.position, values)
+    kept = [rec for rec in records if rec.curve_scale is not None]
+    if not kept:
+        return None
+    x0, y0 = kept[0].position
+    cells = [(math.floor((x - x0) / resolution),
+              math.floor((y - y0) / resolution))
+             for x, y in (rec.position for rec in kept)]
+    ii, jj = zip(*cells)
+    lo_i, lo_j = min(ii), min(jj)
+    # an axis the box does not extend below the first position keeps its
+    # coordinate exactly, a -0.0 included
+    gmap = GroundMap.empty(origin=(x0 + lo_i * resolution if lo_i else x0,
+                                   y0 + lo_j * resolution if lo_j else y0),
+                           resolution=resolution,
+                           width=max(ii) - lo_i + 1, length=max(jj) - lo_j + 1)
+    for rec, (i, j) in zip(kept, cells):
+        insert(gmap, (i - lo_i, j - lo_j), (rec.curve_scale, rec.rho_s))
     return gmap
 
 

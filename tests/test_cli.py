@@ -224,6 +224,50 @@ def test_run_takes_the_filter_noise_from_the_scenario(tmp_path, monkeypatch):
     assert seen[1] == pytest.approx([0.0001] * 4 + [0.0004], rel=1e-12)
 
 
+# a curve family other than sim.STUBBLE_FAMILY
+OTHER_FAMILY = (0.4, -12.0, -1.5)
+
+
+def _three_soil_with_families(tmp_path, families) -> Path:
+    """three_soil.yaml with the (p, alpha1, alpha2) of the default soil
+    and of the three regions' soils, in that order, replaced."""
+    raw = yaml.safe_load(THREE_SOIL.read_text())
+    soils = [raw["field"]["default_soil"],
+             *(region["soil"] for region in raw["field"]["regions"])]
+    for soil, (p, alpha1, alpha2) in zip(soils, families, strict=True):
+        soil.update(p=p, alpha1=alpha1, alpha2=alpha2)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def test_run_identifies_the_curve_family_of_the_scenario(tmp_path):
+    # With STUBBLE_FAMILY assumed, the filter read a = 0.483, 0.437, 0.393
+    # and R^2 0.585, 0.798, 0.926 off these soils.
+    path = _three_soil_with_families(tmp_path, [OTHER_FAMILY] * 4)
+    report = cli.run(RunConfig(scenario_path=str(path),
+                               out_dir=str(tmp_path / "out")))
+    assert [s.true_a for s in report.per_soil] == [0.85, 0.70, 0.55]
+    for s in report.per_soil:
+        assert s.identified_a == pytest.approx(s.true_a, abs=0.005)
+        assert s.r_squared > 0.999
+
+
+def test_run_refuses_soils_that_disagree_on_the_curve_family(tmp_path,
+                                                            capsys):
+    path = _three_soil_with_families(
+        tmp_path, [sim.STUBBLE_FAMILY] + [OTHER_FAMILY] * 3)
+    out = tmp_path / "never"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: the field's soils disagree "
+                          "on (p, alpha1, alpha2)")
+    assert not out.exists()
+    # the plant itself runs any soils
+    scenario = sim.load_scenario(path)
+    sim.simulate(replace(scenario, duration=1.0))
+
+
 def test_timeseries_pairs_truth_with_estimates(scenario_file, tmp_path):
     out = tmp_path / "out"
     cli.run(RunConfig(scenario_path=str(scenario_file), out_dir=str(out)))

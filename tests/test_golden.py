@@ -22,8 +22,7 @@ def test_three_soil_outputs_match_golden_digests(tmp_path):
     golden = json.loads(golden_digests.GOLDEN.read_text())
     got = golden_digests.digests(tmp_path)
     assert len(golden["sha256"]) == 26
-    moved = sorted(name for name in golden["sha256"].keys() | got.keys()
-                   if golden["sha256"].get(name) != got.get(name))
+    moved = golden_digests.moved(golden["sha256"], got)
     made = f"Python {golden['python']}, numpy {golden['numpy']}"
     now = golden_digests.versions()
     assert not moved, (

@@ -3,11 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from oracles import (
+    THREE_SOIL,
     OutOfBounds,
     brute_force_interpolate,
     import_layer_csv,
@@ -18,7 +18,7 @@ from oracles import (
     reference_save_map_state,
     world_to_grid,
 )
-from tractionmap import cli, mapping
+from tractionmap import cli, mapping, sim
 from tractionmap.estimator import EstimateRecord
 from tractionmap.mapping import (
     LAYER_NAMES,
@@ -118,7 +118,8 @@ def test_insert_order_invariance(values, seed):
 def test_grow_preserves_world_anchoring():
     gmap = make_map(width=2, length=2, origin=(10.0, 20.0))
     insert_auto(gmap, [(10.5, 20.5)], [VALS])
-    grown = grow_to_include(gmap, (25.0, 20.0))
+    grown = grow_to_include(gmap, (0, 0), (16, 2))
+    assert grown.origin == gmap.origin and grown.shape == (16, 2)
     assert world_to_grid((25.0, 20.0), grown)
     i, j = world_to_grid((10.5, 20.5), grown)
     assert grown.counts[i, j] == 1
@@ -128,25 +129,29 @@ def test_grow_preserves_world_anchoring():
 def test_grow_handles_negative_indices():
     gmap = make_map(width=2, length=2, origin=(0.0, 0.0))
     insert_auto(gmap, [(0.5, 0.5)], [VALS])
-    grown = grow_to_include(gmap, (-3.0, -1.0))
+    grown = grow_to_include(gmap, (-3, -1), (2, 2))
+    assert grown.origin == (-3.0, -1.0) and grown.shape == (5, 3)
     i, j = world_to_grid((0.5, 0.5), grown)
     assert np.allclose(grown.values[i, j], VALS)
-    assert world_to_grid((-3.0, -1.0), grown)
+    assert grown.counts.sum() == 1
+    assert world_to_grid((-3.0, -1.0), grown) == (0, 0)
 
 
 def test_grow_names_a_grid_that_cannot_be_allocated():
     # (50 m, 10 m) lies about 5e301 x 1e301 cells from the origin; numpy
-    # refuses such a shape before allocating anything
+    # refuses such a shape before allocating anything, and the size is
+    # never cast to a fixed-width integer
     gmap = make_map(width=2, length=2, resolution=1e-300)
-    with pytest.raises(ValueError, match=r"^map grid of \d+ x \d+ cells at "
-                       r"resolution 1e-300 m cannot be allocated: "):
-        grow_to_include(gmap, (50.0, 10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^map grid of \d+ x \d+ cells "
+                           r"at resolution 1e-300 m cannot be allocated: "):
+            insert_auto(gmap, [(50.0, 10.0)], [VALS])
 
 
 @pytest.mark.parametrize("place", [
     lambda gmap, pos: insert_auto(gmap, [pos], [VALS]),
-    grow_to_include,
-], ids=["insert_auto", "grow_to_include"])
+], ids=["insert_auto"])
 @pytest.mark.parametrize("pos, resolution", [
     ((50.0, 10.0), 1e-310),   # 5e311 cells: overflows to inf
     ((math.nan, 10.0), 1.0),
@@ -162,33 +167,25 @@ def test_non_finite_cell_index_names_position_and_resolution(place, pos,
             place(gmap, pos)
 
 
-@settings(max_examples=150, deadline=None)
-@given(width=st.integers(1, 6), length=st.integers(1, 6),
-       resolution=st.sampled_from([0.25, 1.0, 3.0]),
-       x=st.floats(-40.0, 40.0), y=st.floats(-40.0, 40.0))
-# cell indices an exact multiple of the grid size below the origin
-@example(width=4, length=1, resolution=1.0, x=-2.5, y=-3.0)
-@example(width=4, length=3, resolution=1.0, x=-6.5, y=-5.0)
-def test_grow_matches_reference_loop(width, length, resolution, x, y):
-    # positions below, inside and past the grid on either axis
-    gmap = make_map(width, length, origin=(1.5, -2.0), resolution=resolution)
-    rng = np.random.default_rng(7 * width + length)
-    gmap.counts[...] = rng.integers(0, 3, gmap.shape)
-    gmap.values[...] = rng.random(gmap.values.shape)
-    got = grow_to_include(gmap, (x, y))
-    want = oracles.reference_grow_to_include(gmap, (x, y))
-    assert got.origin == want.origin
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got.values, want.values)
-    np.testing.assert_array_equal(got.counts, want.counts)
+def _count_grows(monkeypatch) -> list:
+    """The arguments of each ``mapping.grow_to_include`` call from now on."""
+    grown = []
+    monkeypatch.setattr(mapping, "grow_to_include",
+                        lambda *args: grown.append(args) or grow_to_include(*args))
+    return grown
 
 
-def test_insert_auto_grows():
+def test_insert_auto_grows(monkeypatch):
+    # one reallocation to the box of the grid and every row's cell
+    grown = _count_grows(monkeypatch)
     gmap = make_map(width=1, length=1)
-    gmap = insert_auto(gmap, [(0.5, 0.5), (7.5, 0.5)], [VALS, VALS * 2])
-    assert gmap.shape == (8, 1)
-    i, j = world_to_grid((7.5, 0.5), gmap)
-    assert np.allclose(gmap.values[i, j], VALS * 2)
+    positions = [(0.5, 0.5), (7.5, 0.5), (-2.5, 1.5)]
+    gmap = insert_auto(gmap, positions, [VALS, VALS * 2, VALS * 3])
+    assert len(grown) == 1
+    assert gmap.origin == (-3.0, 0.0) and gmap.shape == (11, 2)
+    for pos, scale in zip(positions, (1, 2, 3)):
+        i, j = world_to_grid(pos, gmap)
+        assert np.allclose(gmap.values[i, j], VALS * scale)
 
 
 # --- interpolation ---------------------------------------------------------------
@@ -507,27 +504,17 @@ BUILD_CASES = [_survey_records, _negative_growth_records, _stationary_records,
 
 
 def _assert_builds_equal(records, resolution, monkeypatch):
-    grown = {"new": 0, "ref": 0}
-
-    def counting(key, grow):
-        def wrapper(gmap, pos):
-            grown[key] += 1
-            return grow(gmap, pos)
-        return wrapper
-
-    monkeypatch.setattr(mapping, "grow_to_include",
-                        counting("new", mapping.grow_to_include))
-    monkeypatch.setattr(oracles, "grow_to_include",
-                        counting("ref", oracles.grow_to_include))
+    grown = _count_grows(monkeypatch)
     new = cli.build_map(records, resolution=resolution)
     ref = reference_build_map(records, resolution=resolution)
-    assert grown["new"] == grown["ref"]
+    assert len(grown) <= 1
     if ref is None:
         assert new is None
         return None
     assert new.origin == ref.origin
     assert np.array(new.origin).tobytes() == np.array(ref.origin).tobytes()
     assert new.resolution == ref.resolution
+    assert new.shape == ref.shape
     assert new.values.tobytes() == ref.values.tobytes()
     assert new.counts.dtype == ref.counts.dtype
     assert np.array_equal(new.counts, ref.counts)
@@ -564,11 +551,6 @@ def test_build_map_bit_equal_to_reference_on_generated_streams(rows, resolution,
     rows = [row for row in rows for _ in range(repeat)]
     records = _records([(x, y) for x, y, _, _ in rows], [a for _, _, a, _ in rows],
                        [r for _, _, _, r in rows])
-    try:
-        reference_build_map(records, resolution=resolution)
-    except OutOfBounds:
-        # the reference's rounding edge, covered by its own test below
-        assume(False)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_builds_equal(records, resolution, monkeypatch)
 
@@ -602,21 +584,39 @@ def test_build_map_non_finite_value_raises_like_reference(field):
         cli.build_map(records, resolution=resolution)
 
 
-def test_build_map_grows_again_where_rounding_leaves_a_record_outside():
-    # Growing below the origin shifts it by whole cells; here the record's
-    # index against the shifted origin rounds to -1, so the per-record
-    # reference raised.  The bulk build grows once more and keeps it.
+def test_build_map_places_each_record_at_its_cell_against_the_first():
+    # The second record lies 170 cells below the first.  Against the
+    # origin moved down by those cells its index rounds to -1, where a
+    # build that placed it against the moved origin lost it; each record
+    # keeps the cell its index against the first record gives.
     records = _records([(42.99075236636783, 0.0), (-76.00924763363217, 0.0)],
                        [0.7, 0.8])
-    with pytest.raises(OutOfBounds):
-        reference_build_map(records, resolution=0.7)
     gmap = cli.build_map(records, resolution=0.7)
-    assert gmap.counts.sum() == 2
-    for rec in records:
-        i = int(np.floor((rec.position[0] - gmap.origin[0]) / gmap.resolution))
-        j = int(np.floor((rec.position[1] - gmap.origin[1]) / gmap.resolution))
-        assert 0 <= i < gmap.shape[0] and 0 <= j < gmap.shape[1]
-        assert gmap.values[i, j, 0] == rec.curve_scale
+    x0, y0 = records[0].position
+    cells = [(math.floor((x - x0) / 0.7), math.floor((y - y0) / 0.7))
+             for x, y in (rec.position for rec in records)]
+    assert cells[1] == (-170, 0)
+    assert math.floor((records[1].position[0] - gmap.origin[0]) / 0.7) == -1
+    assert gmap.shape == (171, 1) and gmap.counts.sum() == 2
+    for rec, (i, j) in zip(records, cells):
+        assert gmap.counts[i + 170, j] == 1
+        assert gmap.values[i + 170, j, 0] == rec.curve_scale
+
+
+def test_three_soil_raw_grid_is_the_kept_records_cell_box():
+    scenario = sim.load_scenario(THREE_SOIL)
+    assert scenario.seed == 42
+    samples, _ = sim.simulate(scenario)
+    records, _ = cli.run_estimation(samples, scenario.vehicle)
+    gmap = cli.build_map(records, resolution=1.0)
+    kept = np.array([rec.position for rec in records
+                     if rec.curve_scale is not None])
+    cells = np.floor(kept - kept[0])
+    lo = cells.min(axis=0)
+    assert gmap.shape == tuple((cells.max(axis=0) - lo + 1).astype(int))
+    assert gmap.shape == (236, 3)
+    assert gmap.origin == tuple((kept[0] + lo).tolist())
+    assert (np.count_nonzero(gmap.counts), gmap.counts.size) == (388, 708)
 
 
 # --- CSV layer export/import -------------------------------------------------
