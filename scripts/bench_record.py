@@ -18,9 +18,11 @@ over the traced set-up and pass.  The same run gives the tracer's plant
 numbers (``sim.simulate_s`` per call, ``sim.us_per_step`` per 1 ms plant
 step), filter numbers (``ukf.predict_ms``, ``ukf.update_ms`` and
 ``ukf.adapt_q_ms`` per call, ``estimator.step_p50_ms`` per 10 Hz sample)
-and map counters.  The record holds each side's runs, median and
-quartiles of every end-to-end metric, the pairs the change won, the failed
-and attempted operations, the traced stage times and the machine.
+and map numbers (``mapping.grid_cells`` allocated by the map builds,
+``mapping.interpolate_ns_per_cell`` per swept cell).  The record holds
+each side's runs, median and quartiles of every end-to-end metric, the
+pairs the change won, the failed and attempted operations, the traced
+stage times and the machine.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ TRACED_STAGES = ("sim.simulate", "cli.build_map", "mapping.interpolate",
 TRACED_METRICS = ("sim.simulate_s", "sim.us_per_step",
                   "ukf.predict_ms", "ukf.update_ms", "ukf.adapt_q_ms",
                   "estimator.step_p50_ms",
-                  "mapping.grow.count", "mapping.grow.cells_copied")
+                  "mapping.grid_cells", "mapping.interpolate_ns_per_cell")
 
 
 def _run(checkout: Path, workload: str, seed: int, trace: int) -> dict:

@@ -39,6 +39,7 @@ from .sim import STUBBLE_FAMILY, TelemetrySample, TruthRecord
 BURN_IN_S = 2.0            # discard this much after the start
 TRANSITION_EXCLUDE_S = 3.0  # and after each soil change
 R2_SLIP_GRID = np.linspace(0.0, 0.5, 51)
+DEFAULT_RESOLUTION = 1.0   # map cell size in meters, unless one is given
 
 
 class DegenerateVariance(ValueError):
@@ -67,7 +68,7 @@ class RunConfig:
     scenario_path: str
     out_dir: str = "out"
     seed: int | None = None
-    resolution: float = 1.0
+    resolution: float = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
         with _refused_input():
@@ -110,13 +111,12 @@ def compute_r_squared(identified_curve, true_curve) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def run_estimation(samples: list[TelemetrySample],
-                   vehicle,
-                   curve_family=STUBBLE_FAMILY,
-                   config=None) -> tuple[list[EstimateRecord], TractionEstimator]:
+def run_estimation(samples: list[TelemetrySample], vehicle,
+                   curve_family: tuple[float, float, float],
+                   config: EstimatorConfig
+                   ) -> tuple[list[EstimateRecord], TractionEstimator]:
     """Feed a telemetry stream through a fresh estimator."""
-    est = TractionEstimator(vehicle, curve_family,
-                            config or EstimatorConfig())
+    est = TractionEstimator(vehicle, curve_family, config)
     est.initialize(TractionMeasurement(omega_w=samples[0].omega_w,
                                        v=samples[0].v))
     records: list[EstimateRecord] = []
@@ -130,7 +130,7 @@ def run_estimation(samples: list[TelemetrySample],
 
 
 def build_map(records: list[EstimateRecord],
-              resolution: float = 1.0) -> GroundMap | None:
+              resolution: float) -> GroundMap | None:
     """Raw ground map from the estimate stream, sized to its records.
 
     Only records with a successful curve-scale extraction are inserted,
@@ -182,7 +182,7 @@ def compute_metrics(records: list[EstimateRecord],
                     truth: list[TruthRecord],
                     raw_map: GroundMap | None,
                     interp_map: GroundMap | None,
-                    curve_family=STUBBLE_FAMILY,
+                    curve_family: tuple[float, float, float],
                     runtime_s: float = 0.0,
                     clamp_violations: int = 0) -> MetricsReport:
     """Score the estimate stream against the aligned truth log.
@@ -490,7 +490,7 @@ def run(config: RunConfig) -> MetricsReport:
 
 
 def replay(telemetry_path, out_dir, truth_path=None,
-           resolution: float = 1.0) -> MetricsReport | None:
+           resolution: float = DEFAULT_RESOLUTION) -> MetricsReport | None:
     """Re-run estimation on a recorded telemetry CSV; score it only when
     the truth CSV is given.  The telemetry does not record the vehicle,
     the curve family or the sensor noise, so the default vehicle,
@@ -545,13 +545,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="scenario YAML file")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--resolution", type=float, default=1.0)
+    p_run.add_argument("--resolution", type=float,
+                       default=DEFAULT_RESOLUTION)
 
     p_rep = sub.add_parser("replay", help="re-run estimation on telemetry")
     p_rep.add_argument("telemetry", help="telemetry CSV file")
     p_rep.add_argument("--truth", default=None, help="aligned truth CSV")
     p_rep.add_argument("--out", default="out", help="output directory")
-    p_rep.add_argument("--resolution", type=float, default=1.0)
+    p_rep.add_argument("--resolution", type=float,
+                       default=DEFAULT_RESOLUTION)
 
     p_exp = sub.add_parser("export-map", help="export one layer of a saved map")
     p_exp.add_argument("state", help="map state JSON from a previous run")

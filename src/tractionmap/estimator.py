@@ -64,9 +64,11 @@ ACCEL_SCALE = 1.0            # m/s^2
 # Samples in the dynamics-intensity window.
 INTENSITY_WINDOW = 10
 
-# Prior means of the parameter states.
+# Prior means of the parameter states, and the prior variances of the
+# whole state.
 INIT_MU = 0.3
 INIT_RHO_S = 0.05
+INIT_P_DIAG = (0.1 ** 2,) * 5 + (0.2 ** 2,) * 4 + (0.05 ** 2,)
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,10 @@ class EstimateRecord:
     cov_diag: tuple[float, ...]
 
 
-def process_model(x: np.ndarray, u: TractionInput, dt: float,
+def process_model(x: np.ndarray, u: TractionInput,
                   params: VehicleParams) -> np.ndarray:
-    """One RK4 step of the wheel/vehicle dynamics; parameters held constant.
+    """One ``SAMPLE_DT`` RK4 step of the wheel/vehicle dynamics;
+    parameters held constant.
 
     Accepts a single state (10,) or a stack (N, 10) and advances each row.
     Vertical forces come from the front-axle measurement and static rear
@@ -136,8 +139,6 @@ def process_model(x: np.ndarray, u: TractionInput, dt: float,
     evaluated on x and the vehicle row on ``x + 0.0``, reproduces the
     four-stage step bit for bit.
     """
-    if not 0.0 < dt <= 0.1:
-        raise ValueError("dt must be in (0, 0.1]")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("state must be finite")
@@ -154,28 +155,27 @@ def process_model(x: np.ndarray, u: TractionInput, dt: float,
         / params.wheel_inertia
     k[..., IDX_V] = (((mu + 0.0) * f_z).sum(axis=-1) - u.f_dx
                      - (x[..., IDX_RHO_S] + 0.0) * m * GRAVITY) / m
-    return x + dt / 6.0 * (k + 2.0 * k + 2.0 * k + k)
+    return x + SAMPLE_DT / 6.0 * (k + 2.0 * k + 2.0 * k + k)
 
 
 @lru_cache(maxsize=16)
-def process_jacobian(f_zf: float, dt: float,
-                     params: VehicleParams) -> np.ndarray:
-    """The state Jacobian F = I + dt * B of ``process_model``.
+def process_jacobian(f_zf: float, params: VehicleParams) -> np.ndarray:
+    """The state Jacobian F = I + SAMPLE_DT * B of ``process_model``.
 
     ``process_model`` is affine in the state, so F is exact for every
     state; it depends only on the front-axle load.  B holds
     ``-r_d * f_z / J`` at (i, 5 + i), ``f_z / m`` at (4, 5 + i) and ``-g``
-    at (4, 9).  Cached on ``(f_zf, dt, params)`` and read-only, as every
+    at (4, 9).  Cached on ``(f_zf, params)`` and read-only, as every
     caller with the same load shares it.
     """
     loads, radii = wheel_geometry(f_zf, params)
     m = params.vehicle_mass
     jac = np.eye(STATE_DIM)
     for i in range(4):
-        jac[i, IDX_MU.start + i] = -dt * radii[i] * loads[i] \
+        jac[i, IDX_MU.start + i] = -SAMPLE_DT * radii[i] * loads[i] \
             / params.wheel_inertia
-        jac[IDX_V, IDX_MU.start + i] = dt * loads[i] / m
-    jac[IDX_V, IDX_RHO_S] = -dt * GRAVITY
+        jac[IDX_V, IDX_MU.start + i] = SAMPLE_DT * loads[i] / m
+    jac[IDX_V, IDX_RHO_S] = -SAMPLE_DT * GRAVITY
     jac.flags.writeable = False
     return jac
 
@@ -214,27 +214,25 @@ def dynamics_intensity(recent_inputs, recent_measurements) -> float:
 class EstimatorConfig:
     """Tuning of the traction AUKF-FS.
 
-    The filter steps at ``SAMPLE_DT`` with the ``ukf`` module's fixed
+    The filter steps at ``SAMPLE_DT`` from the prior ``INIT_MU``,
+    ``INIT_RHO_S`` and ``INIT_P_DIAG``, with the ``ukf`` module's fixed
     Q adaptation and fuzzy rule base.  R is diagonal, each variance
-    floored at 1e-8.  ``q_diag`` and ``init_p_diag`` hold one finite,
-    non-negative entry per state, and the sigmas are finite and
-    non-negative; anything else is refused here.
+    floored at 1e-8.  ``q_diag`` holds one finite, non-negative entry per
+    state, and the sigmas are finite and non-negative; anything else is
+    refused here.
     """
 
     q_diag: tuple = (1e-2,) * 5 + (1e-4,) * 4 + (1e-5,)
     sigma_omega: float = 0.01     # rad/s measurement noise
     sigma_v: float = 0.02         # m/s measurement noise
-    init_p_diag: tuple = (0.1 ** 2,) * 5 + (0.2 ** 2,) * 4 + (0.05 ** 2,)
     adapt_enabled: bool = True
     fuzzy_enabled: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("q_diag", "init_p_diag"):
-            values = getattr(self, name)
-            if len(values) != STATE_DIM or not all(
-                    math.isfinite(v) and v >= 0.0 for v in values):
-                raise ValueError(f"{name} must be {STATE_DIM} finite, "
-                                 f"non-negative entries, got {values!r}")
+        if len(self.q_diag) != STATE_DIM or not all(
+                math.isfinite(v) and v >= 0.0 for v in self.q_diag):
+            raise ValueError(f"q_diag must be {STATE_DIM} finite, "
+                             f"non-negative entries, got {self.q_diag!r}")
         for name in ("sigma_omega", "sigma_v"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -257,14 +255,14 @@ class TractionEstimator:
 
     def __init__(self, vehicle: VehicleParams,
                  curve_family: tuple[float, float, float],
-                 config: EstimatorConfig = EstimatorConfig()):
+                 config: EstimatorConfig):
         self.vehicle = vehicle
         self.curve_family = curve_family
         self.config = config
         self.noise = config.noise_spec()
         self.model = ukf.AffineModel(
-            f=lambda x, u: process_model(x, u, SAMPLE_DT, vehicle),
-            jacobian=lambda u: process_jacobian(u.f_zf, SAMPLE_DT, vehicle),
+            f=lambda x, u: process_model(x, u, vehicle),
+            jacobian=lambda u: process_jacobian(u.f_zf, vehicle),
             measured=MEAS_DIM)
         self.state: ukf.FilterState | None = None
         self.clamp_violations = 0
@@ -277,13 +275,11 @@ class TractionEstimator:
         mean[:5] = y.as_vector()
         mean[IDX_MU] = INIT_MU
         mean[IDX_RHO_S] = INIT_RHO_S
-        self.state = ukf.FilterState.initial(
-            mean, np.diag(self.config.init_p_diag))
+        self.state = ukf.FilterState.initial(mean, np.diag(INIT_P_DIAG))
         self._measurements.append(y)
 
-    def step(self, u: TractionInput, y: TractionMeasurement,
-             t: float = 0.0,
-             position: tuple[float, float] = (0.0, 0.0)) -> EstimateRecord:
+    def step(self, u: TractionInput, y: TractionMeasurement, t: float,
+             position: tuple[float, float]) -> EstimateRecord:
         """One supervise/adapt/predict/update cycle, then parameter extraction."""
         if self.state is None:
             raise RuntimeError("call initialize() with the first measurement")
@@ -318,16 +314,15 @@ class TractionEstimator:
                 and lo <= mu4 <= hi
                 and RHO_S_BOUNDS[0] <= rho_s <= RHO_S_BOUNDS[1]):
             return fs
+        # Some value is out of range or NaN, so clipping changes the mean.
         clipped = mean.copy()
         clipped[IDX_MU] = np.clip(mean[IDX_MU], *MU_BOUNDS)
         clipped[IDX_RHO_S] = np.clip(mean[IDX_RHO_S], *RHO_S_BOUNDS)
-        if not np.array_equal(clipped, mean):
-            self.clamp_violations += 1
-            return ukf.FilterState(
-                mean=clipped, cov=fs.cov, a_diag=fs.a_diag, phi=fs.phi,
-                residuals=fs.residuals, gain=fs.gain,
-                innov_cov=fs.innov_cov, predicted=fs.predicted)
-        return fs
+        self.clamp_violations += 1
+        return ukf.FilterState(
+            mean=clipped, cov=fs.cov, a_diag=fs.a_diag, phi=fs.phi,
+            residuals=fs.residuals, gain=fs.gain,
+            innov_cov=fs.innov_cov, predicted=fs.predicted)
 
     def _make_record(self, fs: ukf.FilterState, u: TractionInput,
                      t: float, position: tuple[float, float]) -> EstimateRecord:

@@ -57,7 +57,7 @@ class GroundMap:
             raise ValueError("values/counts shape mismatch")
 
     @classmethod
-    def empty(cls, origin: tuple[float, float], resolution: float = 1.0,
+    def empty(cls, origin: tuple[float, float], resolution: float,
               width: int = 1, length: int = 1) -> "GroundMap":
         """An all-empty map; raises ValueError when numpy cannot allocate
         the grid."""
@@ -198,13 +198,13 @@ def interpolate(gmap: GroundMap) -> GroundMap:
     empty.  The high band includes d = 0, so a filled cell contributes to
     itself.
 
-    Only the bounding box of the filled cells, widened by the low band's
-    reach and clipped to the grid, can be reached; the sweep covers that
-    box alone, in row tiles of about ``TILE_CELLS`` cells.  The layers
-    and the fill mask are stacked as three planes, so each offset is one
-    add.  Every cell sums its band's offsets in the same order as a
-    full-grid sweep would, and the empty cells it reads add an exact
-    +0.0, so the result does not depend on the box or the tiling.
+    The sweep covers the whole grid, in row tiles of about ``TILE_CELLS``
+    cells: a grid from ``cli.build_map`` is the box of its records' cells,
+    so every edge row and column holds a record and no smaller box holds
+    every reachable cell.  The layers and the fill mask are stacked as
+    three planes, so each offset is one add.  Every cell sums its band's
+    offsets in the same order whatever the tiling, and the empty cells it
+    reads add an exact +0.0.
     """
     filled = gmap.counts > 0
     if not np.any(filled):
@@ -218,34 +218,26 @@ def interpolate(gmap: GroundMap) -> GroundMap:
 
     w, l = gmap.shape
     reach = int(np.floor(EPS_LOW / res))
-    rows = np.flatnonzero(filled.any(axis=1))
-    cols = np.flatnonzero(filled.any(axis=0))
-    i0, i1 = max(rows[0] - reach, 0), min(rows[-1] + 1 + reach, w)
-    j0, j1 = max(cols[0] - reach, 0), min(cols[-1] + 1 + reach, l)
-    bw, bl = i1 - i0, j1 - j0
-
     # Planes 0-1 hold the layers of the filled cells, plane 2 the fill
-    # mask; the zero margin stands for the empty or off-grid cells beyond
-    # the box.
-    box_filled = filled[i0:i1, j0:j1]
-    src = np.zeros((NUM_LAYERS + 1, bw + 2 * reach, bl + 2 * reach))
-    np.copyto(src[:NUM_LAYERS, reach:reach + bw, reach:reach + bl],
-              np.moveaxis(gmap.values[i0:i1, j0:j1], -1, 0), where=box_filled)
-    src[NUM_LAYERS, reach:reach + bw, reach:reach + bl] = box_filled
+    # mask; the zero margin stands for the off-grid cells.
+    src = np.zeros((NUM_LAYERS + 1, w + 2 * reach, l + 2 * reach))
+    np.copyto(src[:NUM_LAYERS, reach:reach + w, reach:reach + l],
+              np.moveaxis(gmap.values, -1, 0), where=filled)
+    src[NUM_LAYERS, reach:reach + w, reach:reach + l] = filled
 
     out = GroundMap.empty(gmap.origin, res, w, l)
-    tile_rows = max(1, TILE_CELLS // bl)
-    for r0 in range(0, bw, tile_rows):
-        r1 = min(r0 + tile_rows, bw)
-        weighted = np.zeros((NUM_LAYERS, r1 - r0, bl))
-        weight_total = np.zeros((r1 - r0, bl))
+    tile_rows = max(1, TILE_CELLS // l)
+    for r0 in range(0, w, tile_rows):
+        r1 = min(r0 + tile_rows, w)
+        weighted = np.zeros((NUM_LAYERS, r1 - r0, l))
+        weight_total = np.zeros((r1 - r0, l))
         for offsets, band_weight in bands:
             if not offsets:
                 continue
-            acc = np.zeros((NUM_LAYERS + 1, r1 - r0, bl))
+            acc = np.zeros((NUM_LAYERS + 1, r1 - r0, l))
             for di, dj in offsets:
                 acc += src[:, reach + r0 + di:reach + r1 + di,
-                           reach + dj:reach + dj + bl]
+                           reach + dj:reach + dj + l]
             # A cell with no source in the band has summed only +0.0, so
             # its mean stays 0.0 and adds an exact +0.0 to ``weighted``.
             has = acc[NUM_LAYERS] > 0
@@ -255,8 +247,8 @@ def interpolate(gmap: GroundMap) -> GroundMap:
             weight_total += np.where(has, band_weight, 0.0)
         reached = weight_total > 0
         np.divide(weighted, weight_total, where=reached, out=weighted)
-        out.values[i0 + r0:i0 + r1, j0:j1] = np.moveaxis(weighted, 0, -1)
-        out.counts[i0 + r0:i0 + r1, j0:j1] = reached
+        out.values[r0:r1] = np.moveaxis(weighted, 0, -1)
+        out.counts[r0:r1] = reached
     return out
 
 

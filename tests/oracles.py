@@ -82,7 +82,6 @@ from tractionmap.estimator import (
     STATE_DIM,
     TORQUE_RATE_SCALE,
     EstimateRecord,
-    EstimatorConfig,
     TractionEstimator,
     TractionInput,
     process_model,
@@ -459,7 +458,7 @@ def insert(gmap: GroundMap, cell: tuple[int, int], values) -> GroundMap:
 
 
 def reference_build_map(records: list[EstimateRecord],
-                        resolution: float = 1.0) -> GroundMap | None:
+                        resolution: float) -> GroundMap | None:
     """Raw ground map from the estimate stream, sized once.
 
     Only records with a successful curve-scale extraction are inserted;
@@ -549,7 +548,6 @@ def vehicle_accel(mu_i, f_z_i, f_dx: float, rho_s: float,
 # wheel speeds and ground speed identify all ten states).
 
 def observability_check(params: VehicleParams, x0: np.ndarray,
-                        dt: float = SAMPLE_DT,
                         f_zf: float | None = None) -> bool:
     """Numerical observability of the linearized model at ``x0``.
 
@@ -570,8 +568,8 @@ def observability_check(params: VehicleParams, x0: np.ndarray,
         xp, xm = x0.copy(), x0.copy()
         xp[j] += h
         xm[j] -= h
-        jac[:, j] = (process_model(xp, u, dt, params)
-                     - process_model(xm, u, dt, params)) / (2.0 * h)
+        jac[:, j] = (process_model(xp, u, params)
+                     - process_model(xm, u, params)) / (2.0 * h)
 
     c = np.zeros((5, n))
     c[:5, :5] = np.eye(5)
@@ -821,13 +819,13 @@ def reference_fuzzy_factor(dynamics_signal: float) -> float:
 class ReferenceTractionEstimator(TractionEstimator):
     """``TractionEstimator`` stepping with the reference filter above."""
 
-    def __init__(self, vehicle, curve_family, config=EstimatorConfig()):
+    def __init__(self, vehicle, curve_family, config):
         super().__init__(vehicle, curve_family, config)
         self.model = NonlinearModel(
             f=lambda x, u: reference_process_model(x, u, SAMPLE_DT, vehicle),
             h=measurement_model)
 
-    def step(self, u, y, t=0.0, position=(0.0, 0.0)):
+    def step(self, u, y, t, position):
         if self.state is None:
             raise RuntimeError("call initialize() with the first measurement")
         cfg = self.config

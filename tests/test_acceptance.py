@@ -42,10 +42,11 @@ def _run_pipeline(noise: sim.SensorNoise) -> PipelineResult:
     scenario = dataclasses.replace(sim.load_scenario(THREE_SOIL), noise=noise)
     t0 = time.perf_counter()
     samples, truth = sim.simulate(scenario)
-    records, est = cli.run_estimation(samples, scenario.vehicle)
-    raw = cli.build_map(records)
+    records, est = cli.run_estimation(samples, scenario.vehicle,
+                                      sim.STUBBLE_FAMILY, EstimatorConfig())
+    raw = cli.build_map(records, 1.0)
     interp = mapping.interpolate(raw)
-    rep = cli.compute_metrics(records, truth, raw, interp,
+    rep = cli.compute_metrics(records, truth, raw, interp, sim.STUBBLE_FAMILY,
                               clamp_violations=est.clamp_violations)
     return PipelineResult(report=rep, runtime_s=time.perf_counter() - t0)
 
@@ -176,7 +177,7 @@ def test_criterion_4_adaptive_q_directionality():
                                   sigma_v=0.1, adapt_enabled=adapt,
                                   fuzzy_enabled=False)
             records, _ = cli.run_estimation(samples, scenario.vehicle,
-                                            config=cfg)
+                                            sim.STUBBLE_FAMILY, cfg)
             rms[key] = _mu_rms(records, truth)
         directional.append(rms["adaptive_small"] < rms["frozen_small"])
         degradation.append(rms["adaptive_matched"]

@@ -1,6 +1,7 @@
 import copy
 import csv
 import importlib.util
+import inspect
 import json
 import os
 import resource
@@ -24,6 +25,7 @@ from tractionmap.cli import (
     compute_r_squared,
 )
 from tractionmap.dynamics import mu_curve
+from tractionmap.estimator import EstimatorConfig, TractionEstimator
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -149,7 +151,8 @@ def test_metrics_recomputable_from_exported_logs(scenario_file, tmp_path):
             slip=tuple(float(row[f"slip{i}"]) for i in range(1, 5)),
             curve_scale=float(row["a"]) if row["a"] else None,
             cov_diag=tuple(float(row[f"p{i}{i}"]) for i in range(10))))
-    offline = cli.compute_metrics(records, truth, None, None)
+    offline = cli.compute_metrics(records, truth, None, None,
+                                  sim.STUBBLE_FAMILY)
     for got, want in zip(offline.per_soil, report.per_soil):
         assert got.mu_error_pct == pytest.approx(want.mu_error_pct, rel=1e-12)
         assert got.r_squared == pytest.approx(want.r_squared, rel=1e-12)
@@ -180,11 +183,12 @@ def _shift_t(records, k, dt):
 def test_misaligned_logs_are_refused(misalign, short_logs, tmp_path):
     samples, truth = short_logs
     records, _ = cli.run_estimation(samples, sim.load_scenario(
-        THREE_SOIL).vehicle)
-    cli.compute_metrics(records, truth, None, None)  # aligned: scored
+        THREE_SOIL).vehicle, sim.STUBBLE_FAMILY, EstimatorConfig())
+    # aligned: scored
+    cli.compute_metrics(records, truth, None, None, sim.STUBBLE_FAMILY)
     records, truth = misalign(records, truth)
     with pytest.raises(ValueError, match="do not align"):
-        cli.compute_metrics(records, truth, None, None)
+        cli.compute_metrics(records, truth, None, None, sim.STUBBLE_FAMILY)
     with pytest.raises(ValueError, match="do not align"):
         cli.write_timeseries_csv(records, truth, tmp_path / "ts.csv")
     assert not (tmp_path / "ts.csv").exists()
@@ -715,6 +719,35 @@ def test_non_finite_map_cell_names_position_and_resolution(short_logs,
 
 
 # --- library boundary ---------------------------------------------------------------
+
+@pytest.mark.parametrize("function, name", [
+    (cli.run_estimation, "curve_family"),
+    (cli.run_estimation, "config"),
+    (cli.compute_metrics, "curve_family"),
+    (cli.build_map, "resolution"),
+    (mapping.GroundMap.empty, "resolution"),
+    (TractionEstimator, "curve_family"),
+    (TractionEstimator, "config"),
+    (TractionEstimator.step, "t"),
+    (TractionEstimator.step, "position"),
+], ids=lambda x: getattr(x, "__qualname__", x))
+def test_stage_takes_what_it_runs_with_from_its_caller(function, name):
+    # below the command line, RunConfig and replay no stage falls back on
+    # a curve family, filter config, cell size, time or position
+    parameter = inspect.signature(function).parameters[name]
+    assert parameter.default is inspect.Parameter.empty
+
+
+def test_default_cell_size_is_one_constant():
+    parser = cli._build_parser()
+    defaults = [
+        RunConfig(scenario_path="s.yaml").resolution,
+        inspect.signature(cli.replay).parameters["resolution"].default,
+        parser.parse_args(["run", "s.yaml"]).resolution,
+        parser.parse_args(["replay", "t.csv"]).resolution,
+    ]
+    assert defaults == [cli.DEFAULT_RESOLUTION] * 4
+
 
 @pytest.mark.parametrize("settings, seed, resolution", [
     (None, None, 1.0),

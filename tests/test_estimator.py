@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import fields, replace
 from functools import lru_cache
@@ -21,6 +22,7 @@ from test_acceptance import _divergence_prone_scenario
 from tractionmap import cli, dynamics, sim, ukf
 from tractionmap.dynamics import (
     GRAVITY,
+    SAMPLE_DT,
     VehicleParams,
     rolling_radius,
     slip,
@@ -30,6 +32,7 @@ from tractionmap.estimator import (
     IDX_MU,
     IDX_RHO_S,
     IDX_V,
+    INIT_P_DIAG,
     EstimatorConfig,
     TractionEstimator,
     TractionInput,
@@ -57,16 +60,17 @@ def nominal_state(v=2.0, mu=0.3, rho_s=0.05, slip_frac=0.15):
 
 # --- process model ----------------------------------------------------------
 
-def test_process_model_rejects_bad_dt_and_state():
-    x = nominal_state()
-    with pytest.raises(ValueError):
-        process_model(x, nominal_input(), 0.0, PARAMS)
-    with pytest.raises(ValueError):
-        process_model(x, nominal_input(), 0.2, PARAMS)
-    bad = x.copy()
+def test_process_model_rejects_non_finite_state():
+    bad = nominal_state()
     bad[0] = np.nan
     with pytest.raises(ValueError):
-        process_model(bad, nominal_input(), 0.1, PARAMS)
+        process_model(bad, nominal_input(), PARAMS)
+
+
+@pytest.mark.parametrize("function", [process_model, process_jacobian])
+def test_process_model_steps_the_sample_period(function):
+    # the filter runs at the telemetry rate, so the step is not a parameter
+    assert "dt" not in inspect.signature(function).parameters
 
 
 def test_process_model_equilibrium_is_fixed_point():
@@ -77,7 +81,7 @@ def test_process_model_equilibrium_is_fixed_point():
     f_dx = sum(mu * f for f in f_z) - rho_s * PARAMS.vehicle_mass * GRAVITY
     x = nominal_state(mu=mu, rho_s=rho_s)
     u = TractionInput(m_d=m_d, f_zf=F_ZF_STATIC, f_dx=f_dx)
-    out = process_model(x, u, 0.1, PARAMS)
+    out = process_model(x, u, PARAMS)
     assert np.abs(out - x).max() < 1e-9
 
 
@@ -88,7 +92,7 @@ def test_process_model_agrees_with_scalar_force_balances():
     # one step equals x + dt * xdot exactly.
     x = nominal_state(v=1.7, mu=0.41, rho_s=0.07, slip_frac=0.2)
     u = nominal_input(m_d=(900.0, 850.0, 800.0, 750.0), f_dx=9000.0)
-    dt = 0.1
+    dt = SAMPLE_DT
 
     f_z = wheel_vertical_forces(u.f_zf, PARAMS)
     expected = x.copy()
@@ -98,19 +102,8 @@ def test_process_model_agrees_with_scalar_force_balances():
     expected[IDX_V] += dt * vehicle_accel(
         tuple(x[5:9]), f_z, u.f_dx, x[IDX_RHO_S], PARAMS)
 
-    out = process_model(x, u, dt, PARAMS)
+    out = process_model(x, u, PARAMS)
     assert np.abs(out - expected).max() < 1e-10
-
-
-def test_process_model_step_halving_consistency():
-    # the traction vector field is affine with constant derivative, so the
-    # O(dt^5) local error of the integrator degenerates to zero: one step
-    # and two half steps must agree to rounding.
-    x = nominal_state(v=1.2, mu=0.5, rho_s=0.04)
-    u = nominal_input(m_d=(1200.0,) * 4, f_dx=12000.0)
-    one = process_model(x, u, 0.1, PARAMS)
-    half = process_model(process_model(x, u, 0.05, PARAMS), u, 0.05, PARAMS)
-    assert np.abs(one - half).max() < 1e-12
 
 
 def test_process_model_batch_matches_scalar():
@@ -119,9 +112,9 @@ def test_process_model_batch_matches_scalar():
     batch = np.stack([nominal_state(v=v, mu=m)
                       for v, m in zip(rng.uniform(0.5, 3, 7),
                                       rng.uniform(0.1, 0.8, 7))])
-    out = process_model(batch, u, 0.1, PARAMS)
+    out = process_model(batch, u, PARAMS)
     for row_in, row_out in zip(batch, out):
-        assert np.allclose(process_model(row_in, u, 0.1, PARAMS), row_out,
+        assert np.allclose(process_model(row_in, u, PARAMS), row_out,
                            atol=1e-14)
 
 
@@ -141,8 +134,8 @@ def test_process_model_signed_zeros_equal_reference(tire_rr_coeff, mu, torque):
     for omega, v, rho_s in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
                             (2.5, 2.0, 0.0)):
         x = np.array([omega] * 4 + [v] + [mu] * 4 + [rho_s])
-        assert (_bits(process_model(x, u, 0.1, params))
-                == _bits(reference_process_model(x, u, 0.1, params)))
+        assert (_bits(process_model(x, u, params))
+                == _bits(reference_process_model(x, u, SAMPLE_DT, params)))
 
 
 def test_process_model_batch_rows_equal_single_rows_and_reference():
@@ -155,31 +148,32 @@ def test_process_model_batch_rows_equal_single_rows_and_reference():
                                          rng.uniform(0.0, 0.5, 21))])
     batch[3, IDX_MU] = -0.0
     batch[4, IDX_RHO_S] = -0.0
-    out = process_model(batch, u, 0.1, PARAMS)
-    assert _bits(out) == _bits(reference_process_model(batch, u, 0.1, PARAMS))
+    out = process_model(batch, u, PARAMS)
+    assert _bits(out) == _bits(reference_process_model(batch, u, SAMPLE_DT,
+                                                       PARAMS))
     for row_in, row_out in zip(batch, out):
-        assert _bits(process_model(row_in, u, 0.1, PARAMS)) == _bits(row_out)
+        assert _bits(process_model(row_in, u, PARAMS)) == _bits(row_out)
 
 
 def test_process_jacobian_is_exact_for_the_affine_step():
     # process_model(x + d) = process_model(x) + F d for any d, up to rounding
     rng = np.random.default_rng(8)
     u = nominal_input(m_d=(900.0, 850.0, 800.0, 750.0), f_dx=9000.0)
-    jac = process_jacobian(u.f_zf, 0.1, PARAMS)
+    jac = process_jacobian(u.f_zf, PARAMS)
     x = nominal_state(v=1.7, mu=0.41, rho_s=0.07)
-    base = process_model(x, u, 0.1, PARAMS)
+    base = process_model(x, u, PARAMS)
     for _ in range(20):
         d = rng.normal(size=10) * np.array([1.0] * 5 + [0.1] * 5)
-        assert np.abs(process_model(x + d, u, 0.1, PARAMS) - base
+        assert np.abs(process_model(x + d, u, PARAMS) - base
                       - jac @ d).max() < 1e-12
-    assert jac is process_jacobian(u.f_zf, 0.1, PARAMS)
+    assert jac is process_jacobian(u.f_zf, PARAMS)
     assert not jac.flags.writeable
 
 
 def test_process_model_zero_torque_decelerates_wheel():
     x = nominal_state(v=2.0, mu=0.4, slip_frac=0.1)
     u = nominal_input(m_d=(0.0,) * 4, f_dx=0.0)
-    out = process_model(x, u, 0.1, PARAMS)
+    out = process_model(x, u, PARAMS)
     assert np.all(out[:4] < x[:4])
 
 
@@ -286,9 +280,9 @@ def test_traction_input_needs_one_torque_per_wheel():
 # --- estimator stepping -------------------------------------------------------
 
 def test_step_requires_initialization():
-    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY)
+    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY, EstimatorConfig())
     with pytest.raises(RuntimeError):
-        est.step(nominal_input(), _meas(2.0))
+        est.step(nominal_input(), _meas(2.0), 0.1, (0.0, 0.0))
 
 
 def test_step_with_measurement_equal_to_prediction_keeps_mean():
@@ -300,13 +294,13 @@ def test_step_with_measurement_equal_to_prediction_keeps_mean():
     predicted = ukf.predict(est.state, est.model, u, est.noise)
     y = TractionMeasurement(omega_w=tuple(predicted.mean[:4]),
                             v=float(predicted.mean[4]))
-    rec = est.step(u, y, t=0.1)
+    rec = est.step(u, y, t=0.1, position=(0.0, 0.0))
     assert np.allclose(est.state.mean, predicted.mean, atol=1e-9)
     assert rec.t == 0.1
 
 
 def test_estimate_record_fields():
-    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY)
+    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY, EstimatorConfig())
     est.initialize(_meas(2.0))
     rec = est.step(nominal_input(), _meas(2.01), t=0.1, position=(3.0, 4.0))
     assert rec.position == (3.0, 4.0)
@@ -323,12 +317,12 @@ def test_step_derives_wheel_geometry_once(monkeypatch):
                         lambda f_zf, params: loads.append(f_zf)
                         or original(f_zf, params))
     dynamics.wheel_geometry.cache_clear()
-    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY)
+    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY, EstimatorConfig())
     est.initialize(_meas(2.0))
     f_zfs = [F_ZF_STATIC + 100.0 * k for k in range(5)]
     for k, f_zf in enumerate(f_zfs):
         rec = est.step(TractionInput(m_d=(500.0,) * 4, f_zf=f_zf, f_dx=8000.0),
-                       _meas(2.01), t=0.1 * (k + 1))
+                       _meas(2.01), t=0.1 * (k + 1), position=(0.0, 0.0))
         assert all(type(s) is float for s in rec.slip)
     assert loads == f_zfs
 
@@ -337,14 +331,13 @@ def test_estimator_config_holds_only_the_tuning_callers_set():
     # the sample period, priors, intensity window, Q adaptation and fuzzy
     # rule base are fixed by the filter design
     assert [f.name for f in fields(EstimatorConfig)] == [
-        "q_diag", "sigma_omega", "sigma_v", "init_p_diag", "adapt_enabled",
-        "fuzzy_enabled"]
+        "q_diag", "sigma_omega", "sigma_v", "adapt_enabled", "fuzzy_enabled"]
 
 
 @pytest.mark.parametrize("name, value", [
-    ("init_p_diag", (-1.0,) * 10),
-    ("init_p_diag", (0.01,) * 9),
-    ("init_p_diag", (0.01,) * 9 + (math.nan,)),
+    ("q_diag", (-1.0,) * 10),
+    ("q_diag", (1e-2,) * 11),
+    ("q_diag", (1e-2,) * 9 + (math.nan,)),
     ("q_diag", (1e-2,) * 9),
     ("q_diag", (1e-2,) * 9 + (-1e-5,)),
     ("q_diag", (1e-2,) * 9 + (math.inf,)),
@@ -360,8 +353,7 @@ def test_estimator_config_refuses_bad_tuning(name, value):
 
 def test_estimator_config_accepts_zero_variances():
     zeros = (0.0,) * 10
-    config = EstimatorConfig(q_diag=zeros, init_p_diag=zeros,
-                             sigma_omega=0.0, sigma_v=0.0)
+    config = EstimatorConfig(q_diag=zeros, sigma_omega=0.0, sigma_v=0.0)
     assert np.array_equal(config.noise_spec().r, 1e-8 * np.eye(5))
 
 
@@ -381,7 +373,8 @@ def single_soil_scenario(soil, duration, seed=0, noise=None, f_dx=15000.0):
 def test_noise_free_convergence_within_10s():
     scenario = single_soil_scenario(MEDIUM, duration=12.0)
     samples, truth = sim.simulate(scenario)
-    records, _ = cli.run_estimation(samples, scenario.vehicle)
+    records, _ = cli.run_estimation(samples, scenario.vehicle,
+                                    sim.STUBBLE_FAMILY, EstimatorConfig())
     truth_by_t = {round(r.t, 6): r for r in truth}
     for rec in records:
         if rec.t < 10.0:
@@ -402,7 +395,8 @@ def test_soil_step_tracked_within_5s_at_nominal_noise():
         drawbar=sim.DrawbarProfile(constant=15000.0, ramp_time=2.0),
         noise=sim.SensorNoise(), duration=40.0, seed=3)
     samples, truth = sim.simulate(scenario)
-    records, _ = cli.run_estimation(samples, scenario.vehicle)
+    records, _ = cli.run_estimation(samples, scenario.vehicle,
+                                    sim.STUBBLE_FAMILY, EstimatorConfig())
 
     t_step = next(r.t for prev, r in zip(truth, truth[1:])
                   if r.soil != prev.soil)
@@ -422,7 +416,8 @@ def test_soil_step_tracked_within_5s_at_nominal_noise():
 def test_estimated_slip_rms_noise_free():
     scenario = single_soil_scenario(MEDIUM, duration=30.0)
     samples, truth = sim.simulate(scenario)
-    records, _ = cli.run_estimation(samples, scenario.vehicle)
+    records, _ = cli.run_estimation(samples, scenario.vehicle,
+                                    sim.STUBBLE_FAMILY, EstimatorConfig())
     truth_by_t = {round(r.t, 6): r for r in truth}
     sq = []
     for rec in records:
@@ -436,7 +431,8 @@ def test_curve_scale_round_trip_above_5pct_slip():
     # 5% identifiability floor
     scenario = single_soil_scenario(LOOSE, duration=40.0)
     samples, truth = sim.simulate(scenario)
-    records, _ = cli.run_estimation(samples, scenario.vehicle)
+    records, _ = cli.run_estimation(samples, scenario.vehicle,
+                                    sim.STUBBLE_FAMILY, EstimatorConfig())
     scales = [r.curve_scale for r in records
               if r.t >= 10.0 and r.curve_scale is not None]
     assert scales
@@ -448,7 +444,8 @@ def test_parameter_bounds_after_burn_in():
     scenario = single_soil_scenario(MEDIUM, duration=20.0,
                                     noise=sim.SensorNoise(), seed=9)
     samples, _ = sim.simulate(scenario)
-    records, est = cli.run_estimation(samples, scenario.vehicle)
+    records, est = cli.run_estimation(samples, scenario.vehicle,
+                                      sim.STUBBLE_FAMILY, EstimatorConfig())
     for rec in records:
         if rec.t < 2.0:
             continue
@@ -461,7 +458,8 @@ def test_covariance_stays_psd_over_10k_steps():
     scenario = single_soil_scenario(MEDIUM, duration=60.0,
                                     noise=sim.SensorNoise(), seed=11)
     samples, _ = sim.simulate(scenario)
-    est = TractionEstimator(scenario.vehicle, sim.STUBBLE_FAMILY)
+    est = TractionEstimator(scenario.vehicle, sim.STUBBLE_FAMILY,
+                            EstimatorConfig())
     est.initialize(TractionMeasurement(omega_w=samples[0].omega_w,
                                        v=samples[0].v))
     steps = 0
@@ -470,7 +468,8 @@ def test_covariance_stays_psd_over_10k_steps():
         for sample in samples[1:]:
             u = TractionInput(m_d=prev.m_d, f_zf=prev.f_zf, f_dx=prev.f_dx)
             est.step(u, TractionMeasurement(omega_w=sample.omega_w,
-                                            v=sample.v))
+                                            v=sample.v),
+                     sample.t, sample.pos)
             prev = sample
             steps += 1
             if steps % 50 == 0:
@@ -572,12 +571,16 @@ def _assert_belief_close(fs, ref_fs, mean_tol, cov_rtol):
 
 
 def _assert_steps_equal_reference(samples, config, vehicle=PARAMS,
-                                  mean_tol=MEAN_TOL, cov_rtol=COV_RTOL):
+                                  mean_tol=MEAN_TOL, cov_rtol=COV_RTOL,
+                                  p_diag=None):
     est = TractionEstimator(vehicle, sim.STUBBLE_FAMILY, config)
     ref = ReferenceTractionEstimator(vehicle, sim.STUBBLE_FAMILY, config)
     first = TractionMeasurement(omega_w=samples[0].omega_w, v=samples[0].v)
-    est.initialize(first)
-    ref.initialize(first)
+    for estimator in (est, ref):
+        estimator.initialize(first)
+        if p_diag is not None:  # in place of INIT_P_DIAG
+            estimator.state = ukf.FilterState.initial(estimator.state.mean,
+                                                      np.diag(p_diag))
     for prev, sample in zip(samples, samples[1:]):
         u = TractionInput(m_d=prev.m_d, f_zf=prev.f_zf, f_dx=prev.f_dx)
         y = TractionMeasurement(omega_w=sample.omega_w, v=sample.v)
@@ -622,8 +625,9 @@ def test_step_equals_reference_when_parameters_are_clamped():
 @pytest.mark.parametrize("value", [-0.3, -0.2, -0.0, 0.5, 1.5, 1.6,
                                    float("nan")])
 def test_clamp_parameters_equals_reference(index, value):
-    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY)
-    ref = ReferenceTractionEstimator(PARAMS, sim.STUBBLE_FAMILY)
+    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY, EstimatorConfig())
+    ref = ReferenceTractionEstimator(PARAMS, sim.STUBBLE_FAMILY,
+                                     EstimatorConfig())
     mean = nominal_state()
     mean[index] = value
     fs = ukf.FilterState.initial(mean, np.eye(10))
@@ -639,9 +643,9 @@ def test_step_equals_reference_with_jittered_cholesky():
     # closed form needs no jitter, so the two part by the jitter the
     # reference adds: a wider bound of 1e-10 on mu, rho_s and slip and 1e-5
     # relative on the covariance
-    p_diag = EstimatorConfig().init_p_diag[:-1] + (0.0,)
+    p_diag = INIT_P_DIAG[:-1] + (0.0,)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(np.diag(p_diag))
     _assert_steps_equal_reference(_three_soil_30s(1.0)[:60],
-                                  EstimatorConfig(init_p_diag=p_diag),
-                                  mean_tol=1e-10, cov_rtol=1e-5)
+                                  EstimatorConfig(), mean_tol=1e-10,
+                                  cov_rtol=1e-5, p_diag=p_diag)

@@ -19,7 +19,7 @@ from oracles import (
     world_to_grid,
 )
 from tractionmap import cli, mapping, sim
-from tractionmap.estimator import EstimateRecord
+from tractionmap.estimator import EstimateRecord, EstimatorConfig
 from tractionmap.mapping import (
     LAYER_NAMES,
     NUM_LAYERS,
@@ -326,7 +326,7 @@ def _all_edges(resolution=1.0):
 
 
 def _grown_negative():
-    gmap = insert_auto(GroundMap.empty(origin=(0.0, 0.0)),
+    gmap = insert_auto(GroundMap.empty(origin=(0.0, 0.0), resolution=1.0),
                        [(0.5, 0.5), (-7.3, -12.1), (3.2, -1.4), (-20.5, 4.9)],
                        np.outer([1.0, 1.3, 0.8, 1.1], VALS))
     assert gmap.origin[0] < 0.0 and gmap.origin[1] < 0.0
@@ -535,7 +535,7 @@ def test_stationary_case_stacks_one_cell():
 
 
 def test_build_map_without_curve_scales_is_none():
-    assert cli.build_map(_records([(1.0, 2.0)] * 3, [None] * 3)) is None
+    assert cli.build_map(_records([(1.0, 2.0)] * 3, [None] * 3), 1.0) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -607,7 +607,8 @@ def test_three_soil_raw_grid_is_the_kept_records_cell_box():
     scenario = sim.load_scenario(THREE_SOIL)
     assert scenario.seed == 42
     samples, _ = sim.simulate(scenario)
-    records, _ = cli.run_estimation(samples, scenario.vehicle)
+    records, _ = cli.run_estimation(samples, scenario.vehicle,
+                                    sim.STUBBLE_FAMILY, EstimatorConfig())
     gmap = cli.build_map(records, resolution=1.0)
     kept = np.array([rec.position for rec in records
                      if rec.curve_scale is not None])
