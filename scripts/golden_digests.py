@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Record the golden output digests of the three-soil case study.
+"""Record the golden output digests of the three-soil case study and of
+the filter step.
 
 Runs three commands in a temporary directory:
 
@@ -16,6 +17,14 @@ replaces.  ``tests/test_golden.py`` re-runs the commands and names each
 file whose digest moved.  Regenerate the file only in a change that moves
 outputs on purpose.
 
+It also writes tests/golden/step_digests.json: for each of the four
+filter configurations (full, fuzzy off, adaptation off, both off) on a
+30 s three-soil stream (seed 1) at 1x and 5x speed noise, the sha256 over
+every ``TractionEstimator.step`` record (``repr`` of mu, rho_s, slip,
+cov_diag and curve_scale) and the run's clamp count.  These cover the
+ablations and the noisy stream, which the 26 outputs do not;
+``tests/test_golden.py`` checks them too.
+
 Usage: python scripts/golden_digests.py
 """
 
@@ -25,6 +34,7 @@ import platform
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
@@ -32,12 +42,23 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "three_soil.json"
+STEP_GOLDEN = ROOT / "tests" / "golden" / "step_digests.json"
 # Run from a plain checkout: the package lives in src/.
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "scripts"))
 
 from cmp_outputs import _comparable  # noqa: E402
-from tractionmap import cli  # noqa: E402
+from tractionmap import cli, sim  # noqa: E402
+from tractionmap.estimator import EstimatorConfig  # noqa: E402
+
+# The step digests' streams and filter configurations.
+STEP_NOISE = {"nominal": 1.0, "noise5x": 5.0}
+STEP_CONFIGS = {
+    "full": EstimatorConfig(),
+    "no_fuzzy": EstimatorConfig(fuzzy_enabled=False),
+    "no_adapt": EstimatorConfig(adapt_enabled=False),
+    "neither": EstimatorConfig(fuzzy_enabled=False, adapt_enabled=False),
+}
 
 
 def commands(work: Path) -> dict[str, list[str]]:
@@ -72,6 +93,31 @@ def digests(work: Path) -> dict[str, str]:
             for path in sorted((work / name).iterdir())}
 
 
+def step_digests() -> dict[str, str]:
+    """sha256 of the step records of each stream and configuration, keyed
+    ``<noise>/<config>``.  Every float is hashed as ``repr(float(x))``, as
+    the writers format it."""
+    scenario = replace(sim.load_scenario(ROOT / "scenarios" / "three_soil.yaml"),
+                       duration=30.0, seed=1)
+    out = {}
+    for label, mult in STEP_NOISE.items():
+        noise = replace(scenario.noise,
+                        sigma_omega=scenario.noise.sigma_omega * mult,
+                        sigma_v=scenario.noise.sigma_v * mult)
+        samples, _ = sim.simulate(replace(scenario, noise=noise))
+        for name, config in STEP_CONFIGS.items():
+            records, est = cli.run_estimation(samples, scenario.vehicle,
+                                              sim.STUBBLE_FAMILY, config)
+            digest = hashlib.sha256()
+            for rec in records:
+                values = (*rec.mu, rec.rho_s, *rec.slip, *rec.cov_diag)
+                digest.update(repr(tuple(map(float, values))).encode())
+                digest.update(repr(rec.curve_scale).encode())
+            digest.update(repr(est.clamp_violations).encode())
+            out[f"{label}/{name}"] = digest.hexdigest()
+    return out
+
+
 def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
     """``changed``, ``appeared`` or ``vanished``, then the name, for each
     output whose digest differs from ``old`` to ``new``, by name."""
@@ -86,17 +132,21 @@ def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
     return lines
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        sha = digests(Path(tmp))
-    old = json.loads(GOLDEN.read_text())["sha256"] if GOLDEN.exists() else {}
+def _write(path: Path, sha: dict[str, str]) -> None:
+    old = json.loads(path.read_text())["sha256"] if path.exists() else {}
     for line in moved(old, sha):
         print(line)
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    with open(GOLDEN, "w") as fh:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
         json.dump({**versions(), "sha256": sha}, fh, indent=1)
         fh.write("\n")
-    print(f"wrote {len(sha)} digests to {GOLDEN.relative_to(ROOT)}")
+    print(f"wrote {len(sha)} digests to {path.relative_to(ROOT)}")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(GOLDEN, digests(Path(tmp)))
+    _write(STEP_GOLDEN, step_digests())
     return 0
 
 

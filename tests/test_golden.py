@@ -2,9 +2,11 @@
 
 ``tests/golden/three_soil.json`` holds the sha256 of the 26 files that
 ``tractionmap run scenarios/three_soil.yaml``, ``replay --truth`` and
-``replay --resolution 0.25`` write, runtime lines left out.  A change
-that moves outputs on purpose regenerates it with
-``python scripts/golden_digests.py`` and lists the moved files.
+``replay --resolution 0.25`` write, runtime lines left out;
+``tests/golden/step_digests.json`` the sha256 of the filter step's
+records in four configurations on a 30 s three-soil stream at 1x and 5x
+speed noise.  A change that moves outputs on purpose regenerates both
+with ``python scripts/golden_digests.py`` and lists the moved files.
 """
 
 import importlib.util
@@ -28,3 +30,11 @@ def test_three_soil_outputs_match_golden_digests(tmp_path):
     assert not moved, (
         f"outputs moved: {', '.join(moved)}; digests made with {made}, "
         f"this run has Python {now['python']}, numpy {now['numpy']}")
+
+
+def test_step_records_match_golden_digests():
+    golden = json.loads(golden_digests.STEP_GOLDEN.read_text())
+    assert len(golden["sha256"]) == 8
+    moved = golden_digests.moved(golden["sha256"],
+                                 golden_digests.step_digests())
+    assert not moved, f"step records moved: {', '.join(moved)}"
