@@ -16,8 +16,9 @@ odd k.  Then one traced run per side on the first seed (``--trace 1
 the map: the inclusive time of each traced span of that stage, summed
 over the traced set-up and pass.  The same run gives the tracer's plant
 numbers (``sim.simulate_s`` per call, ``sim.us_per_step`` per 1 ms plant
-step), filter numbers (``ukf.predict_ms``, ``ukf.update_ms`` and
-``ukf.adapt_q_ms`` per call, ``estimator.step_p50_ms`` per 10 Hz sample)
+step), filter numbers (``ukf.predict_ms``, ``ukf.update_ms``,
+``ukf.adapt_q_ms`` and ``estimator.process_model_ms`` per call,
+``estimator.step_p50_ms`` and ``estimator.step_p99_ms`` per 10 Hz sample)
 and map numbers (``mapping.grid_cells`` allocated by the map builds,
 ``mapping.interpolate_ns_per_cell`` per swept cell).  The record holds
 each side's runs, median and quartiles of every end-to-end metric, the
@@ -46,7 +47,8 @@ TRACED_STAGES = ("sim.simulate", "cli.build_map", "mapping.interpolate",
                  "cli.read.map_state")
 TRACED_METRICS = ("sim.simulate_s", "sim.us_per_step",
                   "ukf.predict_ms", "ukf.update_ms", "ukf.adapt_q_ms",
-                  "estimator.step_p50_ms",
+                  "estimator.process_model_ms",
+                  "estimator.step_p50_ms", "estimator.step_p99_ms",
                   "mapping.grid_cells", "mapping.interpolate_ns_per_cell")
 
 

@@ -124,12 +124,13 @@ class EstimateRecord:
 
 def process_model(x: np.ndarray, u: TractionInput,
                   params: VehicleParams) -> np.ndarray:
-    """One ``SAMPLE_DT`` RK4 step of the wheel/vehicle dynamics;
-    parameters held constant.
+    """One ``SAMPLE_DT`` RK4 step of the wheel/vehicle dynamics for one
+    state (10,); parameters held constant.
 
-    Accepts a single state (10,) or a stack (N, 10) and advances each row.
     Vertical forces come from the front-axle measurement and static rear
-    balance, so the rolling radii are constant over the step.
+    balance, so the rolling radii are constant over the step.  The step is
+    computed in Python floats, each operation in the order of the
+    four-stage RK4 step.
 
     The derivative reads only the parameter entries (mu, rho_s) and is zero
     in them, so RK4 stages 2-4 all see them as ``x + 0.0`` and give one
@@ -137,25 +138,35 @@ def process_model(x: np.ndarray, u: TractionInput,
     zero.  The four-stage sum keeps stage 1's zero in the wheel rows and
     stage 2's in the vehicle row, so one derivative, with the wheel rows
     evaluated on x and the vehicle row on ``x + 0.0``, reproduces the
-    four-stage step bit for bit.
+    four-stage step bit for bit.  The vehicle row sums its four force
+    terms left to right from 0.0, as numpy's ``add.reduce`` sums four
+    entries, so a negative zero comes out as numpy gives it.
     """
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
+    if x.shape != (STATE_DIM,):
+        raise ValueError(f"state must have shape ({STATE_DIM},), "
+                         f"got {x.shape}")
+    xs = x.tolist()
+    if not all(map(math.isfinite, xs)):
         raise ValueError("state must be finite")
 
-    loads, radii = wheel_geometry(u.f_zf, params)
-    f_z = np.array(loads)
-    r_d = np.array(radii)
-    m_d = np.asarray(u.m_d, dtype=float)
+    f_z, r_d = wheel_geometry(u.f_zf, params)
+    rr = params.tire_rr_coeff
+    inertia = params.wheel_inertia
     m = params.vehicle_mass
-
-    mu = x[..., IDX_MU]
-    k = np.zeros_like(x)
-    k[..., IDX_OMEGA] = (m_d - r_d * (mu + params.tire_rr_coeff) * f_z) \
-        / params.wheel_inertia
-    k[..., IDX_V] = (((mu + 0.0) * f_z).sum(axis=-1) - u.f_dx
-                     - (x[..., IDX_RHO_S] + 0.0) * m * GRAVITY) / m
-    return x + SAMPLE_DT / 6.0 * (k + 2.0 * k + 2.0 * k + k)
+    mu = xs[IDX_MU]
+    k = [(m_d - r * (mu_i + rr) * f) / inertia
+         for m_d, r, mu_i, f in zip(u.m_d, r_d, mu, f_z)]
+    traction = 0.0
+    for mu_i, f in zip(mu, f_z):
+        traction += (mu_i + 0.0) * f
+    k.append((traction - u.f_dx - (xs[IDX_RHO_S] + 0.0) * m * GRAVITY) / m)
+    # The parameter rows step by SAMPLE_DT / 6 * 0.0, which turns a -0.0
+    # into 0.0 as the four-stage step does.
+    k += [0.0] * (STATE_DIM - MEAS_DIM)
+    h = SAMPLE_DT / 6.0
+    return np.array([x_i + h * (k_i + 2.0 * k_i + 2.0 * k_i + k_i)
+                     for x_i, k_i in zip(xs, k)])
 
 
 @lru_cache(maxsize=16)
@@ -180,29 +191,23 @@ def process_jacobian(f_zf: float, params: VehicleParams) -> np.ndarray:
     return jac
 
 
-def dynamics_intensity(recent_inputs, recent_measurements) -> float:
-    """Normalized maneuver-intensity signal in [0, 1].
+def dynamics_intensity(torque_steps, speeds) -> float:
+    """Normalized maneuver-intensity signal in [0, 1] over one window.
 
-    Combines the largest per-wheel torque rate of change (consecutive
-    samples) with the window-averaged speed change; each term saturates at
-    its scale, the sum is clamped.  Constant inputs and speeds give 0.
+    ``torque_steps`` holds, for each pair of consecutive samples in the
+    window, the largest per-wheel torque change |m_d' - m_d| (N*m);
+    ``speeds`` the window's ground speeds (m/s), oldest first.  Combines
+    the largest torque rate of change with the window-averaged speed
+    change; each term saturates at its scale, the sum is clamped.
+    Constant inputs and speeds give 0.
     """
-    inputs = list(recent_inputs)
-    meas = list(recent_measurements)
-    if not inputs or not meas:
-        raise ValueError("windows must be nonempty")
+    if not speeds:
+        raise ValueError("speed window must be nonempty")
+    torque_rate = max(torque_steps, default=0.0) / SAMPLE_DT
 
-    torque_rate = 0.0
-    for prev, cur in zip(inputs, inputs[1:]):
-        a0, a1, a2, a3 = prev.m_d
-        b0, b1, b2, b3 = cur.m_d
-        torque_rate = max(torque_rate, abs(b0 - a0), abs(b1 - a1),
-                          abs(b2 - a2), abs(b3 - a3))
-    torque_rate /= SAMPLE_DT
-
-    if len(meas) >= 2:
-        span = (len(meas) - 1) * SAMPLE_DT
-        accel = abs(meas[-1].v - meas[0].v) / span
+    if len(speeds) >= 2:
+        span = (len(speeds) - 1) * SAMPLE_DT
+        accel = abs(speeds[-1] - speeds[0]) / span
     else:
         accel = 0.0
 
@@ -266,8 +271,11 @@ class TractionEstimator:
             measured=MEAS_DIM)
         self.state: ukf.FilterState | None = None
         self.clamp_violations = 0
-        self._inputs: deque = deque(maxlen=INTENSITY_WINDOW)
-        self._measurements: deque = deque(maxlen=INTENSITY_WINDOW)
+        # The intensity window: one torque step per pair of consecutive
+        # inputs and the ground speeds of the last INTENSITY_WINDOW samples.
+        self._last_m_d: tuple | None = None
+        self._torque_steps: deque = deque(maxlen=INTENSITY_WINDOW - 1)
+        self._speeds: deque = deque(maxlen=INTENSITY_WINDOW)
 
     def initialize(self, y: TractionMeasurement) -> None:
         """Seed speeds from the first measurement, parameters from priors."""
@@ -276,7 +284,7 @@ class TractionEstimator:
         mean[IDX_MU] = INIT_MU
         mean[IDX_RHO_S] = INIT_RHO_S
         self.state = ukf.FilterState.initial(mean, np.diag(INIT_P_DIAG))
-        self._measurements.append(y)
+        self._speeds.append(y.v)
 
     def step(self, u: TractionInput, y: TractionMeasurement, t: float,
              position: tuple[float, float]) -> EstimateRecord:
@@ -284,13 +292,18 @@ class TractionEstimator:
         if self.state is None:
             raise RuntimeError("call initialize() with the first measurement")
         cfg = self.config
-        self._inputs.append(u)
+        if self._last_m_d is not None:
+            a0, a1, a2, a3 = self._last_m_d
+            b0, b1, b2, b3 = u.m_d
+            self._torque_steps.append(max(abs(b0 - a0), abs(b1 - a1),
+                                          abs(b2 - a2), abs(b3 - a3)))
+        self._last_m_d = u.m_d
         fs = self.state
 
         # adapt_q does not read phi, so both come from the previous state.
         phi, a_diag = fs.phi, fs.a_diag
         if cfg.fuzzy_enabled:
-            signal = dynamics_intensity(self._inputs, self._measurements)
+            signal = dynamics_intensity(self._torque_steps, self._speeds)
             phi = ukf.fuzzy_factor(signal)
         if cfg.adapt_enabled:
             a_diag = ukf.adapt_q(fs)
@@ -302,7 +315,7 @@ class TractionEstimator:
         fs = ukf.update(fs, self.model, y.as_vector(), self.noise)
         fs = self._clamp_parameters(fs)
         self.state = fs
-        self._measurements.append(y)
+        self._speeds.append(y.v)
         return self._make_record(fs, u, t, position)
 
     def _clamp_parameters(self, fs: ukf.FilterState) -> ukf.FilterState:
@@ -330,24 +343,25 @@ class TractionEstimator:
         x = fs.mean.tolist()
         v_hat = x[IDX_V]
         mu_hat = x[IDX_MU]
-        slips = tuple(slip(v_hat, x[i], r_d[i]) for i in range(4))
+        slips = tuple([slip(v_hat, omega, r)
+                       for omega, r in zip(x[IDX_OMEGA], r_d)])
 
         p, alpha1, alpha2 = self.curve_family
-        scales = []
+        # The mean of the accepted scales, summed left to right from 0.0
+        # as np.mean sums them.
+        total, accepted = 0.0, 0
         for mu_i, s_i in zip(mu_hat, slips):
             try:
                 scale = invert_mu_for_a(mu_i, s_i, p, alpha1, alpha2)
             except DegenerateSlip:
                 continue
             if CURVE_SCALE_RANGE[0] < scale <= CURVE_SCALE_RANGE[1]:
-                scales.append(scale)
-        # np.mean's own sum and division, without its wrapper.
-        curve_scale = (float(np.add.reduce(np.array(scales)) / len(scales))
-                       if scales else None)
+                total += scale
+                accepted += 1
 
         return EstimateRecord(
             t=t, position=position, mu=tuple(mu_hat),
             rho_s=x[IDX_RHO_S], slip=slips,
-            curve_scale=curve_scale,
-            cov_diag=tuple(fs.cov.diagonal()))
+            curve_scale=total / accepted if accepted else None,
+            cov_diag=tuple(fs.cov.diagonal().tolist()))
 

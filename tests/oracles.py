@@ -53,6 +53,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -76,6 +77,7 @@ from tractionmap.estimator import (
     IDX_OMEGA,
     IDX_RHO_S,
     IDX_V,
+    INTENSITY_WINDOW,
     MEAS_DIM,
     MU_BOUNDS,
     RHO_S_BOUNDS,
@@ -817,13 +819,20 @@ def reference_fuzzy_factor(dynamics_signal: float) -> float:
 
 
 class ReferenceTractionEstimator(TractionEstimator):
-    """``TractionEstimator`` stepping with the reference filter above."""
+    """``TractionEstimator`` stepping with the reference filter above; its
+    intensity rescans the last INTENSITY_WINDOW inputs and measurements."""
 
     def __init__(self, vehicle, curve_family, config):
         super().__init__(vehicle, curve_family, config)
         self.model = NonlinearModel(
             f=lambda x, u: reference_process_model(x, u, SAMPLE_DT, vehicle),
             h=measurement_model)
+        self._inputs = deque(maxlen=INTENSITY_WINDOW)
+        self._measurements = deque(maxlen=INTENSITY_WINDOW)
+
+    def initialize(self, y):
+        super().initialize(y)
+        self._measurements.append(y)
 
     def step(self, u, y, t, position):
         if self.state is None:

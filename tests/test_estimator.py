@@ -13,6 +13,7 @@ from oracles import (
     measurement_model,
     observability_check,
     reference_dynamics_intensity,
+    reference_fuzzy_factor,
     reference_process_model,
     three_soils,
     vehicle_accel,
@@ -33,6 +34,7 @@ from tractionmap.estimator import (
     IDX_RHO_S,
     IDX_V,
     INIT_P_DIAG,
+    INTENSITY_WINDOW,
     EstimatorConfig,
     TractionEstimator,
     TractionInput,
@@ -106,18 +108,6 @@ def test_process_model_agrees_with_scalar_force_balances():
     assert np.abs(out - expected).max() < 1e-10
 
 
-def test_process_model_batch_matches_scalar():
-    rng = np.random.default_rng(4)
-    u = nominal_input()
-    batch = np.stack([nominal_state(v=v, mu=m)
-                      for v, m in zip(rng.uniform(0.5, 3, 7),
-                                      rng.uniform(0.1, 0.8, 7))])
-    out = process_model(batch, u, PARAMS)
-    for row_in, row_out in zip(batch, out):
-        assert np.allclose(process_model(row_in, u, PARAMS), row_out,
-                           atol=1e-14)
-
-
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
@@ -138,8 +128,8 @@ def test_process_model_signed_zeros_equal_reference(tire_rr_coeff, mu, torque):
                 == _bits(reference_process_model(x, u, SAMPLE_DT, params)))
 
 
-def test_process_model_batch_rows_equal_single_rows_and_reference():
-    # a (21, 10) batch, the size of a 10-state sigma-point set
+def test_process_model_equals_reference_on_random_states():
+    # each state alone, and the (21, 10) stack through the reference
     rng = np.random.default_rng(21)
     u = nominal_input(m_d=(900.0, 850.0, -0.0, 750.0), f_dx=9000.0)
     batch = np.stack([nominal_state(v=v, mu=m, rho_s=r)
@@ -148,11 +138,16 @@ def test_process_model_batch_rows_equal_single_rows_and_reference():
                                          rng.uniform(0.0, 0.5, 21))])
     batch[3, IDX_MU] = -0.0
     batch[4, IDX_RHO_S] = -0.0
-    out = process_model(batch, u, PARAMS)
-    assert _bits(out) == _bits(reference_process_model(batch, u, SAMPLE_DT,
-                                                       PARAMS))
-    for row_in, row_out in zip(batch, out):
-        assert _bits(process_model(row_in, u, PARAMS)) == _bits(row_out)
+    batch[5, IDX_MU] = rng.uniform(-1e3, 1e3, 4)
+    ref = reference_process_model(batch, u, SAMPLE_DT, PARAMS)
+    for row_in, row_ref in zip(batch, ref):
+        assert _bits(process_model(row_in, u, PARAMS)) == _bits(row_ref)
+
+
+@pytest.mark.parametrize("shape", [(7, 10), (9,), (1, 10)])
+def test_process_model_takes_one_state(shape):
+    with pytest.raises(ValueError, match="shape"):
+        process_model(np.ones(shape), nominal_input(), PARAMS)
 
 
 def test_process_jacobian_is_exact_for_the_affine_step():
@@ -210,22 +205,29 @@ def _meas(v):
     return TractionMeasurement(omega_w=(2.0, 2.0, 2.0, 2.0), v=v)
 
 
+def _intensity(inputs, meas):
+    """``dynamics_intensity`` of a window of inputs and measurements."""
+    torque_steps = [max(abs(b - a) for a, b in zip(prev.m_d, cur.m_d))
+                    for prev, cur in zip(inputs, inputs[1:])]
+    return dynamics_intensity(torque_steps, [y.v for y in meas])
+
+
 def test_intensity_requires_windows():
     with pytest.raises(ValueError):
-        dynamics_intensity([], [_meas(2.0)])
+        dynamics_intensity([], [])
 
 
 def test_intensity_zero_when_steady():
     inputs = [nominal_input()] * 10
     meas = [_meas(2.0)] * 10
-    assert dynamics_intensity(inputs, meas) == 0.0
+    assert _intensity(inputs, meas) == 0.0
 
 
 def test_intensity_saturates_on_scale_torque_step():
     # 100 N*m over one 0.1 s sample = the 1000 N*m/s saturation scale
     inputs = [nominal_input(m_d=(500.0,) * 4), nominal_input(m_d=(600.0,) * 4)]
     meas = [_meas(2.0), _meas(2.0)]
-    assert dynamics_intensity(inputs, meas) == 1.0
+    assert _intensity(inputs, meas) == 1.0
 
 
 def test_intensity_monotone_in_torque_rate():
@@ -234,7 +236,7 @@ def test_intensity_monotone_in_torque_rate():
     for step in (0.0, 20.0, 40.0, 60.0, 80.0):
         inputs = [nominal_input(m_d=(500.0,) * 4),
                   nominal_input(m_d=(500.0 + step,) * 4)]
-        values.append(dynamics_intensity(inputs, meas))
+        values.append(_intensity(inputs, meas))
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[0] == 0.0 and values[-1] > 0.0
 
@@ -242,7 +244,7 @@ def test_intensity_monotone_in_torque_rate():
 def test_intensity_clamped_to_unit_interval():
     inputs = [nominal_input(m_d=(0.0,) * 4), nominal_input(m_d=(5000.0,) * 4)]
     meas = [_meas(0.0), _meas(3.0)]
-    assert dynamics_intensity(inputs, meas) == 1.0
+    assert _intensity(inputs, meas) == 1.0
 
 
 def test_intensity_equals_reference_on_random_windows():
@@ -251,8 +253,28 @@ def test_intensity_equals_reference_on_random_windows():
         inputs = [nominal_input(m_d=tuple(rng.normal(500.0, 40.0, size=4)))
                   for _ in range(rng.integers(1, 11))]
         meas = [_meas(v) for v in rng.normal(2.0, 0.1, size=len(inputs))]
-        assert (dynamics_intensity(inputs, meas)
+        assert (_intensity(inputs, meas)
                 == reference_dynamics_intensity(inputs, meas))
+
+
+def test_step_intensity_window_equals_reference():
+    # the estimator's running window against the reference's rescan of the
+    # last INTENSITY_WINDOW inputs and measurements, over 40 steps with
+    # torque jumps in and out of saturation
+    rng = np.random.default_rng(13)
+    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY, EstimatorConfig())
+    est.initialize(_meas(2.0))
+    inputs, meas = [], [_meas(2.0)]
+    for k in range(40):
+        scale = 2.0 if k % 7 == 0 else 60.0
+        u = nominal_input(m_d=tuple(500.0 + rng.normal(0.0, scale, size=4)))
+        y = _meas(float(rng.normal(2.0, 0.05)))
+        inputs.append(u)
+        est.step(u, y, t=0.1 * (k + 1), position=(0.0, 0.0))
+        signal = reference_dynamics_intensity(inputs[-INTENSITY_WINDOW:],
+                                              meas[-INTENSITY_WINDOW:])
+        assert _bits(est.state.phi) == _bits(reference_fuzzy_factor(signal))
+        meas.append(y)
 
 
 # --- drive inputs ---------------------------------------------------------------
@@ -307,6 +329,22 @@ def test_estimate_record_fields():
     assert len(rec.mu) == 4 and len(rec.slip) == 4
     assert len(rec.cov_diag) == 10
     assert all(c > 0 for c in rec.cov_diag)
+
+
+def test_record_floats_are_python_floats():
+    # as every writer formats them, and as repr(record) shows them
+    scenario = replace(sim.load_scenario(THREE_SOIL), duration=5.0, seed=1)
+    samples, _ = sim.simulate(scenario)
+    records, _ = cli.run_estimation(samples, scenario.vehicle,
+                                    sim.STUBBLE_FAMILY, EstimatorConfig())
+    assert any(rec.curve_scale is not None for rec in records)
+    for rec in records:
+        values = (rec.t, *rec.position, *rec.mu, rec.rho_s, *rec.slip,
+                  *rec.cov_diag)
+        if rec.curve_scale is not None:
+            values += (rec.curve_scale,)
+        assert all(type(v) is float for v in values), repr(rec)
+        assert "np." not in repr(rec)
 
 
 def test_step_derives_wheel_geometry_once(monkeypatch):

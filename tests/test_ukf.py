@@ -293,7 +293,8 @@ def _predicted(cov, r):
 def test_affine_update_rejects_non_finite_innovation_covariance():
     fs, model, noise = _predicted(np.array([[np.nan, 0.0], [0.0, 1.0]]),
                                   0.1 * np.eye(2))
-    with pytest.raises(ukf.SingularInnovationCov, match="not finite"):
+    with pytest.raises(ukf.SingularInnovationCov,
+                       match="^innovation covariance is not finite$"):
         ukf.update(fs, model, np.zeros(2), noise)
 
 
@@ -301,15 +302,106 @@ def test_affine_update_rejects_singular_innovation_covariance():
     # S = P + R = [[1, 1], [1, 1]] exactly: the solve itself fails
     fs, model, noise = _predicted(np.array([[0.5, 1.0], [1.0, 0.5]]),
                                   0.5 * np.eye(2))
-    with pytest.raises(ukf.SingularInnovationCov, match="Singular matrix"):
+    with pytest.raises(ukf.SingularInnovationCov, match="^Singular matrix$"):
         ukf.update(fs, model, np.zeros(2), noise)
 
 
 def test_affine_update_rejects_ill_conditioned_innovation_covariance():
     # S = [[1, 1], [1, 1]] + 1e-14 I: solvable, condition about 2e14
     fs, model, noise = _predicted(np.ones((2, 2)), 1e-14 * np.eye(2))
-    with pytest.raises(ukf.SingularInnovationCov, match="condition"):
+    with pytest.raises(ukf.SingularInnovationCov,
+                       match=r"^innovation covariance condition 1\.99e\+14$"):
         ukf.update(fs, model, np.zeros(2), noise)
+
+
+def _svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kwargs: calls.append(args[0].shape)
+                        or svd(*args, **kwargs))
+    return calls
+
+
+def _update_without_guard(fs, y, noise):
+    """The closed-form update, written out: the state ``update`` returns
+    when its guard does not raise."""
+    m = len(y)
+    s_cov = fs.cov[:m, :m] + noise.r
+    gain = np.linalg.solve(s_cov, fs.cov[:, :m].T).T
+    innovation = y - fs.mean[:m]
+    cov = fs.cov - gain @ s_cov @ gain.T
+    return fs.mean + gain @ innovation, 0.5 * (cov + cov.T), gain
+
+
+def _assert_update_without_guard(out, fs, y, noise):
+    mean, cov, gain = _update_without_guard(fs, y, noise)
+    for got, want in ((out.mean, mean), (out.cov, cov), (out.gain, gain)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _wheel_speed_covariance(rho):
+    """A (7, 7) covariance whose first four entries (wheel speeds) are
+    correlated with coefficient rho."""
+    cov = 0.2 * np.eye(7)
+    cov[:4, :4] = 0.04 * (rho * np.ones((4, 4)) + (1.0 - rho) * np.eye(4))
+    return cov
+
+
+def test_update_skips_svd_when_gershgorin_proves_condition(monkeypatch):
+    calls = _svd_calls(monkeypatch)
+    fs, model, noise = _predicted(_wheel_speed_covariance(0.1),
+                                  1e-4 * np.eye(5))
+    y = np.linspace(-0.1, 0.1, 5)
+    out = ukf.update(fs, model, y, noise)
+    assert calls == []
+    _assert_update_without_guard(out, fs, y, noise)
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.999])
+def test_update_takes_svd_path_when_gershgorin_is_inconclusive(monkeypatch,
+                                                               rho):
+    # strongly correlated wheel speeds: the first row's disc reaches below
+    # zero, yet S is well within the 1e14 guard
+    fs, model, noise = _predicted(_wheel_speed_covariance(rho),
+                                  1e-4 * np.eye(5))
+    s_cov = fs.cov[:5, :5] + noise.r
+    assert s_cov[0, 0] - (np.abs(s_cov[0]).sum() - s_cov[0, 0]) <= 0.0
+    assert np.linalg.cond(s_cov) < 1e14
+    calls = _svd_calls(monkeypatch)
+    y = np.linspace(-0.1, 0.1, 5)
+    out = ukf.update(fs, model, y, noise)
+    assert calls == [(5, 5)]
+    _assert_update_without_guard(out, fs, y, noise)
+
+
+def test_update_takes_svd_path_for_asymmetric_innovation_covariance(
+        monkeypatch):
+    # R symmetric to NoiseSpec's 1e-12, not exactly: S is not symmetric
+    r = 1e-4 * np.eye(2)
+    r[0, 1] = 1e-13
+    fs, model, noise = _predicted(0.01 * np.eye(2), r)
+    calls = _svd_calls(monkeypatch)
+    out = ukf.update(fs, model, np.array([0.1, -0.1]), noise)
+    assert calls == [(2, 2)]
+    _assert_update_without_guard(out, fs, np.array([0.1, -0.1]), noise)
+
+
+def test_gershgorin_proof_implies_condition_within_bound():
+    # symmetric matrices from well to badly conditioned, at many scales:
+    # every proof the guard takes holds for the SVD condition number
+    rng = np.random.default_rng(5)
+    proved = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 7))
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 0)
+        s = np.diag(10.0 ** rng.uniform(-8, 4, n)) + (a + a.T)
+        s *= 10.0 ** rng.uniform(-200, 200)
+        for bound in (1e3, 1e12):
+            if ukf._cond_at_most(s, bound):
+                proved += 1
+                assert np.linalg.cond(s) <= bound
+    assert proved > 1000
 
 
 # --- adaptation -------------------------------------------------------------
