@@ -139,8 +139,9 @@ def process_model(x: np.ndarray, u: TractionInput,
     stage 2's in the vehicle row, so one derivative, with the wheel rows
     evaluated on x and the vehicle row on ``x + 0.0``, reproduces the
     four-stage step bit for bit.  The vehicle row sums its four force
-    terms left to right from 0.0, as numpy's ``add.reduce`` sums four
-    entries, so a negative zero comes out as numpy gives it.
+    terms left to right from 0.0, the order in which numpy's
+    ``add.reduce`` sums four entries, so the step equals its array form
+    to the sign of a zero.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (STATE_DIM,):

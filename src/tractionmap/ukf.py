@@ -136,34 +136,33 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _cond_at_most(s: np.ndarray, bound: float) -> bool:
-    """True when s is symmetric and its Gershgorin discs prove
-    cond(s) <= bound.
+def _gershgorin_cond(s: np.ndarray) -> float:
+    """An upper bound on the condition number of a symmetric s from its
+    Gershgorin discs; inf when they prove none.
 
     Every eigenvalue of a symmetric s lies in a disc about s_ii of radius
     R_i, the off-diagonal absolute sum of row i.  When no disc reaches
     zero, the singular values (the eigenvalues' magnitudes) lie in
-    [min_i |s_ii| - R_i, max_i |s_ii| + R_i].  False when the discs prove
-    nothing (one reaches zero, or a sum overflows) or s is not exactly
-    symmetric.  Rounding moves the computed bounds by a few ulps
-    of the largest row sum, far inside the factor of 100 between a bound
-    of 1e12 and the 1e14 guard.
+    [min_i |s_ii| - R_i, max_i |s_ii| + R_i], and the bound is the ratio
+    of the two ends.  inf when a disc reaches zero, a sum overflows or s
+    is not exactly symmetric.  Rounding moves a bound of 1e12 by a few
+    parts in 1e4, far inside the factor of 100 below the 1e14 guard.
     """
     rows = s.tolist()
     if rows != s.T.tolist():
-        return False
+        return math.inf
     lower, upper = math.inf, 0.0
     for i, row in enumerate(rows):
         diag = abs(row[i])
         row_sum = sum(map(abs, row))
         disc = diag - (row_sum - diag)
         if not disc > 0.0:
-            return False
+            return math.inf
         if disc < lower:
             lower = disc
         if row_sum > upper:
             upper = row_sum
-    return upper <= bound * lower
+    return upper / lower
 
 
 def predict(fs: FilterState, model: AffineModel, u: object,
@@ -189,7 +188,7 @@ def update(fs: FilterState, model: AffineModel, y: np.ndarray,
     innovations.  Raises SingularInnovationCov when S is not finite, cannot
     be inverted or has a condition number above 1e14.  That condition
     number is computed by an SVD only when the Gershgorin discs of S
-    (``_cond_at_most``) do not already prove it at most 1e12.
+    (``_gershgorin_cond``) do not already prove it at most 1e12.
     """
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
@@ -205,7 +204,7 @@ def update(fs: FilterState, model: AffineModel, y: np.ndarray,
         gain = np.linalg.solve(s_cov, fs.cov[:, :m].T).T
     except np.linalg.LinAlgError as exc:
         raise SingularInnovationCov(str(exc)) from exc
-    if not _cond_at_most(s_cov, 1e12):
+    if _gershgorin_cond(s_cov) > 1e12:
         # The 2-norm condition number, as np.linalg.cond computes it.
         sv = np.linalg.svd(s_cov, compute_uv=False)
         cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
