@@ -9,10 +9,11 @@ speed are measured; drive torques, front axle load and drawbar pull are
 known inputs.
 
 The step is affine in the state and the measured outputs are the first
-``MEAS_DIM`` = 5 state entries, so the unscented transform of the AUKF is
-exact here and the filter is a ``ukf.AffineModel``: the mean goes through
-``process_model``, the covariance through ``process_jacobian``, and the
-update reads the predicted outputs off the leading block of the belief.
+``MEAS_DIM`` = 5 state entries, the size of R, so the unscented transform
+of the AUKF is exact here: each sample the estimator hands ``ukf.predict``
+the mean through ``process_model`` and the Jacobian ``process_jacobian``,
+and ``ukf.update`` reads the predicted outputs off the leading block of
+the belief.
 
 Per sample the estimator also extracts the adhesion-curve scale parameter
 from the estimated (mu, slip) pairs, given a fixed curve family
@@ -266,25 +267,27 @@ class TractionEstimator:
         self.curve_family = curve_family
         self.config = config
         self.noise = config.noise_spec()
-        self.model = ukf.AffineModel(
-            f=lambda x, u: process_model(x, u, vehicle),
-            jacobian=lambda u: process_jacobian(u.f_zf, vehicle),
-            measured=MEAS_DIM)
         self.state: ukf.FilterState | None = None
+        self._start_stream()
+
+    def _start_stream(self) -> None:
+        """Zero the clamp count and empty the intensity window: one torque
+        step per pair of consecutive inputs and the ground speeds of the
+        last INTENSITY_WINDOW samples."""
         self.clamp_violations = 0
-        # The intensity window: one torque step per pair of consecutive
-        # inputs and the ground speeds of the last INTENSITY_WINDOW samples.
         self._last_m_d: tuple | None = None
         self._torque_steps: deque = deque(maxlen=INTENSITY_WINDOW - 1)
         self._speeds: deque = deque(maxlen=INTENSITY_WINDOW)
 
     def initialize(self, y: TractionMeasurement) -> None:
-        """Seed speeds from the first measurement, parameters from priors."""
+        """Start a fresh stream: speeds from the first measurement,
+        parameters from priors, no clamps and no intensity history."""
         mean = np.empty(STATE_DIM)
         mean[:5] = y.as_vector()
         mean[IDX_MU] = INIT_MU
         mean[IDX_RHO_S] = INIT_RHO_S
         self.state = ukf.FilterState.initial(mean, np.diag(INIT_P_DIAG))
+        self._start_stream()
         self._speeds.append(y.v)
 
     def step(self, u: TractionInput, y: TractionMeasurement, t: float,
@@ -312,8 +315,9 @@ class TractionEstimator:
                              residuals=fs.residuals, gain=fs.gain,
                              innov_cov=fs.innov_cov, predicted=fs.predicted)
 
-        fs = ukf.predict(fs, self.model, u, self.noise)
-        fs = ukf.update(fs, self.model, y.as_vector(), self.noise)
+        fs = ukf.predict(fs, process_model(fs.mean, u, self.vehicle),
+                         process_jacobian(u.f_zf, self.vehicle), self.noise)
+        fs = ukf.update(fs, y.as_vector(), self.noise)
         fs = self._clamp_parameters(fs)
         self.state = fs
         self._speeds.append(y.v)

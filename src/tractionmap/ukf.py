@@ -1,13 +1,15 @@
 """Unscented Kalman filter with adaptive process noise and fuzzy supervision.
 
-The filter steps an ``AffineModel``: f is affine in the state and the
-output is the first m state entries.  The effective process-noise
+The caller hands ``predict`` the propagated mean f(mean) and the Jacobian
+F of a process model f that is affine in the state, so that
+f(x + d) = f(x) + F d for every d; ``update`` measures the leading m state
+entries, m being the size of R.  The effective process-noise
 covariance each prediction is ``(phi * A) @ Q`` where ``A`` is a diagonal
 adaptation matrix driven by innovation statistics and ``phi`` a scalar
 tracking-strength factor from a small fuzzy rule base (steady dynamics ->
 smooth estimates, intense dynamics -> fast tracking).
 
-For such a model the scaled unscented transform is exact: its sigma points
+For such a filter the scaled unscented transform is exact: its sigma points
 return the mean f(mean), the covariance ``F P F^T`` and the
 cross-covariance ``P H^T`` (Julier & Uhlmann 2004).  So ``predict`` and
 ``update`` compute these moments in closed form; this is the unscented
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -61,22 +62,6 @@ A_MIN = 0.01
 A_MAX = 100.0
 ADAPT_GAIN = 0.1
 ADAPT_LEAK = 0.05
-
-
-@dataclass(frozen=True)
-class AffineModel:
-    """Discrete-time model x' = f(x, u) + q, y = x[:measured] + r, with f
-    affine in x.
-
-    ``f`` maps the mean (n,) once per prediction; ``jacobian(u)`` is the
-    (n, n) matrix F with f(x + d, u) = f(x, u) + F d for every d.  The
-    filter propagates the covariance as ``F P F^T`` and measures the first
-    ``measured`` state entries.
-    """
-
-    f: Callable[[np.ndarray, object], np.ndarray]
-    jacobian: Callable[[object], np.ndarray]
-    measured: int
 
 
 @dataclass(frozen=True)
@@ -165,35 +150,36 @@ def _gershgorin_cond(s: np.ndarray) -> float:
     return upper / lower
 
 
-def predict(fs: FilterState, model: AffineModel, u: object,
+def predict(fs: FilterState, mean: np.ndarray, f_mat: np.ndarray,
             noise: NoiseSpec) -> FilterState:
-    """Time update: the mean through f, the covariance through its
-    Jacobian as ``F P F^T``, plus (phi*A)Q."""
-    mean = np.asarray(model.f(fs.mean, u), dtype=float)
-    f_mat = model.jacobian(u)
+    """Time update to ``mean`` = f(fs.mean), with the covariance through
+    f's Jacobian ``f_mat`` as ``F P F^T``, plus (phi*A)Q."""
     cov = f_mat @ fs.cov @ f_mat.T + (fs.phi * fs.a_diag)[:, None] * noise.q
     return FilterState(mean=mean, cov=_symmetrize(cov), a_diag=fs.a_diag,
                        phi=fs.phi, residuals=fs.residuals, gain=fs.gain,
                        innov_cov=fs.innov_cov, predicted=True)
 
 
-def update(fs: FilterState, model: AffineModel, y: np.ndarray,
-           noise: NoiseSpec) -> FilterState:
+def update(fs: FilterState, y: np.ndarray, noise: NoiseSpec) -> FilterState:
     """Measurement update from the predicted belief.
 
-    The predicted output is the first ``model.measured`` entries of the
-    mean; its covariance S and the cross-covariance are the matching
-    blocks of the predicted covariance.  The innovation y - y_hat is pushed
-    into the residual ring buffer, which keeps the last ADAPT_WINDOW
-    innovations.  Raises SingularInnovationCov when S is not finite, cannot
-    be inverted or has a condition number above 1e14.  That condition
-    number is computed by an SVD only when the Gershgorin discs of S
-    (``_gershgorin_cond``) do not already prove it at most 1e12.
+    ``y`` holds m values, m being the size of R, and the predicted output
+    is the first m entries of the mean; its covariance S and the
+    cross-covariance are the matching blocks of the predicted covariance.
+    The innovation y - y_hat is pushed into the residual ring buffer, which
+    keeps the last ADAPT_WINDOW innovations.  Raises ValueError when ``y``
+    has another shape, and SingularInnovationCov when S is not finite,
+    cannot be inverted or has a condition number above 1e14.  That
+    condition number is computed by an SVD only when the Gershgorin discs
+    of S (``_gershgorin_cond``) do not already prove it at most 1e12.
     """
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
     y = np.asarray(y, dtype=float)
-    m = model.measured
+    m = noise.r.shape[0]
+    if y.shape != (m,):
+        raise ValueError(f"measurement must hold the {m} values R "
+                         f"describes, got shape {y.shape}")
     y_hat = fs.mean[:m]
     # The predicted covariance is symmetric, and so is S when R is.
     s_cov = fs.cov[:m, :m] + noise.r

@@ -313,12 +313,35 @@ def test_step_with_measurement_equal_to_prediction_keeps_mean():
                                             fuzzy_enabled=False))
     est.initialize(_meas(2.0))
     u = nominal_input()
-    predicted = ukf.predict(est.state, est.model, u, est.noise)
+    mean = process_model(est.state.mean, u, PARAMS)
+    predicted = ukf.predict(est.state, mean, process_jacobian(u.f_zf, PARAMS),
+                            est.noise)
     y = TractionMeasurement(omega_w=tuple(predicted.mean[:4]),
                             v=float(predicted.mean[4]))
     rec = est.step(u, y, t=0.1, position=(0.0, 0.0))
     assert np.allclose(est.state.mean, predicted.mean, atol=1e-9)
     assert rec.t == 0.1
+
+
+def test_initialize_starts_a_fresh_stream():
+    # a second initialize forgets the previous stream's intensity window
+    # and clamp count, so its first step equals a fresh estimator's
+    fresh = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY, EstimatorConfig())
+    reused = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY, EstimatorConfig())
+    reused.initialize(_meas(3.0))
+    for k in range(20):
+        reused.step(nominal_input(m_d=(900.0,) * 4), _meas(3.0),
+                    t=0.1 * (k + 1), position=(0.0, 0.0))
+    assert reused.clamp_violations > 0
+    records = []
+    for est in (fresh, reused):
+        est.initialize(_meas(1.0))
+        assert est.clamp_violations == 0
+        records.append(est.step(nominal_input(), _meas(1.0), t=0.1,
+                                position=(0.0, 0.0)))
+    assert repr(records[1]) == repr(records[0])
+    assert _bits(reused.state.phi) == _bits(fresh.state.phi)
+    assert reused.clamp_violations == fresh.clamp_violations
 
 
 def test_estimate_record_fields():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,11 +21,9 @@ from oracles import (
 from tractionmap import ukf
 
 
-def linear_model(f_mat, measured):
-    """x' = F x, measuring the first ``measured`` state entries."""
-    f_mat = np.asarray(f_mat, dtype=float)
-    return ukf.AffineModel(f=lambda x, u: x @ f_mat.T,
-                           jacobian=lambda u: f_mat, measured=measured)
+def predict_linear(fs, f_mat, noise):
+    """The time update of x' = F x."""
+    return ukf.predict(fs, fs.mean @ f_mat.T, f_mat, noise)
 
 
 def random_psd(rng, n, scale=1.0):
@@ -92,32 +91,31 @@ def test_noise_spec_refuses_non_finite_covariances(q, r, message):
 def test_predict_matches_linear_propagation():
     rng = np.random.default_rng(5)
     f_mat = np.array([[1.0, 0.1, 0.0], [0.0, 0.95, 0.02], [0.0, 0.0, 0.9]])
-    model = linear_model(f_mat, 3)
     noise = ukf.NoiseSpec(q=0.05 * np.eye(3), r=np.eye(3))
     mean = rng.normal(size=3)
     cov = random_psd(rng, 3)
     fs = ukf.FilterState.initial(mean, cov)
-    out = ukf.predict(fs, model, None, noise)
+    out = predict_linear(fs, f_mat, noise)
     assert np.allclose(out.mean, f_mat @ mean, atol=1e-8)
     assert np.allclose(out.cov, f_mat @ cov @ f_mat.T + noise.q, atol=1e-8)
 
 
 def test_predict_identity_no_noise():
-    model = linear_model(np.eye(2), 2)
+    f_mat = np.eye(2)
     noise = ukf.NoiseSpec(q=np.zeros((2, 2)), r=np.eye(2))
     fs = ukf.FilterState.initial(np.array([1.0, -2.0]), 0.5 * np.eye(2))
-    out = ukf.predict(fs, model, None, noise)
+    out = predict_linear(fs, f_mat, noise)
     assert np.allclose(out.mean, fs.mean, atol=1e-12)
     assert np.allclose(out.cov, fs.cov, atol=1e-12)
 
 
 def test_predict_identity_grows_by_scaled_q():
-    model = linear_model(np.eye(2), 2)
+    f_mat = np.eye(2)
     q = 0.3 * np.eye(2)
     noise = ukf.NoiseSpec(q=q, r=np.eye(2))
     fs = ukf.FilterState.initial(np.zeros(2), np.eye(2))
     fs = replace(fs, a_diag=np.array([2.0, 0.5]), phi=3.0)
-    out = ukf.predict(fs, model, None, noise)
+    out = predict_linear(fs, f_mat, noise)
     expected = np.eye(2) + 3.0 * np.diag([2.0, 0.5]) @ q
     assert np.allclose(out.cov, expected, atol=1e-10)
 
@@ -125,11 +123,10 @@ def test_predict_identity_grows_by_scaled_q():
 # --- update -----------------------------------------------------------------
 
 def test_update_requires_predicted_state():
-    model = linear_model(np.eye(2), 2)
     noise = ukf.NoiseSpec(q=np.eye(2), r=np.eye(2))
     fs = ukf.FilterState.initial(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
-        ukf.update(fs, model, np.zeros(2), noise)
+        ukf.update(fs, np.zeros(2), noise)
 
 
 def test_update_matches_linear_kf_gain_and_posterior():
@@ -148,45 +145,45 @@ def test_update_matches_linear_kf_gain_and_posterior():
 
     # the filter runs on z = T x, whose leading entries are the outputs H x
     t_mat = np.vstack([h_mat, [0.0, 0.0, 1.0]])
-    model = linear_model(t_mat @ f_mat @ np.linalg.inv(t_mat), 2)
+    z_mat = t_mat @ f_mat @ np.linalg.inv(t_mat)
     noise = ukf.NoiseSpec(q=t_mat @ q @ t_mat.T, r=r)
     fs = ukf.FilterState.initial(t_mat @ mean, t_mat @ cov @ t_mat.T)
-    fs = ukf.predict(fs, model, None, noise)
-    fs = ukf.update(fs, model, y, noise)
+    fs = predict_linear(fs, z_mat, noise)
+    fs = ukf.update(fs, y, noise)
     assert np.allclose(fs.mean, t_mat @ oracle.x, atol=1e-8)
     assert np.allclose(fs.cov, t_mat @ oracle.p @ t_mat.T, atol=1e-8)
 
 
 def test_update_perfect_measurement_keeps_mean():
-    model = linear_model(np.eye(2), 2)
+    f_mat = np.eye(2)
     noise = ukf.NoiseSpec(q=0.01 * np.eye(2), r=0.1 * np.eye(2))
     fs = ukf.FilterState.initial(np.array([0.3, -1.2]), np.eye(2))
-    fs = ukf.predict(fs, model, None, noise)
+    fs = predict_linear(fs, f_mat, noise)
     before = fs.mean.copy()
     cov_before = fs.cov.copy()
-    out = ukf.update(fs, model, before, noise)
+    out = ukf.update(fs, before, noise)
     assert np.allclose(out.mean, before, atol=1e-12)
     # posterior covariance never exceeds the prior
     assert np.all(np.linalg.eigvalsh(cov_before - out.cov) > -1e-12)
 
 
 def test_update_uninformative_measurement():
-    model = linear_model(np.eye(2), 2)
+    f_mat = np.eye(2)
     noise = ukf.NoiseSpec(q=0.01 * np.eye(2), r=1e12 * np.eye(2))
     fs = ukf.FilterState.initial(np.array([0.5, 2.0]), np.eye(2))
-    fs = ukf.predict(fs, model, None, noise)
+    fs = predict_linear(fs, f_mat, noise)
     before = fs.mean.copy()
-    out = ukf.update(fs, model, np.array([100.0, -50.0]), noise)
+    out = ukf.update(fs, np.array([100.0, -50.0]), noise)
     assert np.allclose(out.mean, before, atol=1e-6)
 
 
 def test_update_pushes_residual_into_buffer():
-    model = linear_model(np.eye(2), 2)
+    f_mat = np.eye(2)
     noise = ukf.NoiseSpec(q=0.01 * np.eye(2), r=0.1 * np.eye(2))
     fs = ukf.FilterState.initial(np.zeros(2), np.eye(2))
     for k in range(ukf.ADAPT_WINDOW + 10):
-        fs = ukf.predict(fs, model, None, noise)
-        fs = ukf.update(fs, model, np.array([1.0, -1.0]), noise)
+        fs = predict_linear(fs, f_mat, noise)
+        fs = ukf.update(fs, np.array([1.0, -1.0]), noise)
     assert len(fs.residuals) == ukf.ADAPT_WINDOW
 
 
@@ -205,7 +202,7 @@ def test_linear_kf_equivalence_over_100_steps():
     order = [0, 2, 1, 3]
     block = np.ix_(order, order)
     noise = ukf.NoiseSpec(q=q[block], r=r)
-    model = linear_model(f_mat[block], 2)
+    f_perm = f_mat[block]
 
     oracle = LinearKalmanFilter(f_mat, h_mat, q, r, np.zeros(4), np.eye(4))
     fs = ukf.FilterState.initial(np.zeros(4), np.eye(4))
@@ -215,9 +212,9 @@ def test_linear_kf_equivalence_over_100_steps():
         y = h_mat @ x + rng.multivariate_normal(np.zeros(2), r)
         oracle.predict()
         oracle.update(y)
-        fs = ukf.predict(fs, model, None, noise)
+        fs = predict_linear(fs, f_perm, noise)
         pred_cov = fs.cov
-        fs = ukf.update(fs, model, y, noise)
+        fs = ukf.update(fs, y, noise)
         assert np.abs(fs.mean - oracle.x[order]).max() < 1e-8
         assert np.abs(fs.cov - oracle.p[block]).max() < 1e-8
         # symmetry is maintained exactly after each step
@@ -228,27 +225,25 @@ def test_linear_kf_equivalence_over_100_steps():
 
 # --- closed form for affine models -------------------------------------------
 
-def affine_pair(f_mat, offset, measured):
-    """One affine model, as an AffineModel and as the reference filter's
-    generic NonlinearModel."""
-    def f(x, u):
-        return x @ f_mat.T + offset
-    return (ukf.AffineModel(f=f, jacobian=lambda u: f_mat, measured=measured),
-            NonlinearModel(f=f, h=lambda x: x[..., :measured]))
-
-
 def _random_affine_case(seed):
+    """A random affine f with its Jacobian F, the reference filter's
+    NonlinearModel of it measuring the first m entries, noise with an
+    (m, m) R and a belief."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 11))
     m = int(rng.integers(1, n + 1))
     f_mat = np.eye(n) + 0.1 * rng.normal(size=(n, n))
-    affine, generic = affine_pair(f_mat, rng.normal(size=n), m)
+    offset = rng.normal(size=n)
+
+    def f(x, u):
+        return x @ f_mat.T + offset
+    generic = NonlinearModel(f=f, h=lambda x: x[..., :m])
     noise = ukf.NoiseSpec(q=random_psd(rng, n, 0.01),
                           r=random_psd(rng, m, 0.1))
     fs = replace(ukf.FilterState.initial(rng.normal(size=n),
                                          random_psd(rng, n)),
                  a_diag=rng.uniform(0.5, 2.0, n), phi=float(rng.uniform(0.2, 5)))
-    return rng, affine, generic, noise, fs
+    return rng, f, f_mat, generic, noise, fs
 
 
 def _assert_close_to_sigma_points(out, ref):
@@ -258,8 +253,8 @@ def _assert_close_to_sigma_points(out, ref):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_affine_predict_equals_sigma_point_predict(seed):
-    _, affine, generic, noise, fs = _random_affine_case(seed)
-    out = ukf.predict(fs, affine, None, noise)
+    _, f, f_mat, generic, noise, fs = _random_affine_case(seed)
+    out = ukf.predict(fs, f(fs.mean, None), f_mat, noise)
     ref = reference_predict(fs, generic, None, noise)
     _assert_close_to_sigma_points(out, ref)
     assert np.array_equal(out.cov, out.cov.T)
@@ -268,10 +263,10 @@ def test_affine_predict_equals_sigma_point_predict(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_affine_update_equals_sigma_point_update(seed):
-    rng, affine, generic, noise, fs = _random_affine_case(seed)
-    fs = ukf.predict(fs, affine, None, noise)
-    y = rng.normal(size=affine.measured)
-    out = ukf.update(fs, affine, y, noise)
+    rng, f, f_mat, generic, noise, fs = _random_affine_case(seed)
+    fs = ukf.predict(fs, f(fs.mean, None), f_mat, noise)
+    y = rng.normal(size=len(noise.r))
+    out = ukf.update(fs, y, noise)
     ref = reference_update(fs, generic, y, noise)
     _assert_close_to_sigma_points(out, ref)
     for name in ("gain", "innov_cov"):
@@ -284,34 +279,44 @@ def test_affine_update_equals_sigma_point_update(seed):
 
 def _predicted(cov, r):
     n = len(cov)
-    model = ukf.AffineModel(f=lambda x, u: x, jacobian=lambda u: np.eye(n),
-                            measured=len(r))
     fs = replace(ukf.FilterState.initial(np.zeros(n), cov), predicted=True)
-    return fs, model, ukf.NoiseSpec(q=np.zeros((n, n)), r=r)
+    return fs, ukf.NoiseSpec(q=np.zeros((n, n)), r=r)
 
 
 def test_affine_update_rejects_non_finite_innovation_covariance():
-    fs, model, noise = _predicted(np.array([[np.nan, 0.0], [0.0, 1.0]]),
-                                  0.1 * np.eye(2))
+    fs, noise = _predicted(np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                           0.1 * np.eye(2))
     with pytest.raises(ukf.SingularInnovationCov,
                        match="^innovation covariance is not finite$"):
-        ukf.update(fs, model, np.zeros(2), noise)
+        ukf.update(fs, np.zeros(2), noise)
 
 
 def test_affine_update_rejects_singular_innovation_covariance():
     # S = P + R = [[1, 1], [1, 1]] exactly: the solve itself fails
-    fs, model, noise = _predicted(np.array([[0.5, 1.0], [1.0, 0.5]]),
-                                  0.5 * np.eye(2))
+    fs, noise = _predicted(np.array([[0.5, 1.0], [1.0, 0.5]]),
+                           0.5 * np.eye(2))
     with pytest.raises(ukf.SingularInnovationCov, match="^Singular matrix$"):
-        ukf.update(fs, model, np.zeros(2), noise)
+        ukf.update(fs, np.zeros(2), noise)
 
 
 def test_affine_update_rejects_ill_conditioned_innovation_covariance():
     # S = [[1, 1], [1, 1]] + 1e-14 I: solvable, condition about 2e14
-    fs, model, noise = _predicted(np.ones((2, 2)), 1e-14 * np.eye(2))
+    fs, noise = _predicted(np.ones((2, 2)), 1e-14 * np.eye(2))
     with pytest.raises(ukf.SingularInnovationCov,
                        match=r"^innovation covariance condition 1\.99e\+14$"):
-        ukf.update(fs, model, np.zeros(2), noise)
+        ukf.update(fs, np.zeros(2), noise)
+
+
+@pytest.mark.parametrize("y", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]],
+                         ids=["short", "long", "row"])
+def test_update_refuses_measurement_of_wrong_shape(y):
+    # R describes the first two entries of a three-entry state; one value
+    # would broadcast against both predicted outputs
+    fs, noise = _predicted(np.eye(3), 0.1 * np.eye(2))
+    message = ("measurement must hold the 2 values R describes, "
+               f"got shape {np.shape(y)}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ukf.update(fs, y, noise)
 
 
 def _svd_calls(monkeypatch):
@@ -350,10 +355,9 @@ def _wheel_speed_covariance(rho):
 
 def test_update_skips_svd_when_gershgorin_proves_condition(monkeypatch):
     calls = _svd_calls(monkeypatch)
-    fs, model, noise = _predicted(_wheel_speed_covariance(0.1),
-                                  1e-4 * np.eye(5))
+    fs, noise = _predicted(_wheel_speed_covariance(0.1), 1e-4 * np.eye(5))
     y = np.linspace(-0.1, 0.1, 5)
-    out = ukf.update(fs, model, y, noise)
+    out = ukf.update(fs, y, noise)
     assert calls == []
     _assert_update_without_guard(out, fs, y, noise)
 
@@ -363,14 +367,13 @@ def test_update_takes_svd_path_when_gershgorin_is_inconclusive(monkeypatch,
                                                                rho):
     # strongly correlated wheel speeds: the first row's disc reaches below
     # zero, yet S is well within the 1e14 guard
-    fs, model, noise = _predicted(_wheel_speed_covariance(rho),
-                                  1e-4 * np.eye(5))
+    fs, noise = _predicted(_wheel_speed_covariance(rho), 1e-4 * np.eye(5))
     s_cov = fs.cov[:5, :5] + noise.r
     assert s_cov[0, 0] - (np.abs(s_cov[0]).sum() - s_cov[0, 0]) <= 0.0
     assert np.linalg.cond(s_cov) < 1e14
     calls = _svd_calls(monkeypatch)
     y = np.linspace(-0.1, 0.1, 5)
-    out = ukf.update(fs, model, y, noise)
+    out = ukf.update(fs, y, noise)
     assert calls == [(5, 5)]
     _assert_update_without_guard(out, fs, y, noise)
 
@@ -380,9 +383,9 @@ def test_update_takes_svd_path_for_asymmetric_innovation_covariance(
     # R symmetric to NoiseSpec's 1e-12, not exactly: S is not symmetric
     r = 1e-4 * np.eye(2)
     r[0, 1] = 1e-13
-    fs, model, noise = _predicted(0.01 * np.eye(2), r)
+    fs, noise = _predicted(0.01 * np.eye(2), r)
     calls = _svd_calls(monkeypatch)
-    out = ukf.update(fs, model, np.array([0.1, -0.1]), noise)
+    out = ukf.update(fs, np.array([0.1, -0.1]), noise)
     assert calls == [(2, 2)]
     _assert_update_without_guard(out, fs, np.array([0.1, -0.1]), noise)
 
@@ -413,7 +416,7 @@ def _mc_adaptation(q_true_scale, seed, steps=600):
     rng = np.random.default_rng(seed)
     q = np.diag([2e-3, 1e-3])
     r = np.diag([0.05, 0.08])
-    model = linear_model(np.eye(2), 2)
+    f_mat = np.eye(2)
     noise = ukf.NoiseSpec(q=q, r=r)
     fs = ukf.FilterState.initial(np.zeros(2), np.eye(2))
     x = np.zeros(2)
@@ -423,8 +426,8 @@ def _mc_adaptation(q_true_scale, seed, steps=600):
         x = x + rng.multivariate_normal(np.zeros(2), q_true)
         y = x + rng.multivariate_normal(np.zeros(2), r)
         fs = replace(fs, a_diag=ukf.adapt_q(fs))
-        fs = ukf.predict(fs, model, None, noise)
-        fs = ukf.update(fs, model, y, noise)
+        fs = predict_linear(fs, f_mat, noise)
+        fs = ukf.update(fs, y, noise)
         if k > 200:
             history.append(fs.a_diag.copy())
     return np.asarray(history)
@@ -450,14 +453,14 @@ def test_adapt_q_insufficient_samples():
 
 def test_adapt_q_runs_once_update_fills_the_window():
     # update's ring buffer and adapt_q read the one window length
-    model = linear_model(np.eye(2), 2)
+    f_mat = np.eye(2)
     noise = ukf.NoiseSpec(q=0.01 * np.eye(2), r=0.1 * np.eye(2))
     fs = ukf.FilterState.initial(np.zeros(2), np.eye(2))
     ys = np.random.default_rng(2).normal(size=(ukf.ADAPT_WINDOW, 2))
     for y in ys[:-1]:
-        fs = ukf.update(ukf.predict(fs, model, None, noise), model, y, noise)
+        fs = ukf.update(predict_linear(fs, f_mat, noise), y, noise)
     assert ukf.adapt_q(fs) is fs.a_diag
-    fs = ukf.update(ukf.predict(fs, model, None, noise), model, ys[-1], noise)
+    fs = ukf.update(predict_linear(fs, f_mat, noise), ys[-1], noise)
     a_new = ukf.adapt_q(fs)
     assert a_new is not fs.a_diag
     assert not np.array_equal(a_new, fs.a_diag)
@@ -465,13 +468,13 @@ def test_adapt_q_runs_once_update_fills_the_window():
 
 def test_adapt_q_respects_clamp():
     rng = np.random.default_rng(0)
-    model = linear_model(np.eye(1), 1)
+    f_mat = np.eye(1)
     noise = ukf.NoiseSpec(q=np.eye(1) * 1e-8, r=np.eye(1) * 1e-4)
     fs = ukf.FilterState.initial(np.zeros(1), np.eye(1))
     reached_max = False
     for _ in range(ukf.ADAPT_WINDOW + 60):
-        fs = ukf.predict(fs, model, None, noise)
-        fs = ukf.update(fs, model, rng.normal(size=1) * 10, noise)
+        fs = predict_linear(fs, f_mat, noise)
+        fs = ukf.update(fs, rng.normal(size=1) * 10, noise)
         fs = replace(fs, a_diag=ukf.adapt_q(fs))
         assert np.all(fs.a_diag >= ukf.A_MIN)
         assert np.all(fs.a_diag <= ukf.A_MAX)
