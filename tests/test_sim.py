@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import THREE_SOIL, reference_simulate, steady_state_slip, three_soils
 from test_acceptance import _divergence_prone_scenario
@@ -243,6 +245,67 @@ def test_simulate_equals_reference_plant(make_scenario):
     ref_samples, ref_truth = reference_simulate(scenario)
     assert repr(samples) == repr(ref_samples)
     assert repr(truth) == repr(ref_truth)
+
+
+@settings(max_examples=13, deadline=None)
+@given(constant=st.just(0.0) | st.floats(0.0, 15000.0),
+       ramp_time=st.just(0.0) | st.floats(0.0, 3.0),
+       sin_amplitude=st.just(0.0) | st.floats(0.0, 5000.0),
+       sin_period=st.floats(0.5, 5.0),
+       target_speed=st.floats(1.0, 4.0),
+       wheel_inertia=st.floats(20.0, 80.0),
+       tire_rr_coeff=st.sampled_from((0.0, -0.0)) | st.floats(0.0, 0.1),
+       soil=st.sampled_from((FIRM, MEDIUM, LOOSE)),
+       duration=st.floats(2.0, 5.0), seed=st.integers(0, 2**16))
+# A pull that rolls the vehicle backwards brakes at the start of a step
+# (the first stage), which the drawn ranges rarely reach.
+@example(30000.0, 1.0, 0.0, 1.0, 0.5, 50.0, 0.015, FIRM, 2.0, 1)
+# A light wheel spins backwards (w < 0) under a pull from a standstill.
+@example(20000.0, 0.0, 0.0, 1.0, 0.4, 7.0, 0.015, MEDIUM, 2.0, 1)
+def test_simulate_equals_reference_plant_on_random_short_runs(
+        constant, ramp_time, sin_amplitude, sin_period, target_speed,
+        wheel_inertia, tire_rr_coeff, soil, duration, seed):
+    # Each run starts in the standstill case and sub-steps below about
+    # 1 m/s; about two draws in three brake (negative slip) in a later
+    # stage after an overshoot or a sinusoid's pull.  Slower targets,
+    # heavier pulls and lighter wheels can hold the vehicle near
+    # standstill at 200 sub-steps a step, which costs the reference
+    # seconds per run, so the drawn ranges stop short of them.  The 396 m
+    # path outlasts any 5 s run.
+    terrain = FieldSpec(extent=(400.0, 20.0), regions=(), default_soil=soil)
+    scenario = ScenarioSpec(
+        vehicle=VehicleParams(wheel_inertia=wheel_inertia,
+                              tire_rr_coeff=tire_rr_coeff),
+        terrain=terrain, path=((2.0, 10.0), (398.0, 10.0)),
+        target_speed=target_speed,
+        drawbar=DrawbarProfile(constant, ramp_time, sin_amplitude, sin_period),
+        duration=duration, seed=seed)
+    samples, truth = simulate(scenario)
+    ref_samples, ref_truth = reference_simulate(scenario)
+    assert repr(samples) == repr(ref_samples)
+    assert repr(truth) == repr(ref_truth)
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0,
+                -1e-310, math.inf, -math.inf, math.nan, -math.nan,
+                1.0 + 2.0**-52, -(1.5 + 2.0**-52), 1e-3, -7.25, 1e300, -1e308,
+                sim.INTERNAL_DT, sim.STANDSTILL_EPS)
+
+
+@pytest.mark.parametrize("x", _EDGE_FLOATS, ids=repr)
+def test_kernel_float_identities(x):
+    # The plant kernel writes these builtins out; each form must give the
+    # builtin's bits.  (x if x > 0.0 else -x would give -0.0 for 0.0.)
+    assert repr(x if x > 0.0 else 0.0 - x) == repr(abs(x))
+    assert repr(0.0 + x + x + x + x) == repr(sum((x, x, x, x)))
+
+
+def test_kernel_single_substep_sizes():
+    # The kernel precomputes the n_sub == 1 step from INTERNAL_DT itself.
+    h = sim.INTERNAL_DT / 1
+    assert repr(h) == repr(sim.INTERNAL_DT)
+    assert repr((0.5 * h, h / 6.0)) == repr((0.5 * sim.INTERNAL_DT,
+                                              sim.INTERNAL_DT / 6.0))
 
 
 def _count_calls(monkeypatch, owner, name) -> list[int]:
