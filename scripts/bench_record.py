@@ -12,9 +12,9 @@ Each directory is a checkout with ``perfbench/`` and ``src/``.  For each
 ``perfbench/run.py --trace 0 --seconds 24`` with seed ``first_seed + k``
 in both checkouts, the parent first on even k and the change first on
 odd k.  Then one traced run per side on the first seed (``--trace 1
---seconds 1``) gives the stage times of the plant (``sim.simulate``) and
-the map: the inclusive time of each traced span of that stage, summed
-over the traced set-up and pass.  The same run gives the tracer's plant
+--seconds 1``) gives the stage times of the plant (``sim.simulate``), the
+map and the four log writers: the inclusive time of each traced span of
+that stage, summed over the traced set-up and pass.  The same run gives the tracer's plant
 numbers (``sim.simulate_s`` per call, ``sim.us_per_step`` per 1 ms plant
 step), filter numbers (``ukf.predict_ms``, ``ukf.update_ms``,
 ``ukf.adapt_q_ms`` and ``estimator.process_model_ms`` per call,
@@ -41,10 +41,13 @@ import numpy as np
 
 SIDES = ("parent", "change")
 PAIRS = 10  # alternating pairs per workload
-# Span names of the plant and map stages, as the tracer names them.
+# Span names of the plant and map stages and of the log writers, as the
+# tracer names them.
 TRACED_STAGES = ("sim.simulate", "cli.build_map", "mapping.interpolate",
                  "cli.write.map_state", "cli.write.map_layers",
-                 "cli.read.map_state")
+                 "cli.read.map_state", "cli.write.telemetry",
+                 "cli.write.truth", "cli.write.estimates",
+                 "cli.write.timeseries")
 TRACED_METRICS = ("sim.simulate_s", "sim.us_per_step",
                   "ukf.predict_ms", "ukf.update_ms", "ukf.adapt_q_ms",
                   "estimator.process_model_ms",

@@ -9,11 +9,11 @@ Runs three commands in a temporary directory:
     tractionmap replay run/telemetry.csv --resolution 0.25 --out replay_0.25
 
 and writes the sha256 of every output (26 files) to
-tests/golden/three_soil.json, together with the Python and numpy versions
-that made them.  Each file is hashed as ``scripts/cmp_outputs.py``
-compares it, so the runtime lines of the metrics files are left out.  It
-prints each digest that changed, appeared or vanished against the file it
-replaces.  ``tests/test_golden.py`` re-runs the commands and names each
+tests/golden/three_soil.json, together with the Python, numpy, C library
+and OpenBLAS kernel that made them (``versions``).  Each file is hashed
+as ``scripts/cmp_outputs.py`` compares it, so the runtime lines of the
+metrics files are left out.  It prints each digest that changed, appeared
+or vanished against the file it replaces.  ``tests/test_golden.py`` re-runs the commands and names each
 file whose digest moved.  Regenerate the file only in a change that moves
 outputs on purpose.
 
@@ -28,6 +28,7 @@ ablations and the noisy stream, which the 26 outputs do not;
 Usage: python scripts/golden_digests.py
 """
 
+import ctypes
 import hashlib
 import json
 import platform
@@ -75,7 +76,27 @@ def commands(work: Path) -> dict[str, list[str]]:
 
 
 def versions() -> dict[str, str]:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """The versions that decide the digests' bits: Python, numpy, the C
+    library and the kernel that numpy's bundled OpenBLAS picked for this
+    CPU (LAPACK's ``solve`` rounds differently under its SkylakeX and
+    Haswell kernels)."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "libc": " ".join(platform.libc_ver()).strip() or "unknown",
+            "openblas_core": _openblas_core()}
+
+
+def _openblas_core() -> str:
+    """``scipy_openblas_get_corename64_`` of the OpenBLAS in
+    ``numpy.libs``, or ``unknown`` when there is none to ask."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return (corename() or b"unknown").decode()
 
 
 def digests(work: Path) -> dict[str, str]:

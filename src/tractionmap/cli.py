@@ -20,6 +20,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -255,39 +256,35 @@ def write_timeseries_csv(records: list[EstimateRecord],
                          truth: list[TruthRecord], path) -> None:
     """Plot-ready aligned series: true vs estimated mu per wheel and rho_s."""
     paired = _aligned_truth(records, truth)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t"]
-        for w in range(1, 5):
-            header += [f"mu{w}_true", f"mu{w}_est"]
-        header += ["rho_s_true", "rho_s_est"]
-        writer.writerow(header)
-        for tr, rec in zip(paired, records):
-            row = [tr.t]
-            for w in range(4):
-                row += [tr.mu[w], rec.mu[w]]
-            row += [tr.soil.rho_s, rec.rho_s]
-            writer.writerow([repr(float(x)) for x in row])
+    header = ["t"]
+    for w in range(1, 5):
+        header += [f"mu{w}_true", f"mu{w}_est"]
+    header += ["rho_s_true", "rho_s_est"]
+    sim._write_log(path, header, (
+        sim._fields((tr.t, *chain.from_iterable(zip(tr.mu, rec.mu)),
+                     tr.soil.rho_s, rec.rho_s)) + "\r\n"
+        for tr, rec in zip(paired, records)))
 
 
 def write_estimates_csv(records: list[EstimateRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "mu1", "mu2", "mu3", "mu4", "rho_s",
-                         "slip1", "slip2", "slip3", "slip4", "a"]
-                        + [f"p{i}{i}" for i in range(10)])
-        for r in records:
-            row = [repr(float(x)) for x in
-                   (r.t, *r.position, *r.mu, r.rho_s, *r.slip)]
-            row.append("" if r.curve_scale is None else repr(float(r.curve_scale)))
-            row.extend(repr(float(x)) for x in r.cov_diag)
-            writer.writerow(row)
+    """One row per estimate; the curve scale ``a`` is an empty field when
+    it is None."""
+    header = ["t", "x", "y", "mu1", "mu2", "mu3", "mu4", "rho_s",
+              "slip1", "slip2", "slip3", "slip4", "a"]
+    sim._write_log(path, header + [f"p{i}{i}" for i in range(10)], (
+        f"{sim._fields((r.t, *r.position, *r.mu, r.rho_s, *r.slip))},"
+        f"{'' if r.curve_scale is None else repr(float(r.curve_scale))},"
+        f"{sim._fields(r.cov_diag)}\r\n" for r in records))
 
 
 def save_map_state(gmap: GroundMap, path) -> None:
     """Write the recorded cells as JSON: one ``[i, j, count, *layers]``
     list per non-empty cell, in row-major order.
 
+    The bytes are those of ``json.dump(state, fh, indent=1)``: the header
+    keys go through ``json.dumps`` and each cell is formatted in that
+    layout directly, ints by ``str`` and floats by ``repr`` as ``json``
+    writes them, since ``json``'s indenting encoder runs in pure Python.
     Raises ValueError, and writes nothing, when the origin, the resolution
     or a recorded value is not finite, since ``load_map_state`` rejects
     those.
@@ -298,13 +295,24 @@ def save_map_state(gmap: GroundMap, path) -> None:
             and np.all(np.isfinite([*gmap.origin, gmap.resolution]))):
         raise ValueError("map origin, resolution and values must be finite "
                          "to be saved")
-    cells = [[ci, cj, n, *v] for ci, cj, n, v in zip(
-        i.tolist(), j.tolist(), gmap.counts[i, j].tolist(), values.tolist())]
-    state = {"origin": list(gmap.origin), "resolution": gmap.resolution,
-             "width": int(gmap.shape[0]), "length": int(gmap.shape[1]),
-             "layers": list(mapping.LAYER_NAMES), "cells": cells}
+    header = json.dumps({"origin": list(gmap.origin),
+                         "resolution": gmap.resolution,
+                         "width": int(gmap.shape[0]),
+                         "length": int(gmap.shape[1]),
+                         "layers": list(mapping.LAYER_NAMES), "cells": []},
+                        indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(state, fh, indent=1, allow_nan=False)
+        if not len(i):
+            fh.write(header)
+            return
+        fh.write(header[:-len("]\n}")])
+        fh.writelines(
+            f"{',' if k else ''}\n  [\n   {ci},\n   {cj},\n   {n},"
+            f"\n   {a!r},\n   {rho_s!r}\n  ]"
+            for k, (ci, cj, n, (a, rho_s)) in enumerate(zip(
+                i.tolist(), j.tolist(), gmap.counts[i, j].tolist(),
+                values.tolist())))
+        fh.write("\n ]\n}")
 
 
 def _is_finite_number(x) -> bool:

@@ -262,8 +262,11 @@ def export_layer_csv(gmap: GroundMap, layer: str, path) -> None:
         raise ValueError(f"unknown layer {layer!r}; expected one of {LAYER_NAMES}")
     k = LAYER_NAMES.index(layer)
     i, j = np.nonzero(gmap.counts > 0)
+    # "i," and "j," formatted once per grid row and column, not per cell
+    i_field = [f"{a}," for a in range(gmap.shape[0])]
+    j_field = [f"{b}," for b in range(gmap.shape[1])]
     rows = [f"i,j,{layer}\r\n"]
-    rows.extend(f"{a},{b},{v!r}\r\n" for a, b, v in
+    rows.extend(f"{i_field[a]}{j_field[b]}{v!r}\r\n" for a, b, v in
                 zip(i.tolist(), j.tolist(), gmap.values[i, j, k].tolist()))
     with open(path, "w", newline="") as fh:
         fh.write("".join(rows))

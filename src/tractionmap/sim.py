@@ -694,14 +694,25 @@ def _read_rows(path, columns: tuple[str, ...], kind: str) -> list[list[float]]:
     return rows
 
 
-def write_telemetry_csv(samples, path) -> None:
+def _fields(values) -> str:
+    """``values`` as CSV fields of ``repr(float(x))``: the bytes the
+    ``csv`` writer gives them, since no float repr needs quoting."""
+    return ",".join(map(repr, map(float, values)))
+
+
+def _write_log(path, columns, lines) -> None:
+    """Write a CSV log as the ``csv`` writer does: the ``columns`` header,
+    then ``lines``, each a row of fields ended by ``\\r\\n``.  The lines
+    are streamed, never joined into one string."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TELEMETRY_COLUMNS)
-        for s in samples:
-            writer.writerow([repr(float(x)) for x in
-                             (s.t, *s.pos, *s.omega_w, s.v, *s.m_d,
-                              s.f_zf, s.f_dx)])
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(lines)
+
+
+def write_telemetry_csv(samples, path) -> None:
+    _write_log(path, TELEMETRY_COLUMNS,
+               (_fields((s.t, *s.pos, *s.omega_w, s.v, *s.m_d, s.f_zf,
+                         s.f_dx)) + "\r\n" for s in samples))
 
 
 def read_telemetry_csv(path) -> list[TelemetrySample]:
@@ -713,15 +724,11 @@ def read_telemetry_csv(path) -> list[TelemetrySample]:
 
 
 def write_truth_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_COLUMNS)
-        for r in records:
-            soil = r.soil
-            writer.writerow([repr(float(x)) for x in
-                             (r.t, *r.pos, soil.a, soil.p, soil.alpha1,
-                              soil.alpha2, soil.rho_s, *r.mu, *r.slip, r.v,
-                              *r.omega_w, r.drive_energy, r.drawbar_work)])
+    _write_log(path, TRUTH_COLUMNS,
+               (_fields((r.t, *r.pos, r.soil.a, r.soil.p, r.soil.alpha1,
+                         r.soil.alpha2, r.soil.rho_s, *r.mu, *r.slip, r.v,
+                         *r.omega_w, r.drive_energy, r.drawbar_work))
+                + "\r\n" for r in records))
 
 
 def read_truth_csv(path) -> list[TruthRecord]:

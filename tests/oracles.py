@@ -14,7 +14,11 @@ and truth exactly (equal ``repr``, no tolerance).  Likewise ``reference_interpol
 ``reference_load_map_state`` are the map layer as it was before the
 interpolation swept only the occupied box in row tiles and the map files
 were written in bulk, kept verbatim; the map layer must reproduce their
-arrays and file bytes exactly.  ``reference_build_map`` with ``insert``
+arrays and file bytes exactly.  ``reference_write_telemetry_csv``,
+``reference_write_truth_csv``, ``reference_write_estimates_csv`` and
+``reference_write_timeseries_csv`` are the four log writers as they were
+before they joined each row's ``repr`` fields themselves, with the
+standard ``csv`` writer; the writers must reproduce their bytes exactly.  ``reference_build_map`` with ``insert``
 is the map build written without ``mapping``: each kept record's cell
 against the first kept position, one allocation of those cells' box, then
 one scalar insert per record in stream order; the bulk build must
@@ -60,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from tractionmap import mapping, ukf
+from tractionmap import cli, mapping, ukf
 from tractionmap.dynamics import (
     GRAVITY,
     DegenerateSlip,
@@ -104,6 +108,8 @@ from tractionmap.sim import (
     _SIGN_SPEED,
     INTERNAL_DT,
     SAMPLE_DT,
+    TELEMETRY_COLUMNS,
+    TRUTH_COLUMNS,
     ScenarioInfeasible,
     ScenarioSpec,
     TelemetrySample,
@@ -422,6 +428,63 @@ def reference_load_map_state(path) -> GroundMap:
         gmap.counts[i, j] = count
         gmap.values[i, j] = cell[3:]
     return gmap
+
+
+# --- log writers: the standard csv writer --------------------------------------
+
+
+def reference_write_telemetry_csv(samples, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TELEMETRY_COLUMNS)
+        for s in samples:
+            writer.writerow([repr(float(x)) for x in
+                             (s.t, *s.pos, *s.omega_w, s.v, *s.m_d,
+                              s.f_zf, s.f_dx)])
+
+
+def reference_write_truth_csv(records, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRUTH_COLUMNS)
+        for r in records:
+            soil = r.soil
+            writer.writerow([repr(float(x)) for x in
+                             (r.t, *r.pos, soil.a, soil.p, soil.alpha1,
+                              soil.alpha2, soil.rho_s, *r.mu, *r.slip, r.v,
+                              *r.omega_w, r.drive_energy, r.drawbar_work)])
+
+
+def reference_write_estimates_csv(records: list[EstimateRecord], path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "y", "mu1", "mu2", "mu3", "mu4", "rho_s",
+                         "slip1", "slip2", "slip3", "slip4", "a"]
+                        + [f"p{i}{i}" for i in range(10)])
+        for r in records:
+            row = [repr(float(x)) for x in
+                   (r.t, *r.position, *r.mu, r.rho_s, *r.slip)]
+            row.append("" if r.curve_scale is None else repr(float(r.curve_scale)))
+            row.extend(repr(float(x)) for x in r.cov_diag)
+            writer.writerow(row)
+
+
+def reference_write_timeseries_csv(records: list[EstimateRecord],
+                                   truth: list[TruthRecord], path) -> None:
+    paired = cli._aligned_truth(records, truth)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["t"]
+        for w in range(1, 5):
+            header += [f"mu{w}_true", f"mu{w}_est"]
+        header += ["rho_s_true", "rho_s_est"]
+        writer.writerow(header)
+        for tr, rec in zip(paired, records):
+            row = [tr.t]
+            for w in range(4):
+                row += [tr.mu[w], rec.mu[w]]
+            row += [tr.soil.rho_s, rec.rho_s]
+            writer.writerow([repr(float(x)) for x in row])
 
 
 # --- map build: one scalar insert per record -------------------------------------

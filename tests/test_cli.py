@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import inspect
 import json
+import math
 import os
 import resource
 import subprocess
@@ -14,8 +15,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import THREE_SOIL, import_layer_csv, three_soils
+from oracles import (
+    THREE_SOIL,
+    import_layer_csv,
+    reference_write_estimates_csv,
+    reference_write_telemetry_csv,
+    reference_write_timeseries_csv,
+    reference_write_truth_csv,
+    three_soils,
+)
 from tractionmap import cli, mapping, sim
 from tractionmap.cli import (
     ConfigurationError,
@@ -24,8 +35,13 @@ from tractionmap.cli import (
     RunConfig,
     compute_r_squared,
 )
-from tractionmap.dynamics import mu_curve
-from tractionmap.estimator import EstimatorConfig, TractionEstimator
+from tractionmap.dynamics import SoilParams, mu_curve
+from tractionmap.estimator import (
+    EstimateRecord,
+    EstimatorConfig,
+    TractionEstimator,
+)
+from tractionmap.sim import TelemetrySample, TruthRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -192,6 +208,83 @@ def test_misaligned_logs_are_refused(misalign, short_logs, tmp_path):
     with pytest.raises(ValueError, match="do not align"):
         cli.write_timeseries_csv(records, truth, tmp_path / "ts.csv")
     assert not (tmp_path / "ts.csv").exists()
+
+
+# --- log writers: byte-equal to the csv writer ------------------------------
+
+def _assert_logs_byte_equal(records, samples, truth, tmp_path):
+    """Each log writer writes the bytes of its csv-writer reference."""
+    for name, write, reference, args in [
+            ("telemetry", sim.write_telemetry_csv,
+             reference_write_telemetry_csv, (samples,)),
+            ("truth", sim.write_truth_csv, reference_write_truth_csv,
+             (truth,)),
+            ("estimates", cli.write_estimates_csv,
+             reference_write_estimates_csv, (records,)),
+            ("timeseries", cli.write_timeseries_csv,
+             reference_write_timeseries_csv, (records, truth))]:
+        new, ref = tmp_path / f"{name}.csv", tmp_path / f"ref_{name}.csv"
+        write(*args, new)
+        reference(*args, ref)
+        assert new.read_bytes() == ref.read_bytes(), name
+
+
+def test_log_writers_byte_equal_to_reference(short_logs, tmp_path):
+    samples, truth = short_logs
+    records, _ = cli.run_estimation(samples, sim.load_scenario(
+        THREE_SOIL).vehicle, sim.STUBBLE_FAMILY, EstimatorConfig())
+    _assert_logs_byte_equal(records, samples, truth, tmp_path)
+
+
+# Values whose repr takes an exponent, a subnormal, the largest float, a
+# negative zero, ints and numpy scalars, besides any float.
+AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e+16, 1.7976931348623157e+308,
+           0, -7, 10 ** 20, np.float64(0.1), np.float64(-2.5e-300),
+           math.inf, -math.inf, math.nan]
+_value = st.one_of(st.sampled_from(AWKWARD), st.floats())
+_quad = st.tuples(_value, _value, _value, _value)
+# SoilParams refuses values outside its ranges; these are inside them
+_soil = st.builds(
+    SoilParams,
+    a=st.sampled_from([5e-324, 1e-05, 1e+16, 1.7976931348623157e+308, 3]),
+    p=st.sampled_from([-0.0, 5e-324, 1e-05, 1, np.float64(0.6)]),
+    alpha1=st.sampled_from([-5e-324, -1e-05, -1e+16, -20]),
+    alpha2=st.sampled_from([-1.7976931348623157e+308, np.float64(-3.0)]),
+    rho_s=st.sampled_from([-0.0, 5e-324, 1e-05, 0.5, np.float64(0.06)]))
+
+
+@st.composite
+def _awkward_logs(draw):
+    """Samples, truth and records of awkward values; a NaN time would make
+    the timeseries refuse to pair truth with records, so times are not
+    NaN."""
+    n = draw(st.integers(1, 4))
+    times = [draw(st.one_of(st.sampled_from(AWKWARD[:-1]),
+                            st.floats(allow_nan=False))) for _ in range(n + 1)]
+    samples = [TelemetrySample(t=t, pos=draw(st.tuples(_value, _value)),
+                               omega_w=draw(_quad), v=draw(_value),
+                               m_d=draw(_quad), f_zf=draw(_value),
+                               f_dx=draw(_value)) for t in times]
+    truth = [TruthRecord(t=t, pos=draw(st.tuples(_value, _value)),
+                         soil=draw(_soil), mu=draw(_quad), slip=draw(_quad),
+                         v=draw(_value), omega_w=draw(_quad),
+                         drive_energy=draw(_value),
+                         drawbar_work=draw(_value)) for t in times]
+    records = [EstimateRecord(
+        t=t, position=draw(st.tuples(_value, _value)), mu=draw(_quad),
+        rho_s=draw(_value), slip=draw(_quad),
+        curve_scale=draw(st.one_of(st.none(), _value)),
+        cov_diag=draw(st.one_of(
+            st.lists(_value, min_size=10, max_size=10).map(tuple),
+            st.lists(st.floats(), min_size=10, max_size=10).map(np.array))))
+        for t in times[1:]]
+    return records, samples, truth
+
+
+@settings(max_examples=60, deadline=None)
+@given(logs=_awkward_logs())
+def test_log_writers_byte_equal_on_awkward_values(logs, tmp_path_factory):
+    _assert_logs_byte_equal(*logs, tmp_path_factory.mktemp("logs"))
 
 
 def test_run_seed_override_changes_noise_draws(scenario_file, tmp_path):

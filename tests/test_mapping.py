@@ -350,8 +350,23 @@ def _empty_mid_band():
     return _all_edges(resolution=6.0)
 
 
+def _exponent_reprs():
+    """An origin and values whose ``repr`` takes an exponent, cell indices
+    of up to four digits and counts of up to six."""
+    gmap = make_map(width=1100, length=1050, origin=(1e-05, -2.5e+16),
+                    resolution=4.0)
+    cells = [(0, 0), (0, 1049), (1099, 0), (1099, 1049), (1000, 1000),
+             (12, 345), (678, 9)]
+    for k, (i, j) in enumerate(cells):
+        gmap.counts[i, j] = 10 ** (k % 6) + k
+    gmap.values[tuple(np.array(cells).T)] = [
+        [5e-324, 1e+16], [1e-05, -0.0], [-2.5e-300, 1.25e-07], [1e+22, 3e-05],
+        [0.7, 0.06], [-1e-05, 1e-100], [1.5e+300, -1e+16]]
+    return gmap
+
+
 MAP_CASES = [_survey_track, _all_edges, _grown_negative, _one_cell,
-             _high_band_only_self, _empty_mid_band]
+             _high_band_only_self, _empty_mid_band, _exponent_reprs]
 
 
 @pytest.mark.parametrize("case", MAP_CASES, ids=lambda f: f.__name__[1:])
