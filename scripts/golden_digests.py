@@ -9,8 +9,8 @@ Runs three commands in a temporary directory:
     tractionmap replay run/telemetry.csv --resolution 0.25 --out replay_0.25
 
 and writes the sha256 of every output (26 files) to
-tests/golden/three_soil.json, together with the Python, numpy, C library
-and OpenBLAS kernel that made them (``versions``).  Each file is hashed
+tests/golden/three_soil.json, together with the Python, numpy, C library,
+OpenBLAS kernel and numpy ``power`` loop that made them (``versions``).  Each file is hashed
 as ``scripts/cmp_outputs.py`` compares it, so the runtime lines of the
 metrics files are left out.  It prints each digest that changed, appeared
 or vanished against the file it replaces.  ``tests/test_golden.py`` re-runs the commands and names each
@@ -77,12 +77,27 @@ def commands(work: Path) -> dict[str, list[str]]:
 
 def versions() -> dict[str, str]:
     """The versions that decide the digests' bits: Python, numpy, the C
-    library and the kernel that numpy's bundled OpenBLAS picked for this
+    library, the kernel that numpy's bundled OpenBLAS picked for this
     CPU (LAPACK's ``solve`` rounds differently under its SkylakeX and
-    Haswell kernels)."""
+    Haswell kernels) and the CPU target of numpy's float64 ``power`` loop
+    (``ukf.adapt_q``'s ``**`` rounds differently under its AVX-512 loop,
+    ``X86_V4``, and its baseline loop)."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "libc": " ".join(platform.libc_ver()).strip() or "unknown",
-            "openblas_core": _openblas_core()}
+            "openblas_core": _openblas_core(),
+            "power_dispatch": _power_dispatch()}
+
+
+def _power_dispatch() -> str:
+    """The target numpy dispatches its float64 ``power`` loop to on this
+    CPU, as ``numpy.lib.introspect.opt_func_info`` reports it (``X86_V4``,
+    ``baseline(X86_V2)``, ...), or ``unknown`` when numpy cannot say."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+        loops = opt_func_info(func_name="^power$", signature="float64")
+        return next(iter(loops["power"].values()))["current"]
+    except (ImportError, KeyError, StopIteration):
+        return "unknown"
 
 
 def _openblas_core() -> str:

@@ -11,9 +11,9 @@ known inputs.
 The step is affine in the state and the measured outputs are the first
 ``MEAS_DIM`` = 5 state entries, the size of R, so the unscented transform
 of the AUKF is exact here: each sample the estimator hands ``ukf.predict``
-the mean through ``process_model`` and the Jacobian ``process_jacobian``,
-and ``ukf.update`` reads the predicted outputs off the leading block of
-the belief.
+the mean through ``process_model``, the Jacobian ``process_jacobian`` and
+the sample's fuzzy factor and adaptation diagonal, and ``ukf.update``
+reads the predicted outputs off the leading block of the belief.
 
 Per sample the estimator also extracts the adhesion-curve scale parameter
 from the estimated (mu, slip) pairs, given a fixed curve family
@@ -304,19 +304,18 @@ class TractionEstimator:
         self._last_m_d = u.m_d
         fs = self.state
 
-        # adapt_q does not read phi, so both come from the previous state.
+        # adapt_q does not read phi, so both come from the previous state;
+        # predict carries them into the next one.
         phi, a_diag = fs.phi, fs.a_diag
         if cfg.fuzzy_enabled:
             signal = dynamics_intensity(self._torque_steps, self._speeds)
             phi = ukf.fuzzy_factor(signal)
         if cfg.adapt_enabled:
             a_diag = ukf.adapt_q(fs)
-        fs = ukf.FilterState(mean=fs.mean, cov=fs.cov, a_diag=a_diag, phi=phi,
-                             residuals=fs.residuals, gain=fs.gain,
-                             innov_cov=fs.innov_cov, predicted=fs.predicted)
 
         fs = ukf.predict(fs, process_model(fs.mean, u, self.vehicle),
-                         process_jacobian(u.f_zf, self.vehicle), self.noise)
+                         process_jacobian(u.f_zf, self.vehicle), self.noise,
+                         phi, a_diag)
         fs = ukf.update(fs, y.as_vector(), self.noise)
         fs = self._clamp_parameters(fs)
         self.state = fs
@@ -337,10 +336,8 @@ class TractionEstimator:
         clipped[IDX_MU] = np.clip(mean[IDX_MU], *MU_BOUNDS)
         clipped[IDX_RHO_S] = np.clip(mean[IDX_RHO_S], *RHO_S_BOUNDS)
         self.clamp_violations += 1
-        return ukf.FilterState(
-            mean=clipped, cov=fs.cov, a_diag=fs.a_diag, phi=fs.phi,
-            residuals=fs.residuals, gain=fs.gain,
-            innov_cov=fs.innov_cov, predicted=fs.predicted)
+        return ukf.FilterState(clipped, fs.cov, fs.a_diag, fs.phi,
+                               fs.residuals, fs.gain, fs.spread, fs.predicted)
 
     def _make_record(self, fs: ukf.FilterState, u: TractionInput,
                      t: float, position: tuple[float, float]) -> EstimateRecord:

@@ -23,7 +23,19 @@ larger than their result.
 exceeds 1e14.  S is symmetric, and when its Gershgorin discs already
 prove cond(S) <= 1e12 the guard cannot fire, so the SVD that computes the
 condition number runs only when they do not: strongly correlated outputs,
-a nearly singular S, or an S that is not exactly symmetric.
+a nearly singular S, or an S that is not exactly symmetric.  The gain's
+solve calls the LAPACK gufunc of ``np.linalg.solve`` (numpy's
+``_umath_linalg.solve``) under the error state ``np.linalg.solve`` sets,
+the same bits and the same "Singular matrix" refusal without the
+wrapper's per-call type and shape dispatch, which took about half of the
+solve's time.
+
+The adaptation compares the sample spread of the last ``ADAPT_WINDOW``
+innovations with the spread the filter expected, both mapped to state
+space through the last gain K.  The expected spread is the diagonal of
+K S K^T, the covariance reduction that ``update`` subtracts, so ``update``
+keeps that product's diagonal in the state for ``adapt_q``.  It also keeps
+the innovation window as one (k, m) array, oldest row first.
 
 A FilterState is treated as a value: ``predict`` and ``update`` return new
 states instead of mutating.
@@ -32,13 +44,19 @@ states instead of mutating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 class SingularInnovationCov(np.linalg.LinAlgError):
     """Predicted output covariance cannot be inverted."""
+
+
+def _raise_singular(err, flag):
+    """The error-state call of the solve: LAPACK found S singular."""
+    raise SingularInnovationCov("Singular matrix")
 
 
 # Fuzzy supervisor: the singleton rule outputs of the steady/moderate/
@@ -95,19 +113,20 @@ class NoiseSpec:
 class FilterState:
     """The estimator's belief plus adaptation bookkeeping.
 
-    ``residuals`` is the ring buffer of recent innovations (most recent
-    last).  ``gain`` and ``innov_cov`` cache the last update's Kalman gain
-    and innovation covariance for the adaptation step.  ``predicted``
-    tracks the predict/update alternation.
+    ``residuals`` holds the last ``ADAPT_WINDOW`` innovations as one
+    C-contiguous (k, m) array, oldest row first; None before the first
+    update.  ``gain`` is the last update's Kalman gain K and ``spread``
+    the diagonal of its K S K^T, the spread the adaptation step expects.
+    ``predicted`` tracks the predict/update alternation.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     a_diag: np.ndarray
     phi: float = 1.0
-    residuals: tuple = field(default_factory=tuple)
+    residuals: np.ndarray | None = None
     gain: np.ndarray | None = None
-    innov_cov: np.ndarray | None = None
+    spread: np.ndarray | None = None
     predicted: bool = False
 
     @classmethod
@@ -151,13 +170,13 @@ def _gershgorin_cond(s: np.ndarray) -> float:
 
 
 def predict(fs: FilterState, mean: np.ndarray, f_mat: np.ndarray,
-            noise: NoiseSpec) -> FilterState:
+            noise: NoiseSpec, phi: float, a_diag: np.ndarray) -> FilterState:
     """Time update to ``mean`` = f(fs.mean), with the covariance through
-    f's Jacobian ``f_mat`` as ``F P F^T``, plus (phi*A)Q."""
-    cov = f_mat @ fs.cov @ f_mat.T + (fs.phi * fs.a_diag)[:, None] * noise.q
-    return FilterState(mean=mean, cov=_symmetrize(cov), a_diag=fs.a_diag,
-                       phi=fs.phi, residuals=fs.residuals, gain=fs.gain,
-                       innov_cov=fs.innov_cov, predicted=True)
+    f's Jacobian ``f_mat`` as ``F P F^T``, plus (phi*A)Q for the given
+    ``phi`` and ``a_diag``, which the predicted state carries."""
+    cov = f_mat @ fs.cov @ f_mat.T + (phi * a_diag)[:, None] * noise.q
+    return FilterState(mean, _symmetrize(cov), a_diag, phi, fs.residuals,
+                       fs.gain, fs.spread, True)
 
 
 def update(fs: FilterState, y: np.ndarray, noise: NoiseSpec) -> FilterState:
@@ -166,12 +185,14 @@ def update(fs: FilterState, y: np.ndarray, noise: NoiseSpec) -> FilterState:
     ``y`` holds m values, m being the size of R, and the predicted output
     is the first m entries of the mean; its covariance S and the
     cross-covariance are the matching blocks of the predicted covariance.
-    The innovation y - y_hat is pushed into the residual ring buffer, which
-    keeps the last ADAPT_WINDOW innovations.  Raises ValueError when ``y``
-    has another shape, and SingularInnovationCov when S is not finite,
-    cannot be inverted or has a condition number above 1e14.  That
-    condition number is computed by an SVD only when the Gershgorin discs
-    of S (``_gershgorin_cond``) do not already prove it at most 1e12.
+    The innovation y - y_hat becomes the last row of a new residual
+    window, which keeps the last ADAPT_WINDOW innovations, and the state
+    keeps the diagonal of the K S K^T it subtracts.  Raises ValueError
+    when ``y`` has another shape, and SingularInnovationCov when S is not
+    finite, cannot be inverted or has a condition number above 1e14.
+    That condition number is computed by an SVD only when the Gershgorin
+    discs of S (``_gershgorin_cond``) do not already prove it at most
+    1e12.
     """
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
@@ -186,10 +207,12 @@ def update(fs: FilterState, y: np.ndarray, noise: NoiseSpec) -> FilterState:
     if not np.isfinite(s_cov).all():
         raise SingularInnovationCov("innovation covariance is not finite")
 
-    try:
-        gain = np.linalg.solve(s_cov, fs.cov[:, :m].T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationCov(str(exc)) from exc
+    # np.linalg.solve's LAPACK gufunc under its error state, without its
+    # per-call conversion and dispatch (see the module docstring).
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        gain = _umath_linalg.solve(s_cov, fs.cov[:, :m].T,
+                                   signature="dd->d").T
     if _gershgorin_cond(s_cov) > 1e12:
         # The 2-norm condition number, as np.linalg.cond computes it.
         sv = np.linalg.svd(s_cov, compute_uv=False)
@@ -200,12 +223,16 @@ def update(fs: FilterState, y: np.ndarray, noise: NoiseSpec) -> FilterState:
 
     innovation = y - y_hat
     mean = fs.mean + gain @ innovation
-    cov = _symmetrize(fs.cov - gain @ s_cov @ gain.T)
+    reduction = gain @ s_cov @ gain.T
+    cov = _symmetrize(fs.cov - reduction)
 
-    residuals = (fs.residuals + (innovation,))[-ADAPT_WINDOW:]
-    return FilterState(mean=mean, cov=cov, a_diag=fs.a_diag, phi=fs.phi,
-                       residuals=residuals, gain=gain, innov_cov=s_cov,
-                       predicted=False)
+    # A fresh C-contiguous window, so adapt_q's res.T @ res sees the
+    # operand it always has.
+    past = fs.residuals
+    residuals = (innovation[None] if past is None else
+                 np.concatenate((past[1 - ADAPT_WINDOW:], innovation[None])))
+    return FilterState(mean, cov, fs.a_diag, fs.phi, residuals, gain,
+                       reduction.diagonal(), False)
 
 
 def adapt_q(fs: FilterState) -> np.ndarray:
@@ -214,22 +241,21 @@ def adapt_q(fs: FilterState) -> np.ndarray:
     The sample output covariance over the window and the covariance the
     filter predicted for the same innovations are both mapped to state
     space through the last Kalman gain; each diagonal adaptation entry
-    relaxes toward their ratio.  Innovations larger than modelled
-    (process noise understated) grow A, smaller ones shrink it; a
-    statistically consistent filter holds A at its fixed point.  Until
-    ``update`` has buffered ADAPT_WINDOW innovations, returns ``fs.a_diag``
-    itself (the previous adaptation is kept).
+    relaxes toward their ratio.  The mapped predicted covariance is the
+    K S K^T that ``update`` subtracted, whose diagonal the state keeps.
+    Innovations larger than modelled (process noise understated) grow A,
+    smaller ones shrink it; a statistically consistent filter holds A at
+    its fixed point.  Until ``update`` has buffered ADAPT_WINDOW
+    innovations, returns ``fs.a_diag`` itself (the previous adaptation is
+    kept).
     """
-    if len(fs.residuals) < ADAPT_WINDOW:
+    res = fs.residuals
+    if res is None or len(res) < ADAPT_WINDOW:
         return fs.a_diag
 
-    # One row per innovation; np.concatenate skips np.asarray's inspection
-    # of each item.
-    res = np.concatenate(fs.residuals[-ADAPT_WINDOW:]).reshape(
-        ADAPT_WINDOW, -1)
     s_bar = res.T @ res / (ADAPT_WINDOW - 1)
     actual = (fs.gain @ s_bar @ fs.gain.T).diagonal()
-    expected = (fs.gain @ fs.innov_cov @ fs.gain.T).diagonal()
+    expected = fs.spread
 
     # Entries whose expected spread is 1e-300 or less (or NaN) keep their
     # previous value.
@@ -258,8 +284,10 @@ def fuzzy_factor(dynamics_signal: float) -> float:
         raise ValueError("dynamics_signal must be non-negative")
     x = min(dynamics_signal, 1.0)
     if x < 0.5:
-        memberships = ((0.5 - x) / 0.5, x / 0.5, 0.0)
+        m0, m1, m2 = (0.5 - x) / 0.5, x / 0.5, 0.0
     else:
-        memberships = (0.0, (1.0 - x) / 0.5, (x - 0.5) / 0.5)
-    total = sum(memberships)
-    return sum(m * out for m, out in zip(memberships, FUZZY_OUTPUTS)) / total
+        m0, m1, m2 = 0.0, (1.0 - x) / 0.5, (x - 0.5) / 0.5
+    o0, o1, o2 = FUZZY_OUTPUTS
+    # Both sums left to right from 0, as sum() adds them; at most two
+    # terms are nonzero, so the compensated sum() of Python 3.12 agrees.
+    return (0.0 + m0 * o0 + m1 * o1 + m2 * o2) / (0.0 + m0 + m1 + m2)

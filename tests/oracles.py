@@ -653,9 +653,13 @@ def observability_check(params: VehicleParams, x0: np.ndarray,
 # the sample period, the Q adaptation and the fuzzy rule base from the
 # module constants that replaced those settings; ``reference_adapt_q``
 # returns its input until the innovation window is full, as
-# ``ukf.adapt_q`` does; and the sigma-point spread, the model and sigma
-# types, the decomposition error and the measurement function, which left
-# the package with the sigma-point path, are defined here.
+# ``ukf.adapt_q`` does; ``reference_update`` keeps the innovation window
+# as one array and the diagonal of K S K^T in place of S, and
+# ``reference_adapt_q`` reads that diagonal, the FilterState fields that
+# replaced the tuple of innovations and ``innov_cov``; and the sigma-point
+# spread, the model and sigma types, the decomposition error and the
+# measurement function, which left the package with the sigma-point path,
+# are defined here.
 
 # Sigma-point spread of the standard scaled unscented transform.
 ALPHA = 0.1
@@ -781,20 +785,22 @@ def reference_update(fs: ukf.FilterState, model: NonlinearModel,
     mean = fs.mean + gain @ innovation
     cov = _reference_symmetrize(fs.cov - gain @ s_cov @ gain.T)
 
-    residuals = (fs.residuals + (innovation,))[-ukf.ADAPT_WINDOW:]
+    residuals = (innovation[None] if fs.residuals is None else
+                 np.vstack((fs.residuals, innovation))[-ukf.ADAPT_WINDOW:])
     return replace(fs, mean=mean, cov=cov, residuals=residuals,
-                   gain=gain, innov_cov=s_cov,
+                   gain=gain, spread=np.diag(gain @ s_cov @ gain.T),
                    predicted=False)
 
 
 def reference_adapt_q(fs: ukf.FilterState) -> np.ndarray:
-    if len(fs.residuals) < ukf.ADAPT_WINDOW:
+    if fs.residuals is None or len(fs.residuals) < ukf.ADAPT_WINDOW:
         return fs.a_diag
 
     res = np.asarray(fs.residuals[-ukf.ADAPT_WINDOW:])
     s_bar = res.T @ res / (ukf.ADAPT_WINDOW - 1)
     actual = np.diag(fs.gain @ s_bar @ fs.gain.T)
-    expected = np.diag(fs.gain @ fs.innov_cov @ fs.gain.T)
+    # the diagonal of K S K^T, which reference_update keeps
+    expected = fs.spread
 
     a_new = fs.a_diag.copy()
     usable = expected > 1e-300

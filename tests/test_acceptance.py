@@ -88,7 +88,8 @@ def test_criterion_1_linear_kf_equivalence():
         y = h_mat @ x + rng.multivariate_normal(np.zeros(2), r)
         oracle.predict()
         oracle.update(y)
-        fs = ukf.predict(fs, fs.mean @ f_perm.T, f_perm, noise)
+        fs = ukf.predict(fs, fs.mean @ f_perm.T, f_perm, noise, fs.phi,
+                         fs.a_diag)
         fs = ukf.update(fs, y, noise)
         worst_mean = max(worst_mean, np.abs(fs.mean - oracle.x[order]).max())
         worst_cov = max(worst_cov, np.abs(fs.cov - oracle.p[block]).max())

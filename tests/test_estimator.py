@@ -315,7 +315,7 @@ def test_step_with_measurement_equal_to_prediction_keeps_mean():
     u = nominal_input()
     mean = process_model(est.state.mean, u, PARAMS)
     predicted = ukf.predict(est.state, mean, process_jacobian(u.f_zf, PARAMS),
-                            est.noise)
+                            est.noise, est.state.phi, est.state.a_diag)
     y = TractionMeasurement(omega_w=tuple(predicted.mean[:4]),
                             v=float(predicted.mean[4]))
     rec = est.step(u, y, t=0.1, position=(0.0, 0.0))
@@ -622,7 +622,7 @@ def _assert_belief_close(fs, ref_fs, mean_tol, cov_rtol):
                   ref_fs.cov / np.sqrt(np.outer(diag, diag)), cov_rtol, "cov")
     _assert_close(fs.a_diag / ref_fs.a_diag, np.ones_like(ref_fs.a_diag),
                   cov_rtol, "a_diag")
-    for name in ("gain", "innov_cov"):
+    for name in ("gain", "spread"):
         ref = getattr(ref_fs, name)
         _assert_close(getattr(fs, name) / np.abs(ref).max(),
                       ref / np.abs(ref).max(), cov_rtol, name)
@@ -710,3 +710,52 @@ def test_step_equals_reference_with_jittered_cholesky():
     _assert_steps_equal_reference(_three_soil_30s(1.0)[:60],
                                   EstimatorConfig(), mean_tol=1e-10,
                                   cov_rtol=1e-5, p_diag=p_diag)
+
+
+# --- what update keeps for adapt_q ------------------------------------------
+#
+# update keeps the diagonal of the K S K^T it subtracts, which adapt_q reads
+# as its expected spread, and the last ADAPT_WINDOW innovations as one
+# array, which adapt_q reads as its sample.  Both must be the bits adapt_q
+# formed itself when it recomputed them.
+
+@pytest.mark.parametrize("ablation", list(ABLATIONS))
+@pytest.mark.parametrize("noise_mult", [1.0, 5.0], ids=["nominal", "noise5x"])
+def test_update_keeps_what_adapt_q_reads(monkeypatch, noise_mult, ablation):
+    samples = _three_soil_30s(noise_mult)
+    est = TractionEstimator(PARAMS, sim.STUBBLE_FAMILY, ABLATIONS[ablation])
+    est.initialize(TractionMeasurement(omega_w=samples[0].omega_w,
+                                       v=samples[0].v))
+    update = ukf.update
+    seen = []
+
+    def recording_update(fs, y, noise):
+        out = update(fs, y, noise)
+        seen.append((fs, y, noise, out))
+        return out
+
+    monkeypatch.setattr(ukf, "update", recording_update)
+    for prev, sample in zip(samples, samples[1:]):
+        est.step(TractionInput(m_d=prev.m_d, f_zf=prev.f_zf, f_dx=prev.f_dx),
+                 TractionMeasurement(omega_w=sample.omega_w, v=sample.v),
+                 t=sample.t, position=sample.pos)
+    assert len(seen) == len(samples) - 1
+
+    innovations = []
+    for k, (fs, y, noise, out) in enumerate(seen, start=1):
+        m = len(y)
+        s_cov = fs.cov[:m, :m] + noise.r
+        assert _bits(out.spread) == _bits(
+            (out.gain @ s_cov @ out.gain.T).diagonal())
+        innovations.append(y - fs.mean[:m])
+        window = out.residuals
+        assert window.flags.c_contiguous
+        assert window.shape == (min(k, ukf.ADAPT_WINDOW), m)
+        assert _bits(window) == _bits(
+            np.concatenate(innovations[-ukf.ADAPT_WINDOW:]))
+        if k < ukf.ADAPT_WINDOW:
+            assert ukf.adapt_q(out) is out.a_diag
+        else:
+            # a fresh array, the operand res.T @ res always had
+            assert window.flags.owndata
+            assert ukf.adapt_q(out) is not out.a_diag

@@ -292,12 +292,25 @@ _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0,
                 sim.INTERNAL_DT, sim.STANDSTILL_EPS)
 
 
-@pytest.mark.parametrize("x", _EDGE_FLOATS, ids=repr)
+@pytest.mark.parametrize("x", _EDGE_FLOATS + (22.0, -22.0, 19.0, -21.9),
+                         ids=repr)
 def test_kernel_float_identities(x):
     # The plant kernel writes these builtins out; each form must give the
     # builtin's bits.  (x if x > 0.0 else -x would give -0.0 for 0.0.)
     assert repr(x if x > 0.0 else 0.0 - x) == repr(abs(x))
     assert repr(0.0 + x + x + x + x) == repr(sum((x, x, x, x)))
+    th = 1.0 if x >= 22.0 else (-1.0 if x <= -22.0 else math.tanh(x))
+    assert repr(th) == repr(math.tanh(x))
+
+
+@pytest.mark.parametrize("z", (22.0, math.nextafter(22.0, 0.0), 40.0,
+                               1e300, math.inf), ids=repr)
+def test_libm_tanh_is_one_from_22_on(z):
+    # The kernel writes glibc's tanh(z) as +-1.0 for |z| >= 22, where its
+    # own branch returns exactly that; just inside 22 it already rounds to
+    # +-1.0 (from |z| >= 19.06 on).
+    assert math.tanh(z) == 1.0
+    assert math.tanh(-z) == -1.0
 
 
 def test_kernel_single_substep_sizes():

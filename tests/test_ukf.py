@@ -23,7 +23,7 @@ from tractionmap import ukf
 
 def predict_linear(fs, f_mat, noise):
     """The time update of x' = F x."""
-    return ukf.predict(fs, fs.mean @ f_mat.T, f_mat, noise)
+    return ukf.predict(fs, fs.mean @ f_mat.T, f_mat, noise, fs.phi, fs.a_diag)
 
 
 def random_psd(rng, n, scale=1.0):
@@ -254,7 +254,7 @@ def _assert_close_to_sigma_points(out, ref):
 @pytest.mark.parametrize("seed", range(20))
 def test_affine_predict_equals_sigma_point_predict(seed):
     _, f, f_mat, generic, noise, fs = _random_affine_case(seed)
-    out = ukf.predict(fs, f(fs.mean, None), f_mat, noise)
+    out = ukf.predict(fs, f(fs.mean, None), f_mat, noise, fs.phi, fs.a_diag)
     ref = reference_predict(fs, generic, None, noise)
     _assert_close_to_sigma_points(out, ref)
     assert np.array_equal(out.cov, out.cov.T)
@@ -264,12 +264,12 @@ def test_affine_predict_equals_sigma_point_predict(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_affine_update_equals_sigma_point_update(seed):
     rng, f, f_mat, generic, noise, fs = _random_affine_case(seed)
-    fs = ukf.predict(fs, f(fs.mean, None), f_mat, noise)
+    fs = ukf.predict(fs, f(fs.mean, None), f_mat, noise, fs.phi, fs.a_diag)
     y = rng.normal(size=len(noise.r))
     out = ukf.update(fs, y, noise)
     ref = reference_update(fs, generic, y, noise)
     _assert_close_to_sigma_points(out, ref)
-    for name in ("gain", "innov_cov"):
+    for name in ("gain", "spread"):
         got, want = getattr(out, name), getattr(ref, name)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
     assert len(out.residuals) == 1
@@ -292,11 +292,14 @@ def test_affine_update_rejects_non_finite_innovation_covariance():
 
 
 def test_affine_update_rejects_singular_innovation_covariance():
-    # S = P + R = [[1, 1], [1, 1]] exactly: the solve itself fails
+    # S = P + R = [[1, 1], [1, 1]] exactly: the solve itself fails, and
+    # numpy's error state is restored
+    before = np.geterr()
     fs, noise = _predicted(np.array([[0.5, 1.0], [1.0, 0.5]]),
                            0.5 * np.eye(2))
     with pytest.raises(ukf.SingularInnovationCov, match="^Singular matrix$"):
         ukf.update(fs, np.zeros(2), noise)
+    assert np.geterr() == before
 
 
 def test_affine_update_rejects_ill_conditioned_innovation_covariance():
@@ -388,6 +391,23 @@ def test_update_takes_svd_path_for_asymmetric_innovation_covariance(
     out = ukf.update(fs, np.array([0.1, -0.1]), noise)
     assert calls == [(2, 2)]
     _assert_update_without_guard(out, fs, np.array([0.1, -0.1]), noise)
+
+
+def test_update_solve_equals_numpy_solve():
+    # update calls np.linalg.solve's LAPACK gufunc directly: the same bits
+    # on random beliefs of every size, the kept K S K^T diagonal included
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 11))
+        m = int(rng.integers(1, n + 1))
+        fs, noise = _predicted(random_psd(rng, n), random_psd(rng, m, 0.1))
+        fs = replace(fs, mean=rng.normal(size=n))
+        y = rng.normal(size=m)
+        out = ukf.update(fs, y, noise)
+        _assert_update_without_guard(out, fs, y, noise)
+        s_cov = fs.cov[:m, :m] + noise.r
+        assert out.spread.tobytes() == (
+            out.gain @ s_cov @ out.gain.T).diagonal().tobytes()
 
 
 def test_gershgorin_bound_holds_for_the_svd_condition_number():
