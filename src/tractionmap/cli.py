@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import mapping, sim
-from .dynamics import SAMPLE_DT, VehicleParams, mu_curve, mu_curve_shape
+from .dynamics import (SAMPLE_DT, VehicleParams, mu_curve, mu_curve_shape,
+                       wheel_geometry)
 from .estimator import (
     EstimateRecord,
     EstimatorConfig,
@@ -506,8 +507,9 @@ def replay(telemetry_path, out_dir, truth_path=None,
 
     Raises ConfigurationError, before any stage runs, unless the
     resolution is valid, both files read, the telemetry holds at least two
-    samples whose ``t`` steps all lie within 1e-9 s of ``SAMPLE_DT``, and
-    the truth's ``t`` column equals the telemetry's.
+    samples whose ``t`` steps all lie within 1e-9 s of ``SAMPLE_DT`` and
+    whose front-axle loads the default vehicle can carry, and the truth's
+    ``t`` column equals the telemetry's.
     """
     t0 = time.perf_counter()
     with _refused_input():
@@ -520,15 +522,17 @@ def replay(telemetry_path, out_dir, truth_path=None,
                 raise ValueError(
                     f"telemetry t steps from {prev.t!r} to {cur.t!r}; replay "
                     f"needs one sample every {SAMPLE_DT} s")
+        vehicle = VehicleParams()
+        for f_zf in {sample.f_zf for sample in samples}:
+            wheel_geometry(f_zf, vehicle)
         truth = None
         if truth_path is not None:
             truth = sim.read_truth_csv(truth_path)
             if [tr.t for tr in truth] != [s.t for s in samples]:
                 raise ValueError(
                     "the truth log's t column is not the telemetry's")
-    return _estimate_map_score(samples, truth, VehicleParams(),
-                               STUBBLE_FAMILY, EstimatorConfig(), out_dir, t0,
-                               resolution)
+    return _estimate_map_score(samples, truth, vehicle, STUBBLE_FAMILY,
+                               EstimatorConfig(), out_dir, t0, resolution)
 
 
 # ---------------------------------------------------------------------------

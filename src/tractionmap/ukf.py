@@ -20,15 +20,15 @@ with the standard spread alpha = 0.1 the centre weight is 1 - n/alpha^2
 larger than their result.
 
 ``update`` refuses an innovation covariance S whose condition number
-exceeds 1e14.  S is symmetric, and when its Gershgorin discs already
-prove cond(S) <= 1e12 the guard cannot fire, so the SVD that computes the
-condition number runs only when they do not: strongly correlated outputs,
-a nearly singular S, or an S that is not exactly symmetric.  The gain's
-solve calls the LAPACK gufunc of ``np.linalg.solve`` (numpy's
-``_umath_linalg.solve``) under the error state ``np.linalg.solve`` sets,
-the same bits and the same "Singular matrix" refusal without the
-wrapper's per-call type and shape dispatch, which took about half of the
-solve's time.
+exceeds 1e14.  S is symmetric (``predict`` symmetrizes P exactly and
+``NoiseSpec`` holds R symmetric), so that 2-norm condition number is the
+ratio of the largest to the smallest eigenvalue magnitude, from one
+LAPACK eigenvalue solve of S's lower triangle.  The gain's solve and
+that eigenvalue solve call the LAPACK gufuncs of ``np.linalg.solve`` and
+``np.linalg.eigvalsh`` (numpy's ``_umath_linalg``) under the error state
+``np.linalg.solve`` sets, the same bits and the same "Singular matrix"
+refusal without the wrappers' per-call type and shape dispatch, which
+took about half of the solve's time.
 
 The adaptation compares the sample spread of the last ``ADAPT_WINDOW``
 innovations with the spread the filter expected, both mapped to state
@@ -140,35 +140,6 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _gershgorin_cond(s: np.ndarray) -> float:
-    """An upper bound on the condition number of a symmetric s from its
-    Gershgorin discs; inf when they prove none.
-
-    Every eigenvalue of a symmetric s lies in a disc about s_ii of radius
-    R_i, the off-diagonal absolute sum of row i.  When no disc reaches
-    zero, the singular values (the eigenvalues' magnitudes) lie in
-    [min_i |s_ii| - R_i, max_i |s_ii| + R_i], and the bound is the ratio
-    of the two ends.  inf when a disc reaches zero, a sum overflows or s
-    is not exactly symmetric.  Rounding moves a bound of 1e12 by a few
-    parts in 1e4, far inside the factor of 100 below the 1e14 guard.
-    """
-    rows = s.tolist()
-    if rows != s.T.tolist():
-        return math.inf
-    lower, upper = math.inf, 0.0
-    for i, row in enumerate(rows):
-        diag = abs(row[i])
-        row_sum = sum(map(abs, row))
-        disc = diag - (row_sum - diag)
-        if not disc > 0.0:
-            return math.inf
-        if disc < lower:
-            lower = disc
-        if row_sum > upper:
-            upper = row_sum
-    return upper / lower
-
-
 def predict(fs: FilterState, mean: np.ndarray, f_mat: np.ndarray,
             noise: NoiseSpec, phi: float, a_diag: np.ndarray) -> FilterState:
     """Time update to ``mean`` = f(fs.mean), with the covariance through
@@ -190,9 +161,6 @@ def update(fs: FilterState, y: np.ndarray, noise: NoiseSpec) -> FilterState:
     keeps the diagonal of the K S K^T it subtracts.  Raises ValueError
     when ``y`` has another shape, and SingularInnovationCov when S is not
     finite, cannot be inverted or has a condition number above 1e14.
-    That condition number is computed by an SVD only when the Gershgorin
-    discs of S (``_gershgorin_cond``) do not already prove it at most
-    1e12.
     """
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
@@ -207,19 +175,22 @@ def update(fs: FilterState, y: np.ndarray, noise: NoiseSpec) -> FilterState:
     if not np.isfinite(s_cov).all():
         raise SingularInnovationCov("innovation covariance is not finite")
 
-    # np.linalg.solve's LAPACK gufunc under its error state, without its
-    # per-call conversion and dispatch (see the module docstring).
+    # np.linalg.solve's and np.linalg.eigvalsh's LAPACK gufuncs under the
+    # solve's error state, without their per-call conversion and dispatch
+    # (see the module docstring).
     with np.errstate(call=_raise_singular, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         gain = _umath_linalg.solve(s_cov, fs.cov[:, :m].T,
                                    signature="dd->d").T
-    if _gershgorin_cond(s_cov) > 1e12:
-        # The 2-norm condition number, as np.linalg.cond computes it.
-        sv = np.linalg.svd(s_cov, compute_uv=False)
-        cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-        if not np.isfinite(cond) or cond > 1e14:
-            raise SingularInnovationCov(
-                f"innovation covariance condition {cond:.2e}")
+        eig = _umath_linalg.eigvalsh_lo(s_cov, signature="d->d").tolist()
+    # The 2-norm condition number of the symmetric S, in Python floats:
+    # on a few values, min and max of a list cost less than numpy's
+    # reductions.
+    low = min(map(abs, eig))
+    cond = max(map(abs, eig)) / low if low > 0.0 else math.inf
+    if not cond <= 1e14:
+        raise SingularInnovationCov(
+            f"innovation covariance condition {cond:.2e}")
 
     innovation = y - y_hat
     mean = fs.mean + gain @ innovation

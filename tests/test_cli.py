@@ -889,6 +889,25 @@ def test_replay_refuses_input_with_configuration_error(spoil, short_logs,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fzf, message", [
+    (1e9, "front axle load 1000000000 N exceeds body weight"),
+    (-5.0, "f_zf must be non-negative"),
+], ids=["above_body_weight", "negative"])
+def test_main_replay_refuses_axle_load_the_vehicle_cannot_carry(
+        fzf, message, short_logs, tmp_path, capsys):
+    # replay assumes the default vehicle: a front-axle load it cannot
+    # carry is refused input, found before any stage runs
+    telemetry = tmp_path / "telemetry.csv"
+    samples = short_logs[0]
+    sim.write_telemetry_csv(
+        samples[:7] + [replace(samples[7], f_zf=fzf)] + samples[8:],
+        telemetry)
+    out = tmp_path / "never"
+    assert cli.main(["replay", str(telemetry), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
 def test_stage_failure_is_not_a_configuration_error(tmp_path):
     # the infeasible drawbar of test_main_pipeline_error_exit_code: the
     # scenario loads, the plant cannot pull it

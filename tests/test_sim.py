@@ -225,6 +225,17 @@ def _zero_ramp_from_field_edge():
                       DrawbarProfile(constant=10000.0, ramp_time=0.0))
 
 
+def _two_pass_survey():
+    # out along y = 2 and back along y = 6 (-x), the turn between them
+    # crossing the loose region's y0 edge on a vertical segment; firm,
+    # medium and loose soil all lie on the path
+    regions = ((Rect(0.0, 0.0, 12.0, 12.0), FIRM),
+               (Rect(22.0, 4.0, 40.0, 12.0), LOOSE))
+    return _field_run((40.0, 12.0), regions, MEDIUM,
+                      ((2.0, 2.0), (38.0, 2.0), (38.0, 6.0), (2.0, 6.0)),
+                      40.0)
+
+
 @pytest.mark.parametrize("make_scenario", [
     # crosses the first soil boundary at about 42 s
     lambda: dataclasses.replace(sim.load_scenario(THREE_SOIL), duration=50.0),
@@ -235,9 +246,11 @@ def _zero_ramp_from_field_edge():
     _along_region_y0_edge,
     _shallow_segment_crosses_y0,
     _zero_ramp_from_field_edge,
+    _two_pass_survey,
 ], ids=["three_soil_50s", "divergence_prone_sin_drawbar", "standstill_start",
         "other_vehicle", "diagonal_through_corners", "along_region_y0_edge",
-        "shallow_segment_crosses_y0", "zero_ramp_from_field_edge"])
+        "shallow_segment_crosses_y0", "zero_ramp_from_field_edge",
+        "two_pass_survey"])
 def test_simulate_equals_reference_plant(make_scenario):
     # repr, not ==: dataclass equality lets a -0.0 / 0.0 difference through.
     scenario = make_scenario()
