@@ -11,10 +11,11 @@ Each directory is a checkout with ``perfbench/`` and ``src/``.  For each
 ``name:first_seed`` workload, pair k of ``PAIRS`` (10) runs
 ``perfbench/run.py --trace 0 --seconds 24`` with seed ``first_seed + k``
 in both checkouts, the parent first on even k and the change first on
-odd k.  Then one traced run per side on the first seed (``--trace 1
---seconds 1``) gives the stage times of the plant (``sim.simulate``), the
-map and the four log writers: the inclusive time of each traced span of
-that stage, summed over the traced set-up and pass.  The same run gives the tracer's plant
+odd k.  Then ``TRACED_RUNS`` (3) traced runs per side on the first seed
+(``--trace 1 --seconds 1``), in the same alternating order, give the
+stage times of the plant (``sim.simulate``), the map and the four log
+writers: the inclusive time of each traced span of that stage, summed
+over the traced set-up and pass.  The same runs give the tracer's plant
 numbers (``sim.simulate_s`` per call, ``sim.us_per_step`` per 1 ms plant
 step), filter numbers (``ukf.predict_ms``, ``ukf.update_ms``,
 ``ukf.adapt_q_ms`` and ``estimator.process_model_ms`` per call,
@@ -22,8 +23,8 @@ step), filter numbers (``ukf.predict_ms``, ``ukf.update_ms``,
 and map numbers (``mapping.grid_cells`` allocated by the map builds,
 ``mapping.interpolate_ns_per_cell`` per swept cell).  The record holds
 each side's runs, median and quartiles of every end-to-end metric, the
-pairs the change won, the failed and attempted operations, the traced
-stage times and the machine.
+pairs the change won, the failed and attempted operations, every traced
+run's stage times and tracer numbers with their medians, and the machine.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 
 SIDES = ("parent", "change")
 PAIRS = 10  # alternating pairs per workload
+TRACED_RUNS = 3  # traced runs per side, in the pairs' alternating order
 # Span names of the plant and map stages and of the log writers, as the
 # tracer names them.
 TRACED_STAGES = ("sim.simulate", "cli.build_map", "mapping.interpolate",
@@ -64,9 +66,21 @@ def _run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _order(k: int) -> tuple[str, ...]:
+    """The sides in the order run k runs them: the parent first on even k."""
+    return SIDES if k % 2 == 0 else SIDES[::-1]
+
+
 def _summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def _medians(runs: list[dict]) -> dict:
+    """Each name of the first run, with its value in every run and their
+    median."""
+    return {name: {"median": statistics.median(r[name] for r in runs),
+                   "runs": [r[name] for r in runs]} for name in runs[0]}
 
 
 def _stage_seconds(checkout: Path, workload: str, seed: int) -> dict:
@@ -95,8 +109,7 @@ def _machine() -> dict:
 def bench_workload(dirs: dict[str, Path], workload: str, first_seed: int) -> dict:
     runs = {side: [] for side in SIDES}
     for k in range(PAIRS):
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
-        for side in order:
+        for side in _order(k):
             result = _run(dirs[side], workload, first_seed + k, trace=0)
             runs[side].append(result)
             print(f"{workload} seed {first_seed + k} {side}: "
@@ -121,15 +134,18 @@ def bench_workload(dirs: dict[str, Path], workload: str, first_seed: int) -> dic
             side: [sum(r["failed"] for r in runs[side]),
                    sum(r["attempted"] for r in runs[side])] for side in SIDES},
         "traced_seed": first_seed,
-        "traced_stage_s": {},
-        "traced_counts": {},
     }
-    for side in SIDES:
-        traced = _run(dirs[side], workload, first_seed, trace=1)
-        record["traced_stage_s"][side] = _stage_seconds(dirs[side], workload,
-                                                        first_seed)
-        record["traced_counts"][side] = {
-            name: traced["metrics"][name]["value"] for name in TRACED_METRICS}
+    stages = {side: [] for side in SIDES}
+    counts = {side: [] for side in SIDES}
+    for k in range(TRACED_RUNS):
+        for side in _order(k):
+            traced = _run(dirs[side], workload, first_seed, trace=1)
+            stages[side].append(_stage_seconds(dirs[side], workload,
+                                               first_seed))
+            counts[side].append({name: traced["metrics"][name]["value"]
+                                 for name in TRACED_METRICS})
+    record["traced_stage_s"] = {side: _medians(stages[side]) for side in SIDES}
+    record["traced_counts"] = {side: _medians(counts[side]) for side in SIDES}
     return record
 
 

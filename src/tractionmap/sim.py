@@ -67,6 +67,12 @@ from .dynamics import (
 
 INTERNAL_DT = 1e-3   # s, plant integration step; telemetry every SAMPLE_DT
 
+# The speed controller and the drive-train limits of the vehicle.
+KP = 8000.0                # N*m per m/s, total
+KI = 3000.0                # N*m per m, total
+POWER_CAP = 80e3           # W, total drive-train power
+MAX_WHEEL_TORQUE = 5000.0  # N*m
+
 # Speed scale of the smooth sign used for rolling-resistance forces; keeps
 # a standing vehicle from being pushed backwards by a constant resistance
 # term while matching the nominal equations exactly above ~0.5 m/s.
@@ -187,22 +193,14 @@ class ScenarioSpec:
     noise: SensorNoise = SensorNoise()
     duration: float = 120.0
     seed: int = 42
-    power_cap: float = 80e3        # W, total drive-train power
-    max_wheel_torque: float = 5000.0   # N*m
-    kp: float = 8000.0             # N*m per m/s, total
-    ki: float = 3000.0             # N*m per m, total
 
     def __post_init__(self) -> None:
         # Written so that NaN fails every check.
         if not SAMPLE_DT <= self.duration < math.inf:
             raise ValueError(f"duration must be at least the {SAMPLE_DT} s "
                              "sample period and finite")
-        for name in ("target_speed", "power_cap", "max_wheel_torque"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("kp", "ki"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+        if not 0.0 < self.target_speed < math.inf:
+            raise ValueError("target_speed must be positive and finite")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, Integral)
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -373,11 +371,11 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
 
     emit_every = round(SAMPLE_DT / INTERNAL_DT)
     n_steps = round(scenario.duration / INTERNAL_DT)
-    i_max = 4.0 * scenario.max_wheel_torque / max(scenario.ki, 1e-9)
+    i_max = 4.0 * MAX_WHEEL_TORQUE / KI
     target_speed = scenario.target_speed
-    kp, ki = scenario.kp, scenario.ki
-    max_torque = scenario.max_wheel_torque
-    power_share = scenario.power_cap / 4.0
+    kp, ki = KP, KI
+    max_torque = MAX_WHEEL_TORQUE
+    power_share = POWER_CAP / 4.0
     noise = scenario.noise
 
     # Tire rolling-resistance torque r_d*rho_t*F_z and the stiffness

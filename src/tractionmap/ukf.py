@@ -85,7 +85,7 @@ ADAPT_LEAK = 0.05
 @dataclass(frozen=True)
 class NoiseSpec:
     """Process (Q) and measurement (R) noise covariances: finite and
-    symmetric, Q positive semi-definite and R positive definite."""
+    exactly symmetric, Q positive semi-definite and R positive definite."""
 
     q: np.ndarray
     r: np.ndarray
@@ -99,9 +99,9 @@ class NoiseSpec:
             raise ValueError("Q must be finite")
         if not np.isfinite(r).all():
             raise ValueError("R must be finite")
-        if not np.allclose(q, q.T, atol=1e-12):
+        if not np.array_equal(q, q.T):
             raise ValueError("Q must be symmetric")
-        if not np.allclose(r, r.T, atol=1e-12):
+        if not np.array_equal(r, r.T):
             raise ValueError("R must be symmetric")
         if np.any(np.linalg.eigvalsh(q) < -1e-10):
             raise ValueError("Q must be positive semi-definite")

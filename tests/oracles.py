@@ -107,6 +107,10 @@ from tractionmap.mapping import (
 from tractionmap.sim import (
     _SIGN_SPEED,
     INTERNAL_DT,
+    KI,
+    KP,
+    MAX_WHEEL_TORQUE,
+    POWER_CAP,
     SAMPLE_DT,
     TELEMETRY_COLUMNS,
     TRUTH_COLUMNS,
@@ -231,7 +235,7 @@ def reference_simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], l
 
     emit_every = round(SAMPLE_DT / INTERNAL_DT)
     n_steps = round(scenario.duration / INTERNAL_DT)
-    i_max = 4.0 * scenario.max_wheel_torque / max(scenario.ki, 1e-9)
+    i_max = 4.0 * MAX_WHEEL_TORQUE / KI
 
     omega = [0.0, 0.0, 0.0, 0.0]
     v = 0.0
@@ -261,11 +265,11 @@ def reference_simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], l
         # power and torque limits.
         err = scenario.target_speed - v
         integral = min(max(integral + err * INTERNAL_DT, 0.0), i_max)
-        m_total = scenario.kp * err + scenario.ki * integral
+        m_total = KP * err + KI * integral
         m_d = tuple(
             min(max(m_total / 4.0, 0.0),
-                scenario.max_wheel_torque,
-                scenario.power_cap / 4.0 / max(omega[i], 1.0))
+                MAX_WHEEL_TORQUE,
+                POWER_CAP / 4.0 / max(omega[i], 1.0))
             for i in range(4))
 
         if k % emit_every == 0:

@@ -413,10 +413,10 @@ def test_zero_rho_s_metrics_are_strict_json(tmp_path):
     ({"target_speed": float("nan")}, []),
     ({"seed": 1.5}, []),
     ({}, ["--seed", "-1"]),
-    ({"power_cap": -1.0}, []),
-    ({"max_wheel_torque": -5.0}, []),
-    ({"kp": float("nan")}, []),
-    ({"ki": -1.0}, []),
+    ({"power_cap": 80e3}, []),
+    ({"max_wheel_torque": 5000.0}, []),
+    ({"kp": 8000.0}, []),
+    ({"ki": 3000.0}, []),
     ({"drawbar": {"constant": float("nan")}}, []),
     ({"drawbar": {"constant": 15000.0, "ramp_time": float("inf")}}, []),
     ({"field": {**SMALL_SCENARIO["field"],
@@ -461,8 +461,8 @@ def test_zero_rho_s_metrics_are_strict_json(tmp_path):
     ({"field": {**SMALL_SCENARIO["field"], "default_soil": 0.7}}, []),
 ], ids=["missing", "zero_sin_period", "negative_sigma", "nan_resolution",
         "inf_resolution", "nan_duration", "inf_duration", "nan_target_speed",
-        "fractional_seed", "negative_seed_override", "negative_power_cap",
-        "negative_max_wheel_torque", "nan_kp", "negative_ki",
+        "fractional_seed", "negative_seed_override", "power_cap_key",
+        "max_wheel_torque_key", "kp_key", "ki_key",
         "nan_drawbar_constant", "inf_drawbar_ramp_time", "nan_soil_a",
         "nan_extent", "negative_extent", "nan_wheel_inertia",
         "wheels_heavier_than_vehicle", "wheel_count_field", "nan_waypoint",

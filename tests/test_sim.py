@@ -94,9 +94,6 @@ def test_field_spec_rejects_bad_extent(extent):
 @pytest.mark.parametrize("name, value", [
     ("duration", math.nan), ("duration", math.inf), ("duration", 0.05),
     ("target_speed", math.nan), ("target_speed", math.inf),
-    ("power_cap", -1.0), ("power_cap", math.nan), ("power_cap", 0.0),
-    ("max_wheel_torque", -5.0), ("max_wheel_torque", math.inf),
-    ("kp", -1.0), ("kp", math.nan), ("ki", -1.0), ("ki", math.inf),
     ("seed", 1.5), ("seed", -1), ("seed", True), ("seed", "7"),
 ])
 def test_scenario_spec_rejects_bad_numbers(name, value):
@@ -104,9 +101,8 @@ def test_scenario_spec_rejects_bad_numbers(name, value):
         dataclasses.replace(cruise_scenario(MEDIUM), **{name: value})
 
 
-def test_scenario_spec_accepts_zero_gains_and_numpy_seed():
-    base = cruise_scenario(MEDIUM)
-    dataclasses.replace(base, kp=0.0, ki=0.0, seed=np.int64(3))
+def test_scenario_spec_accepts_numpy_seed():
+    dataclasses.replace(cruise_scenario(MEDIUM), seed=np.int64(3))
 
 
 def test_shortest_duration_gives_two_samples():

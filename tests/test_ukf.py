@@ -86,6 +86,18 @@ def test_noise_spec_refuses_non_finite_covariances(q, r, message):
         ukf.NoiseSpec(q=q, r=r)
 
 
+@pytest.mark.parametrize("q, r, message", [
+    # within 1e-12 of its transpose, yet R's condition is about 100 while
+    # that of its lower triangle mirrored, which update's guard reads, is 1
+    (np.zeros((2, 2)), np.array([[1e-13, 1e-12], [0.0, 1e-13]]),
+     "R must be symmetric"),
+    (np.array([[1.0, 1e-13], [0.0, 1.0]]), np.eye(2), "Q must be symmetric"),
+], ids=["r", "q"])
+def test_noise_spec_refuses_inexact_symmetry(q, r, message):
+    with pytest.raises(ValueError, match=message):
+        ukf.NoiseSpec(q=q, r=r)
+
+
 # --- predict ----------------------------------------------------------------
 
 def test_predict_matches_linear_propagation():
@@ -352,10 +364,7 @@ def _wheel_speed_covariance(rho):
     # S is far from diagonally dominant, yet well within the 1e14 guard
     *((*_predicted(_wheel_speed_covariance(rho), 1e-4 * np.eye(5)),
        np.linspace(-0.1, 0.1, 5)) for rho in (0.1, 0.9, 0.999)),
-    # R symmetric to NoiseSpec's 1e-12, not exactly: S is not symmetric
-    (*_predicted(0.01 * np.eye(2), np.array([[1e-4, 1e-13], [0.0, 1e-4]])),
-     np.array([0.1, -0.1])),
-], ids=["rho0.1", "rho0.9", "rho0.999", "asymmetric_r"])
+], ids=["rho0.1", "rho0.9", "rho0.999"])
 def test_update_under_the_guard_equals_update_without_it(fs, noise, y):
     out = ukf.update(fs, y, noise)
     _assert_update_without_guard(out, fs, y, noise)
