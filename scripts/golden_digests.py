@@ -76,12 +76,16 @@ def commands(work: Path) -> dict[str, list[str]]:
 
 
 def versions() -> dict[str, str]:
-    """The versions that decide the digests' bits: Python, numpy, the C
-    library, the kernel that numpy's bundled OpenBLAS picked for this
-    CPU (LAPACK's ``solve`` rounds differently under its SkylakeX and
-    Haswell kernels) and the CPU target of numpy's float64 ``power`` loop
-    (``ukf.adapt_q``'s ``**`` rounds differently under its AVX-512 loop,
-    ``X86_V4``, and its baseline loop)."""
+    """The versions that may decide the digests' bits: Python, numpy, the
+    C library, the kernel that numpy's bundled OpenBLAS picked for this
+    CPU and the CPU target of numpy's float64 ``power`` loop.  The filter
+    update makes no LAPACK call and ``ukf.adapt_q`` raises with the C
+    library's ``pow``, so the digests are the same under the SkylakeX and
+    Haswell kernels and under either ``power`` target (``X86_V4`` or the
+    baseline); the kernel still counts below AVX2, where the BLAS
+    products of ``ukf.predict`` round differently (Sandybridge,
+    Nehalem).  The last two stay recorded so that a failure on such a
+    stack can be read."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "libc": " ".join(platform.libc_ver()).strip() or "unknown",
             "openblas_core": _openblas_core(),

@@ -19,16 +19,16 @@ with the standard spread alpha = 0.1 the centre weight is 1 - n/alpha^2
 (-99 for n = 10), so the sigma-point sums cancel terms about 100 times
 larger than their result.
 
-``update`` refuses an innovation covariance S whose condition number
-exceeds 1e14.  S is symmetric (``predict`` symmetrizes P exactly and
-``NoiseSpec`` holds R symmetric), so that 2-norm condition number is the
-ratio of the largest to the smallest eigenvalue magnitude, from one
-LAPACK eigenvalue solve of S's lower triangle.  The gain's solve and
-that eigenvalue solve call the LAPACK gufuncs of ``np.linalg.solve`` and
-``np.linalg.eigvalsh`` (numpy's ``_umath_linalg``) under the error state
-``np.linalg.solve`` sets, the same bits and the same "Singular matrix"
-refusal without the wrappers' per-call type and shape dispatch, which
-took about half of the solve's time.
+The measurement noise R is diagonal (``NoiseSpec`` refuses any other), so
+one update with m outputs equals m scalar updates in sequence (Bierman
+1977; Simon 2006, section 6.1).  ``update`` makes them in index order,
+each with one pivot s_i = P[i, i] + r_i and no matrix solve, and refuses
+a pivot that is not finite and positive: the innovation covariance S is
+then not positive definite.  Every operation of the update is
+elementwise or on Python floats, and ``adapt_q`` raises to a power with
+the C library's ``pow``, so neither depends on the BLAS kernel or on
+numpy's CPU dispatch.  The products of ``predict`` (F P F^T) and of
+``adapt_q`` remain BLAS ``@`` products.
 
 The adaptation compares the sample spread of the last ``ADAPT_WINDOW``
 innovations with the spread the filter expected, both mapped to state
@@ -47,16 +47,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 
 class SingularInnovationCov(np.linalg.LinAlgError):
-    """Predicted output covariance cannot be inverted."""
-
-
-def _raise_singular(err, flag):
-    """The error-state call of the solve: LAPACK found S singular."""
-    raise SingularInnovationCov("Singular matrix")
+    """Predicted output covariance is not positive definite."""
 
 
 # Fuzzy supervisor: the singleton rule outputs of the steady/moderate/
@@ -84,8 +78,9 @@ ADAPT_LEAK = 0.05
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Process (Q) and measurement (R) noise covariances: finite and
-    exactly symmetric, Q positive semi-definite and R positive definite."""
+    """Process (Q) and measurement (R) noise covariances: finite diagonal
+    matrices, Q's diagonal non-negative and R's positive.  For a diagonal
+    matrix these are exactly symmetry and positive (semi-)definiteness."""
 
     q: np.ndarray
     r: np.ndarray
@@ -95,17 +90,14 @@ class NoiseSpec:
         r = np.asarray(self.r, dtype=float)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
-        if not np.isfinite(q).all():
-            raise ValueError("Q must be finite")
-        if not np.isfinite(r).all():
-            raise ValueError("R must be finite")
-        if not np.array_equal(q, q.T):
-            raise ValueError("Q must be symmetric")
-        if not np.array_equal(r, r.T):
-            raise ValueError("R must be symmetric")
-        if np.any(np.linalg.eigvalsh(q) < -1e-10):
+        for name, mat in (("Q", q), ("R", r)):
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} must be finite")
+            if not np.array_equal(mat, np.diag(mat.diagonal())):
+                raise ValueError(f"{name} must be a diagonal matrix")
+        if not (q.diagonal() >= 0.0).all():
             raise ValueError("Q must be positive semi-definite")
-        if np.any(np.linalg.eigvalsh(r) <= 0.0):
+        if not (r.diagonal() > 0.0).all():
             raise ValueError("R must be positive definite")
 
 
@@ -154,56 +146,54 @@ def update(fs: FilterState, y: np.ndarray, noise: NoiseSpec) -> FilterState:
     """Measurement update from the predicted belief.
 
     ``y`` holds m values, m being the size of R, and the predicted output
-    is the first m entries of the mean; its covariance S and the
-    cross-covariance are the matching blocks of the predicted covariance.
-    The innovation y - y_hat becomes the last row of a new residual
-    window, which keeps the last ADAPT_WINDOW innovations, and the state
-    keeps the diagonal of the K S K^T it subtracts.  Raises ValueError
-    when ``y`` has another shape, and SingularInnovationCov when S is not
-    finite, cannot be inverted or has a condition number above 1e14.
+    is the first m entries of the mean.  Output i in turn, with pivot
+    s_i = P[i, i] + r_i and gain k = P[i] / s_i, does
+    mean += k (y_i - mean_i) and P -= P[i] P[i]^T / s_i.  P arrives
+    symmetric (``predict`` symmetrizes it exactly) and each reduction is
+    formed symmetric, so P stays exactly symmetric and its row i is its
+    column i.  The innovation y - y_hat against the predicted mean
+    becomes the last row of a new residual window, which keeps the last
+    ADAPT_WINDOW innovations.  The state keeps the gain K = P+[:, :m] / r
+    of the whole update and, as ``spread``, the diagonal of the
+    covariance reduction K S K^T, summed over the m reductions it
+    subtracted.  K is read off the posterior, so it loses what P+ loses
+    to cancellation, about 2.2e-16 P / r relative: up to about 5e-10 at
+    r = 1e-8 with P near 1e-2, up to about 2e-8 with P near 1, and all
+    of it once r is below 2.2e-16 P.  Raises ValueError when
+    ``y`` has another shape, and SingularInnovationCov when a pivot is
+    not finite and positive, that is when S is not positive definite.
     """
     if not fs.predicted:
         raise ValueError("update requires a predicted FilterState")
     y = np.asarray(y, dtype=float)
-    m = noise.r.shape[0]
+    r = noise.r.diagonal()
+    m = len(r)
     if y.shape != (m,):
         raise ValueError(f"measurement must hold the {m} values R "
                          f"describes, got shape {y.shape}")
-    y_hat = fs.mean[:m]
-    # The predicted covariance is symmetric, and so is S when R is.
-    s_cov = fs.cov[:m, :m] + noise.r
-    if not np.isfinite(s_cov).all():
-        raise SingularInnovationCov("innovation covariance is not finite")
-
-    # np.linalg.solve's and np.linalg.eigvalsh's LAPACK gufuncs under the
-    # solve's error state, without their per-call conversion and dispatch
-    # (see the module docstring).
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        gain = _umath_linalg.solve(s_cov, fs.cov[:, :m].T,
-                                   signature="dd->d").T
-        eig = _umath_linalg.eigvalsh_lo(s_cov, signature="d->d").tolist()
-    # The 2-norm condition number of the symmetric S, in Python floats:
-    # on a few values, min and max of a list cost less than numpy's
-    # reductions.
-    low = min(map(abs, eig))
-    cond = max(map(abs, eig)) / low if low > 0.0 else math.inf
-    if not cond <= 1e14:
-        raise SingularInnovationCov(
-            f"innovation covariance condition {cond:.2e}")
-
-    innovation = y - y_hat
-    mean = fs.mean + gain @ innovation
-    reduction = gain @ s_cov @ gain.T
-    cov = _symmetrize(fs.cov - reduction)
+    innovation = y - fs.mean[:m]
+    mean = fs.mean.copy()
+    cov = fs.cov.copy()
+    spread = np.zeros(len(mean))
+    for i, (y_i, r_i) in enumerate(zip(y.tolist(), r.tolist())):
+        row = cov[i]
+        pivot = cov.item(i, i) + r_i
+        if not 0.0 < pivot < math.inf:
+            raise SingularInnovationCov(
+                f"innovation variance {pivot!r} of output {i}")
+        mean += row * ((y_i - mean.item(i)) / pivot)
+        reduction = row[:, None] * row
+        reduction /= pivot
+        spread += reduction.diagonal()
+        cov -= reduction
 
     # A fresh C-contiguous window, so adapt_q's res.T @ res sees the
     # operand it always has.
     past = fs.residuals
     residuals = (innovation[None] if past is None else
                  np.concatenate((past[1 - ADAPT_WINDOW:], innovation[None])))
-    return FilterState(mean, cov, fs.a_diag, fs.phi, residuals, gain,
-                       reduction.diagonal(), False)
+    return FilterState(mean, cov, fs.a_diag, fs.phi, residuals,
+                       cov[:, :m] / r, spread, False)
 
 
 def adapt_q(fs: FilterState) -> np.ndarray:
@@ -216,9 +206,10 @@ def adapt_q(fs: FilterState) -> np.ndarray:
     K S K^T that ``update`` subtracted, whose diagonal the state keeps.
     Innovations larger than modelled (process noise understated) grow A,
     smaller ones shrink it; a statistically consistent filter holds A at
-    its fixed point.  Until ``update`` has buffered ADAPT_WINDOW
-    innovations, returns ``fs.a_diag`` itself (the previous adaptation is
-    kept).
+    its fixed point.  An entry whose expected spread is 1e-300 or less (or
+    NaN) keeps its previous value.  Until ``update`` has buffered
+    ADAPT_WINDOW innovations, returns ``fs.a_diag`` itself (the previous
+    adaptation is kept).
     """
     res = fs.residuals
     if res is None or len(res) < ADAPT_WINDOW:
@@ -226,20 +217,16 @@ def adapt_q(fs: FilterState) -> np.ndarray:
 
     s_bar = res.T @ res / (ADAPT_WINDOW - 1)
     actual = (fs.gain @ s_bar @ fs.gain.T).diagonal()
-    expected = fs.spread
-
-    # Entries whose expected spread is 1e-300 or less (or NaN) keep their
-    # previous value.
-    if expected.min() > 1e-300:
-        a_new = (fs.a_diag ** (1.0 - ADAPT_LEAK)
-                 * (1.0 - ADAPT_GAIN + ADAPT_GAIN * (actual / expected)))
-    else:
-        a_new = fs.a_diag.copy()
-        usable = expected > 1e-300
-        ratio = actual[usable] / expected[usable]
-        a_new[usable] = (fs.a_diag[usable] ** (1.0 - ADAPT_LEAK)
-                         * (1.0 - ADAPT_GAIN + ADAPT_GAIN * ratio))
-    return np.minimum(np.maximum(a_new, A_MIN), A_MAX)
+    # In Python floats: ** is the C library's pow, whatever numpy
+    # dispatches its own power loop to on this CPU.
+    a_new = []
+    for a, got, expected in zip(fs.a_diag.tolist(), actual.tolist(),
+                                fs.spread.tolist()):
+        if expected > 1e-300:
+            a = a ** (1.0 - ADAPT_LEAK) * (1.0 - ADAPT_GAIN
+                                           + ADAPT_GAIN * (got / expected))
+        a_new.append(A_MIN if a < A_MIN else A_MAX if a > A_MAX else a)
+    return np.array(a_new)
 
 
 def fuzzy_factor(dynamics_signal: float) -> float:

@@ -10,11 +10,20 @@ with ``python scripts/golden_digests.py`` and lists the moved files.
 A failure names the moved digests and the Python, numpy, C library,
 OpenBLAS kernel and numpy ``power`` dispatch of the digests and of this
 run.
+
+The step digests must also come out the same in child processes that
+force OpenBLAS's Haswell kernel or switch off numpy's AVX-512 dispatch:
+the filter's bits may not depend on either.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -71,3 +80,57 @@ def test_failure_message_names_libc_and_openblas_core():
     assert note.endswith(f"libc {now['libc']}, "
                          f"OpenBLAS core {now['openblas_core']}, "
                          f"numpy power dispatch {now['power_dispatch']}")
+
+
+# Settings a child process runs ``step_digests`` under, each against a
+# child with neither variable set, and the CPU flags without which the
+# setting cannot run or changes nothing.
+PORTABILITY = {
+    "haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, {"avx2", "fma"}),
+    "no_avx512": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                  {"avx512f"}),
+}
+_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+          "import golden_digests; print(json.dumps(golden_digests.step_digests()))")
+
+
+def _cpu_flags() -> set[str]:
+    """The flags of the first CPU in /proc/cpuinfo; empty where there is
+    no such file."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+def _child_step_digests(env: dict[str, str]) -> dict[str, str]:
+    """``step_digests()`` in a child process with ``env`` set on top of
+    this process's environment without the two variables."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    out = subprocess.run([sys.executable, "-c", _CHILD, str(ROOT / "scripts")],
+                         env={**base, **env}, capture_output=True, text=True,
+                         check=True, timeout=300)
+    return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def default_step_digests():
+    return _child_step_digests({})
+
+
+@pytest.mark.parametrize("setting", list(PORTABILITY))
+def test_step_digests_hold_across_kernels_and_dispatch(setting,
+                                                       default_step_digests):
+    env, needs = PORTABILITY[setting]
+    missing = needs - _cpu_flags()
+    if missing:
+        pytest.skip(f"{setting} needs CPU flags {sorted(missing)}, "
+                    "which /proc/cpuinfo does not list")
+    moved = golden_digests.moved(default_step_digests,
+                                 _child_step_digests(env))
+    assert not moved, f"step records moved under {env}: {', '.join(moved)}"
