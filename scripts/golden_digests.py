@@ -9,8 +9,8 @@ Runs three commands in a temporary directory:
     tractionmap replay run/telemetry.csv --resolution 0.25 --out replay_0.25
 
 and writes the sha256 of every output (26 files) to
-tests/golden/three_soil.json, together with the Python, numpy, C library,
-OpenBLAS kernel and numpy ``power`` loop that made them (``versions``).  Each file is hashed
+tests/golden/three_soil.json, together with the Python, numpy, C library
+and OpenBLAS kernel that made them (``versions``).  Each file is hashed
 as ``scripts/cmp_outputs.py`` compares it, so the runtime lines of the
 metrics files are left out.  It prints each digest that changed, appeared
 or vanished against the file it replaces.  ``tests/test_golden.py`` re-runs the commands and names each
@@ -77,31 +77,18 @@ def commands(work: Path) -> dict[str, list[str]]:
 
 def versions() -> dict[str, str]:
     """The versions that may decide the digests' bits: Python, numpy, the
-    C library, the kernel that numpy's bundled OpenBLAS picked for this
-    CPU and the CPU target of numpy's float64 ``power`` loop.  The filter
-    update makes no LAPACK call and ``ukf.adapt_q`` raises with the C
-    library's ``pow``, so the digests are the same under the SkylakeX and
-    Haswell kernels and under either ``power`` target (``X86_V4`` or the
-    baseline); the kernel still counts below AVX2, where the BLAS
-    products of ``ukf.predict`` round differently (Sandybridge,
-    Nehalem).  The last two stay recorded so that a failure on such a
-    stack can be read."""
+    C library and the kernel that numpy's bundled OpenBLAS picked for this
+    CPU.  The filter update makes no LAPACK call and ``ukf.adapt_q``
+    raises with the C library's ``pow``, so the digests are the same under
+    the SkylakeX and Haswell kernels; the kernel still counts below AVX2,
+    where the BLAS products of ``ukf.predict`` round differently
+    (Sandybridge, Nehalem), and stays recorded so that a failure on such
+    a CPU can be read.  No numpy ``**`` but ``** 2`` (numpy's ``square``)
+    is left in the package, so numpy's AVX-512 dispatch is not recorded:
+    CI runs the golden tests with it switched off instead."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "libc": " ".join(platform.libc_ver()).strip() or "unknown",
-            "openblas_core": _openblas_core(),
-            "power_dispatch": _power_dispatch()}
-
-
-def _power_dispatch() -> str:
-    """The target numpy dispatches its float64 ``power`` loop to on this
-    CPU, as ``numpy.lib.introspect.opt_func_info`` reports it (``X86_V4``,
-    ``baseline(X86_V2)``, ...), or ``unknown`` when numpy cannot say."""
-    try:
-        from numpy.lib.introspect import opt_func_info
-        loops = opt_func_info(func_name="^power$", signature="float64")
-        return next(iter(loops["power"].values()))["current"]
-    except (ImportError, KeyError, StopIteration):
-        return "unknown"
+            "openblas_core": _openblas_core()}
 
 
 def _openblas_core() -> str:

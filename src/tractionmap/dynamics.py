@@ -95,7 +95,7 @@ class SoilParams:
 
 
 def slip(v: float, omega_w: float, r_d: float) -> float:
-    """Longitudinal slip in [-1, 1].
+    """Longitudinal slip, in [-1, 1] for finite speeds.
 
     s = 1 - |v| / (r_d*|omega|)   if |v| <= r_d*|omega|   (driving)
     s = -1 + r_d*|omega| / |v|    otherwise                (braking)
@@ -103,18 +103,25 @@ def slip(v: float, omega_w: float, r_d: float) -> float:
     +1 is spinning on the spot, -1 a locked wheel.  When both speeds are
     below STANDSTILL_EPS the 0/0 case is resolved to 0: a standing wheel
     carries no slip information.
+
+    The range needs no clamp.  IEEE 754 division and subtraction round
+    correctly, hence monotonically: outside the standstill case the larger
+    speed is positive, the smaller one over it rounds into [0, 1], and 1
+    minus that quotient rounds into [0, 1] (driving), -1 plus it into
+    [-1, 0] (braking).  A finite |v| under an r_d*|omega| that overflows
+    to inf gives exactly 1.  A NaN speed gives NaN, as does
+    |v| = r_d*|omega| = inf; a NaN omega_w with v = 0 raises
+    ZeroDivisionError.
     """
-    if r_d <= 0.0:
+    if not r_d > 0.0:
         raise ValueError("r_d must be strictly positive")
     v_abs = abs(v)
     w_abs = r_d * abs(omega_w)
     if v_abs < STANDSTILL_EPS and w_abs < STANDSTILL_EPS:
         return 0.0
     if v_abs <= w_abs:
-        s = 1.0 - v_abs / w_abs
-    else:
-        s = -1.0 + w_abs / v_abs
-    return min(1.0, max(-1.0, s))
+        return 1.0 - v_abs / w_abs
+    return -1.0 + w_abs / v_abs
 
 
 def mu_curve(s: float, soil: SoilParams) -> float:
@@ -154,7 +161,7 @@ def rolling_radius(f_z: float, params: VehicleParams) -> float:
     deformation of 20000 / (2*pi*1e5*1.6*sqrt(0.255)) = 0.0394 m, i.e.
     r_d = 0.8106 m.
     """
-    if f_z < 0.0:
+    if not f_z >= 0.0:
         raise ValueError("f_z must be non-negative")
     deformation = f_z / (2.0 * math.pi * 1e5 * params.tire_pressure
                          * math.sqrt(0.5 * params.tire_width
@@ -176,7 +183,7 @@ def wheel_vertical_forces(f_zf: float, params: VehicleParams) -> tuple[float, fl
     force adds the wheel's own weight: F_z = m_w*g + F_z_axle/2.  The
     wheels do not move vertically (a_z = 0).
     """
-    if f_zf < 0.0:
+    if not f_zf >= 0.0:
         raise ValueError("f_zf must be non-negative")
     body_weight = (params.vehicle_mass - 4.0 * params.wheel_mass) * GRAVITY
     f_zr = body_weight - f_zf

@@ -200,8 +200,9 @@ def dynamics_intensity(torque_steps, speeds) -> float:
     window, the largest per-wheel torque change |m_d' - m_d| (N*m);
     ``speeds`` the window's ground speeds (m/s), oldest first.  Combines
     the largest torque rate of change with the window-averaged speed
-    change; each term saturates at its scale, the sum is clamped.
-    Constant inputs and speeds give 0.
+    change; each term saturates at its scale, the sum is capped at 1.
+    Both terms are non-negative, so the sum needs no floor.  Constant
+    inputs and speeds give 0.
     """
     if not speeds:
         raise ValueError("speed window must be nonempty")
@@ -214,7 +215,7 @@ def dynamics_intensity(torque_steps, speeds) -> float:
         accel = 0.0
 
     raw = torque_rate / TORQUE_RATE_SCALE + accel / ACCEL_SCALE
-    return min(1.0, max(0.0, raw))
+    return min(1.0, raw)
 
 
 @dataclass(frozen=True)

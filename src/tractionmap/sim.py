@@ -500,12 +500,13 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
 
         # Each RK4 stage is written out (see the module docstring).  A stage
         # evaluates slip (dynamics.slip) and the odd-extended curve
-        # (_plant_mu) at its (ws, vs); the clamps keep max(-1.0, s)'s -1.0
-        # for a NaN slip.  The vehicle row adds the four equal wheel forces
-        # one by one, as the four-wheel sum does (4.0 * fh can round
-        # differently).  th is tanh(z), written as the +-1.0 that glibc's
-        # tanh returns for |z| >= 22; a NaN z fails both comparisons and
-        # still reaches tanh.
+        # (_plant_mu) at its (ws, vs).  The slip needs no clamp: for finite
+        # speeds each branch lies in [-1, 1] (see dynamics.slip), and a NaN
+        # speed gives a NaN slip, there as here.  The vehicle row adds the
+        # four equal wheel forces one by one, as the four-wheel sum does
+        # (4.0 * fh can round differently).  th is tanh(z), written as the
+        # +-1.0 that glibc's tanh returns for |z| >= 22; a NaN z fails both
+        # comparisons and still reaches tanh.
         while n_sub:
             n_sub -= 1
             # stage 1 at (w, v)
@@ -517,11 +518,6 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
                 s = 1.0 - va / x
             else:
                 s = -1.0 + x / va
-            if s > -1.0:
-                if s >= 1.0:
-                    s = 1.0
-            else:
-                s = -1.0
             if s >= 0.0:
                 fh = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz
             else:
@@ -545,11 +541,6 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
                 s = 1.0 - va / x
             else:
                 s = -1.0 + x / va
-            if s > -1.0:
-                if s >= 1.0:
-                    s = 1.0
-            else:
-                s = -1.0
             if s >= 0.0:
                 fh = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz
             else:
@@ -573,11 +564,6 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
                 s = 1.0 - va / x
             else:
                 s = -1.0 + x / va
-            if s > -1.0:
-                if s >= 1.0:
-                    s = 1.0
-            else:
-                s = -1.0
             if s >= 0.0:
                 fh = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz
             else:
@@ -601,11 +587,6 @@ def simulate(scenario: ScenarioSpec) -> tuple[list[TelemetrySample], list[TruthR
                 s = 1.0 - va / x
             else:
                 s = -1.0 + x / va
-            if s > -1.0:
-                if s >= 1.0:
-                    s = 1.0
-            else:
-                s = -1.0
             if s >= 0.0:
                 fh = (a - pa * exp(al1 * s) - ap * exp(al2 * s)) * fz
             else:

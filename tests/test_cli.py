@@ -735,6 +735,30 @@ def test_main_replay_names_non_finite_drive_input(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_main_replay_non_finite_wheel_speed_is_a_pipeline_error(
+        short_logs, tmp_path, capsys):
+    # the estimate stage refuses a NaN measurement; no output is written
+    samples = short_logs[0]
+    spoilt = replace(samples[7],
+                     omega_w=(float("nan"),) + samples[7].omega_w[1:])
+    telemetry = tmp_path / "telemetry.csv"
+    sim.write_telemetry_csv(samples[:7] + [spoilt] + samples[8:], telemetry)
+    out = tmp_path / "never"
+    assert cli.main(["replay", str(telemetry), "--out", str(out)]) == 2
+    assert "measurement must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_run_refuses_a_one_waypoint_path(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({**SMALL_SCENARIO, "path": [[2.0, 10.0]]}))
+    out = tmp_path / "never"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert ("configuration error: path needs at least two waypoints"
+            in capsys.readouterr().err)
+
+
 def test_main_pipeline_error_exit_code(tmp_path, capsys):
     bad = dict(SMALL_SCENARIO)
     bad["drawbar"] = {"constant": 60000.0, "ramp_time": 0.0}
@@ -892,7 +916,8 @@ def test_replay_refuses_input_with_configuration_error(spoil, short_logs,
 @pytest.mark.parametrize("fzf, message", [
     (1e9, "front axle load 1000000000 N exceeds body weight"),
     (-5.0, "f_zf must be non-negative"),
-], ids=["above_body_weight", "negative"])
+    (float("nan"), "f_zf must be non-negative"),
+], ids=["above_body_weight", "negative", "nan"])
 def test_main_replay_refuses_axle_load_the_vehicle_cannot_carry(
         fzf, message, short_logs, tmp_path, capsys):
     # replay assumes the default vehicle: a front-axle load it cannot

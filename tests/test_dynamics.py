@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import WheelState, vehicle_accel, wheel_accel
 from tractionmap.dynamics import (
     GRAVITY,
+    STANDSTILL_EPS,
     DegenerateSlip,
     NonPositiveRadius,
     SoilParams,
@@ -54,6 +57,40 @@ def test_slip_standstill_degenerate():
 def test_slip_requires_positive_radius():
     with pytest.raises(ValueError):
         slip(1.0, 1.0, 0.0)
+
+
+# Speeds at the edges of slip's branches: zeros of both signs, subnormals,
+# the standstill threshold and its neighbours, and speeds whose product
+# with the radius overflows to inf.
+EDGE_SPEEDS = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min,
+               math.nextafter(STANDSTILL_EPS, 0.0), STANDSTILL_EPS,
+               math.nextafter(STANDSTILL_EPS, 1.0), 1.0,
+               math.nextafter(1.0, 2.0), -3.0, 1e308, -1e308,
+               sys.float_info.max)
+
+
+def test_slip_range_holds_unclamped_and_nan_propagates():
+    # correctly rounded division and subtraction keep every finite slip
+    # in [-1, 1]; a NaN speed is not turned into a locked wheel
+    for v, omega, r_d in itertools.product(EDGE_SPEEDS, EDGE_SPEEDS,
+                                           (5e-324, 0.5, 1.0, 2.0, 1e308)):
+        assert -1.0 <= slip(v, omega, r_d) <= 1.0, (v, omega, r_d)
+    assert slip(1.0, 1e308, 2.0) == 1.0   # r_d*|omega| is inf
+    nan = float("nan")
+    for v, omega in ((nan, 2.0), (1.0, nan), (nan, 0.0), (nan, nan)):
+        assert math.isnan(slip(v, omega, 0.5))
+
+
+def test_nan_load_or_radius_is_refused():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="f_z must be non-negative"):
+        rolling_radius(nan, PARAMS)
+    with pytest.raises(ValueError, match="f_zf must be non-negative"):
+        wheel_vertical_forces(nan, PARAMS)
+    with pytest.raises(ValueError, match="f_zf must be non-negative"):
+        wheel_geometry(nan, PARAMS)
+    with pytest.raises(ValueError, match="r_d must be strictly positive"):
+        slip(1.0, 2.0, nan)
 
 
 @given(v=st.floats(0.01, 50.0), omega=st.floats(0.01, 50.0),

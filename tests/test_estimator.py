@@ -294,6 +294,11 @@ def test_traction_input_rejects_non_finite(name, value):
         TractionInput(**fields)
 
 
+def test_traction_input_rejects_negative_axle_load():
+    with pytest.raises(ValueError, match="f_zf must be non-negative"):
+        TractionInput(m_d=(500.0,) * 4, f_zf=-1.0, f_dx=8000.0)
+
+
 def test_traction_input_needs_one_torque_per_wheel():
     with pytest.raises(ValueError, match="one torque per wheel"):
         TractionInput(m_d=(500.0,) * 3, f_zf=F_ZF_STATIC, f_dx=8000.0)

@@ -7,9 +7,8 @@
 records in four configurations on a 30 s three-soil stream at 1x and 5x
 speed noise.  A change that moves outputs on purpose regenerates both
 with ``python scripts/golden_digests.py`` and lists the moved files.
-A failure names the moved digests and the Python, numpy, C library,
-OpenBLAS kernel and numpy ``power`` dispatch of the digests and of this
-run.
+A failure names the moved digests and the Python, numpy, C library and
+OpenBLAS kernel of the digests and of this run.
 
 The step digests must also come out the same in child processes that
 force OpenBLAS's Haswell kernel or switch off numpy's AVX-512 dispatch:
@@ -34,16 +33,15 @@ _spec.loader.exec_module(golden_digests)
 
 # How ``versions`` keys read in a failure message.
 LABELS = {"python": "Python", "numpy": "numpy", "libc": "libc",
-          "openblas_core": "OpenBLAS core",
-          "power_dispatch": "numpy power dispatch"}
+          "openblas_core": "OpenBLAS core"}
 
 
 def _made_and_now(golden: dict) -> str:
     """Where the digests were made and where this run is: a moved digest
-    with the same Python and numpy points at the C library, at the
-    OpenBLAS kernel this CPU selects or at the target numpy dispatches
-    its float64 ``power`` loop to.  A golden file that predates a key
-    reads ``not recorded`` for it."""
+    with the same Python and numpy points at the C library or at the
+    OpenBLAS kernel this CPU selects.  A golden file that predates a key
+    reads ``not recorded`` for it; a key it records that ``versions`` no
+    longer has is left out."""
     now = golden_digests.versions()
 
     def line(where):
@@ -73,13 +71,11 @@ def test_step_records_match_golden_digests():
 def test_failure_message_names_libc_and_openblas_core():
     note = _made_and_now({"python": "3.11.7", "numpy": "2.4.6"})
     assert note.startswith("digests made with Python 3.11.7, numpy 2.4.6, "
-                           "libc not recorded, OpenBLAS core not recorded, "
-                           "numpy power dispatch not recorded; "
+                           "libc not recorded, OpenBLAS core not recorded; "
                            "this run has Python ")
     now = golden_digests.versions()
     assert note.endswith(f"libc {now['libc']}, "
-                         f"OpenBLAS core {now['openblas_core']}, "
-                         f"numpy power dispatch {now['power_dispatch']}")
+                         f"OpenBLAS core {now['openblas_core']}")
 
 
 # Settings a child process runs ``step_digests`` under, each against a
